@@ -8,19 +8,12 @@ updates staying accurate and the bonus collapsing as data accumulates.
 
 import numpy as np
 
-from cinderella import (
-    BonusSchedule,
-    alpha_radius,
-    beta_radius,
-    mahalanobis_inv_norm,
-    ridge_init,
-    ridge_update,
-    theta_hat,
-)
+from cinderella import BonusSchedule, alpha_radius, beta_radius, mahalanobis_inv_norm, ridge_update
 
 rng = np.random.default_rng(1)
 d = 6
-state = ridge_init(d, 1.0)
+lam, lam_inv = np.eye(d), np.eye(d)  # regularizer lambda = 1
+bvec = np.zeros(d)  # sum of phi * target; the learner re-fits this from its history
 theta_true = rng.normal(size=d)
 theta_true /= np.linalg.norm(theta_true)
 
@@ -28,11 +21,12 @@ probe = rng.normal(size=d)
 print("visit count | estimate error | bonus norm at probe | inverse drift")
 for n in range(1, 2001):
     phi = rng.uniform(-1, 1, size=d)
-    ridge_update(state, phi, float(phi @ theta_true))
+    ridge_update(lam, lam_inv, phi, n)
+    bvec += phi * float(phi @ theta_true)
     if n in (1, 10, 100, 500, 2000):
-        err = np.linalg.norm(theta_hat(state) - theta_true)
-        bonus = mahalanobis_inv_norm(state, probe)
-        drift = np.max(np.abs(state.lam_inv - np.linalg.inv(state.lam)))
+        err = np.linalg.norm(lam_inv @ bvec - theta_true)
+        bonus = mahalanobis_inv_norm(lam_inv, probe)
+        drift = np.max(np.abs(lam_inv - np.linalg.inv(lam)))
         print(f"{n:>11} | {err:14.6f} | {bonus:19.6f} | {drift:.2e}")
 
 # The confidence radius grows slowly (logarithmically) with the episode index

@@ -26,7 +26,6 @@ from .features import (
 )
 from .geometry import (
     Partition,
-    RegionIndex,
     assign_region,
     assign_regions,
     auto_epsilon,
@@ -48,8 +47,6 @@ from .learner import (
     ThetaTable,
     alpha_radius,
     beta_radius,
-    optimistic_q,
-    plan_and_act_episode,
     solve_exact_grid,
 )
 from .oracle import (
@@ -61,13 +58,7 @@ from .oracle import (
     random_policy_value,
     taylor_remainder_check,
 )
-from .regression import (
-    RegionRidgeState,
-    mahalanobis_inv_norm,
-    ridge_init,
-    ridge_update,
-    theta_hat,
-)
+from .regression import mahalanobis_inv_norm, ridge_update
 
 __version__ = "0.1.0"
 
@@ -79,8 +70,6 @@ __all__ = [
     "InherentErrorReport",
     "MultiIndexSet",
     "Partition",
-    "RegionIndex",
-    "RegionRidgeState",
     "RegretTrace",
     "RunConfig",
     "TaylorFeatureMap",
@@ -106,12 +95,9 @@ __all__ = [
     "make_rng",
     "mahalanobis_inv_norm",
     "nu_star",
-    "optimistic_q",
-    "plan_and_act_episode",
     "policy_value",
     "random_policy_gap",
     "random_policy_value",
-    "ridge_init",
     "ridge_update",
     "run_episode",
     "run_experiment",
@@ -119,5 +105,4 @@ __all__ = [
     "solve_exact_grid",
     "taylor_features",
     "taylor_remainder_check",
-    "theta_hat",
 ]

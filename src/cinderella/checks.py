@@ -20,7 +20,7 @@ from .geometry import assign_regions, build_partition
 from .harness import STREAM_ENV, make_rng
 from .learner import BonusSchedule, CinderellaLearner
 from .oracle import dp_solve, inherent_error_estimate, taylor_remainder_check
-from .regression import ridge_init, ridge_update
+from .regression import ridge_update
 
 
 def _check_partition(n_points: int, max_dim: int):
@@ -75,11 +75,11 @@ def _check_taylor(epsilons):
 
 def _check_ridge(dim: int, n_updates: int):
     rng = np.random.default_rng(3)
-    st = ridge_init(dim, 1.0)
-    for _ in range(n_updates):
-        ridge_update(st, rng.normal(size=dim), float(np.clip(rng.normal(), -1, 2)))
-    gap = np.max(np.abs(st.lam_inv - np.linalg.inv(st.lam)))
-    sym = np.max(np.abs(st.lam - st.lam.T))
+    lam, lam_inv = np.eye(dim), np.eye(dim)
+    for count in range(1, n_updates + 1):
+        ridge_update(lam, lam_inv, rng.normal(size=dim), count)
+    gap = np.max(np.abs(lam_inv - np.linalg.inv(lam)))
+    sym = np.max(np.abs(lam - lam.T))
     ok = gap <= 1e-8 and sym <= 1e-12
     return ok, f"inverse drift {gap:.2e}, asymmetry {sym:.2e} after {n_updates} updates"
 
@@ -96,7 +96,7 @@ def _check_extension(n_queries: int):
     for _ in range(n_queries):
         z = rng.uniform(-1, 1, size=2)
         lhs = extend_features(fmap, z) @ theta.ravel()
-        rhs = taylor_features(fmap, z) @ theta[assign_region(part, z).value]
+        rhs = taylor_features(fmap, z) @ theta[assign_region(part, z)]
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-12
     return ok, f"max block/flat mismatch {worst:.2e} over {n_queries} queries"

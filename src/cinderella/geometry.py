@@ -51,13 +51,6 @@ class Partition:
         return part
 
 
-@dataclass(frozen=True)
-class RegionIndex:
-    """Index of one cell of a Partition, in [0, n_regions)."""
-
-    value: int
-
-
 def build_partition(dim: int, epsilon: float) -> Partition:
     """Build the regular grid cover of [-1, 1]^dim with radius epsilon.
 
@@ -77,13 +70,13 @@ def build_partition(dim: int, epsilon: float) -> Partition:
     return Partition(dim=dim, epsilon=float(epsilon), cells_per_axis=m, centers=centers)
 
 
-def assign_region(partition: Partition, z: np.ndarray) -> RegionIndex:
+def assign_region(partition: Partition, z: np.ndarray) -> int:
     """Map a point of [-1, 1]^d to the index of its infinity-nearest center.
 
     Ties on cell boundaries go to the smallest row-major index, which matches
     assigning each point to the first covering cell in enumeration order.
     """
-    return RegionIndex(int(assign_regions(partition, np.asarray(z, dtype=float)[None, :])[0]))
+    return int(assign_regions(partition, np.asarray(z, dtype=float)[None, :])[0])
 
 
 def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
@@ -101,11 +94,6 @@ def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
     for a in range(1, partition.dim):
         flat = flat * m + axis_idx[:, a]
     return flat
-
-
-def region_center(partition: Partition, index: int | np.ndarray) -> np.ndarray:
-    """Center point(s) of the given region index/indices."""
-    return partition.centers[index]
 
 
 def auto_epsilon(episodes: int, dim: int, nu: float) -> float:

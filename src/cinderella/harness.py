@@ -24,7 +24,7 @@ from .envs import EnvironmentModel, env_exact_linear, env_smooth_drift, env_unif
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import GridDP, dp_solve, random_policy_value
+from .oracle import GridDP, _discretized_kernel, dp_solve, random_policy_value
 
 log = logging.getLogger(__name__)
 
@@ -274,13 +274,10 @@ def _policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     H = env.horizon
     rewards = np.zeros((H + 1, n_s, M))
     kernels = [None] * (H + 1)
-    w = (2.0 / (dp.m_state - 1)) ** env.state_dim
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
         if h < H:
-            dens = env.transition_density(h, Z, sp) * w
-            dens /= dens.sum(axis=1, keepdims=True)
-            kernels[h] = dens.reshape(n_s, M, sp.shape[0])
+            kernels[h] = _discretized_kernel(env, h, Z, sp, dp.m_state).reshape(n_s, M, n_s)
     return rewards, kernels
 
 

@@ -29,7 +29,7 @@ import numpy as np
 from .envs import run_episode
 from .features import TaylorFeatureMap, features_at_centers
 from .geometry import Partition, assign_regions
-from .regression import RegionRidgeState, ridge_update
+from .regression import ridge_update
 
 log = logging.getLogger(__name__)
 
@@ -58,6 +58,9 @@ class BonusSchedule:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
+        for name in ("lam_reg", "l_phi", "r_max", "inherent_bound", "bonus_scale"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.lam_reg <= 0 or self.l_phi <= 0:
             raise ValueError("regularizer and feature bound must be positive")
         if self.r_max < 0 or self.inherent_bound < 0 or self.bonus_scale < 0:
@@ -66,7 +69,7 @@ class BonusSchedule:
             raise ValueError("region/feature/episode/horizon counts must be >= 1")
 
 
-def beta_radius(schedule: BonusSchedule, k: int, count: int = 0) -> float:
+def beta_radius(schedule: BonusSchedule, k: int) -> float:
     """Concentration radius for the regression noise at episode k.
 
     Folds the covering-number bound of the per-region linear class into one
@@ -85,11 +88,14 @@ def beta_radius(schedule: BonusSchedule, k: int, count: int = 0) -> float:
     return s.bonus_scale * (math.sqrt(max(inside, 0.0)) + 2.0)
 
 
-def alpha_radius(schedule: BonusSchedule, k: int, count: int) -> float:
-    """Feasibility radius: concentration + misspecification + prior terms."""
+def alpha_radius(schedule: BonusSchedule, k: int, counts):
+    """Feasibility radius: concentration + misspecification + prior terms.
+
+    ``counts`` is a visit count or an array of them; the result has its shape.
+    """
     return (
-        beta_radius(schedule, k, count)
-        + math.sqrt(max(count, 0)) * schedule.inherent_bound
+        beta_radius(schedule, k)
+        + np.sqrt(np.maximum(counts, 0)) * schedule.inherent_bound
         + schedule.r_max / schedule.lam_reg
     )
 
@@ -187,21 +193,6 @@ class CinderellaLearner:
         self.lam_all = np.tile(np.eye(d) * lam0, (H + 1, N, 1, 1))
         self.lam_inv_all = np.tile(np.eye(d) / lam0, (H + 1, N, 1, 1))
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
-        # Ridge states share storage with the dense arrays (views), so both
-        # the per-region API and the vectorized planner see the same numbers.
-        self.ridge = [
-            [
-                RegionRidgeState(
-                    dim=d,
-                    lam_reg=lam0,
-                    lam=self.lam_all[h, n],
-                    lam_inv=self.lam_inv_all[h, n],
-                    bvec=np.zeros(d),
-                )
-                for n in range(N)
-            ]
-            for h in range(H + 1)
-        ]
         M = self.actions.shape[0]
         self.history = [
             _StepHistory(max(schedule.episodes, 16), d, M, has_next=(1 <= h < H))
@@ -258,26 +249,29 @@ class CinderellaLearner:
 
     # -- planning -----------------------------------------------------------
 
+    def _refit(self, h: int, q_next) -> np.ndarray:
+        """Ridge estimates (N, d) at step h from the whole step-h history.
+
+        Targets are ``reward + max_a clip(q, 0, 1)``, clipped to the target
+        bounds, where ``q_next(feats, regions)`` scores the cached next-state
+        blocks with the step-(h+1) tables; the last step has no continuation.
+        """
+        hist = self.history[h]
+        p = hist.size
+        targets = hist.rewards[:p]
+        if h < self.H:
+            q = q_next(hist.next_feats[:p], hist.next_regions[:p])
+            targets = targets + np.clip(q, 0.0, 1.0).max(axis=1)
+        targets = np.clip(targets, self.clip_lo, self.clip_hi)
+        bsum = np.zeros((self.N, self.d))
+        np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
+        return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
+
     def _plan_relaxation(self, k: int) -> None:
         self.theta_bar_all = None
+        self.alpha_all[1:] = alpha_radius(self.schedule, k, self.counts[1:])
         for h in range(self.H, 0, -1):
-            self.alpha_all[h] = [
-                alpha_radius(self.schedule, k, int(c)) for c in self.counts[h]
-            ]
-            hist = self.history[h]
-            p = hist.size
-            if p == 0:
-                self.theta_hat_all[h] = 0.0
-                continue
-            if h == self.H:
-                v_next = np.zeros(p)
-            else:
-                raw = self._scores(h + 1, hist.next_feats[:p], hist.next_regions[:p])
-                v_next = np.clip(raw, 0.0, 1.0).max(axis=1)
-            targets = np.clip(hist.rewards[:p] + v_next, self.clip_lo, self.clip_hi)
-            bsum = np.zeros((self.N, self.d))
-            np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
-            self.theta_hat_all[h] = np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
+            self.theta_hat_all[h] = self._refit(h, lambda f, r: self._scores(h + 1, f, r))
 
     def plan(self, s1: np.ndarray | None = None) -> None:
         """Refresh the optimistic tables for the upcoming episode."""
@@ -309,16 +303,16 @@ class CinderellaLearner:
         return self.actions[int(np.argmax(self._scores(h, feats, regions)))]
 
     def observe_transition(self, h, state, action, reward, next_state) -> None:
-        """Absorb one transition into the (h, region) regression and history."""
+        """Absorb one transition into the (h, region) design matrix and history."""
+        if not math.isfinite(reward):
+            raise ValueError("non-finite reward")
         phi, region = self._point(state, action)
         nf = nr = None
-        vbar = 0.0
         if h < self.H and next_state is not None:
             nf, nr = self._blocks(np.atleast_1d(np.asarray(next_state, dtype=float)))
-            vbar = float(np.clip(self._scores(h + 1, nf, nr), 0.0, 1.0).max())
-        target = float(np.clip(reward + vbar, self.clip_lo, self.clip_hi))
-        ridge_update(self.ridge[h][region], phi, target)
-        self.counts[h, region] += 1
+        count = self.counts[h, region] + 1
+        ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
+        self.counts[h, region] = count
         self.history[h].append(phi, reward, region, nf, nr)
 
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
@@ -364,14 +358,6 @@ class CinderellaLearner:
         return out
 
 
-def optimistic_q(learner: CinderellaLearner, h: int, z: np.ndarray) -> float:
-    return learner.optimistic_q(h, z)
-
-
-def plan_and_act_episode(learner: CinderellaLearner, env, s1, rng):
-    return learner.plan_and_act_episode(env, s1, rng)
-
-
 def solve_exact_grid(
     learner: CinderellaLearner, s1: np.ndarray, grid_resolution: int
 ) -> ThetaTable:
@@ -393,8 +379,7 @@ def solve_exact_grid(
     k = learner.k + 1
     s1 = np.atleast_1d(np.asarray(s1, dtype=float))
     alpha = np.zeros((H + 1, N))
-    for h in range(1, H + 1):
-        alpha[h] = [alpha_radius(learner.schedule, k, int(c)) for c in learner.counts[h]]
+    alpha[1:] = alpha_radius(learner.schedule, k, learner.counts[1:])
 
     # Feasible xi candidates per (h, n): grid of the bounding box, filtered by
     # the ellipsoid constraint; the zero vector is always kept.
@@ -424,24 +409,9 @@ def solve_exact_grid(
         theta_hat = np.zeros((H + 1, N, d))
         theta_bar = np.zeros((H + 1, N, d))
         for h in range(H, 0, -1):
-            hist = learner.history[h]
-            p = hist.size
-            if p > 0:
-                if h == H:
-                    v_next = np.zeros(p)
-                else:
-                    q_next = np.einsum(
-                        "pmd,pmd->pm",
-                        hist.next_feats[:p],
-                        theta_bar[h + 1][hist.next_regions[:p]],
-                    )
-                    v_next = np.clip(q_next, 0.0, 1.0).max(axis=1)
-                targets = np.clip(
-                    hist.rewards[:p] + v_next, learner.clip_lo, learner.clip_hi
-                )
-                bsum = np.zeros((N, d))
-                np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
-                theta_hat[h] = np.einsum("nde,ne->nd", learner.lam_inv_all[h], bsum)
+            theta_hat[h] = learner._refit(
+                h, lambda f, r: np.einsum("pmd,pmd->pm", f, theta_bar[h + 1][r])
+            )
             theta_bar[h] = theta_hat[h] + xi[h]
         obj = float(
             np.einsum("md,md->m", s1_feats, theta_bar[1][s1_regions]).max()

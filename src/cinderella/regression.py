@@ -1,78 +1,36 @@
 """Per-region regularized least squares with incremental inverse updates.
 
-Each region keeps a design matrix ``lam = lambda*I + sum phi phi^T`` over its
-visits, the matching inverse maintained by rank-1 (Sherman-Morrison) updates,
-and the accumulated target vector. The inverse is recomputed from scratch
-every ``REINVERT_EVERY`` updates to reset floating-point drift.
+Each (step, region) regression keeps a design matrix
+``lam = lambda*I + sum phi phi^T`` over its visits and the matching inverse,
+maintained by rank-1 (Sherman-Morrison) updates. The inverse is recomputed
+from scratch every ``REINVERT_EVERY`` updates to reset floating-point drift.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
 REINVERT_EVERY = 512
 
 
-@dataclass
-class RegionRidgeState:
-    """Mutable regression state for one (step, region) pair.
+def ridge_update(lam: np.ndarray, lam_inv: np.ndarray, phi: np.ndarray, count: int) -> None:
+    """Absorb one visit in place: lam += phi phi^T, with lam_inv kept its inverse.
 
-    Owned by a single learner; distinct states may be updated concurrently.
-    ``lam`` and ``lam_inv`` are mutated in place so callers may hold views.
-    """
-
-    dim: int
-    lam_reg: float
-    lam: np.ndarray
-    lam_inv: np.ndarray
-    bvec: np.ndarray
-    count: int = 0
-    _since_reinvert: int = field(default=0, repr=False)
-
-
-def ridge_init(dim: int, lam_reg: float) -> RegionRidgeState:
-    """Fresh state: lam = lambda*I, inverse I/lambda, no visits."""
-    if lam_reg <= 0:
-        raise ValueError(f"regularizer must be positive, got {lam_reg}")
-    return RegionRidgeState(
-        dim=dim,
-        lam_reg=float(lam_reg),
-        lam=np.eye(dim) * lam_reg,
-        lam_inv=np.eye(dim) / lam_reg,
-        bvec=np.zeros(dim),
-    )
-
-
-def ridge_update(state: RegionRidgeState, phi: np.ndarray, target: float) -> RegionRidgeState:
-    """Absorb one observation: lam += phi phi^T, bvec += phi*target.
-
-    Targets must be finite and clipped upstream to the configured bounds.
-    Returns the same (mutated) state for chaining.
+    ``count`` is the region's visit count including this one; the inverse is
+    recomputed directly whenever it is a multiple of ``REINVERT_EVERY``.
     """
     phi = np.asarray(phi, dtype=float)
-    if not (np.all(np.isfinite(phi)) and np.isfinite(target)):
+    if not np.all(np.isfinite(phi)):
         raise ValueError("non-finite input to ridge update")
-    state.lam += np.outer(phi, phi)
-    u = state.lam_inv @ phi
+    lam += np.outer(phi, phi)
+    u = lam_inv @ phi
     denom = 1.0 + phi @ u
-    state.lam_inv -= np.outer(u, u) / denom
-    state.bvec += phi * target
-    state.count += 1
-    state._since_reinvert += 1
-    if state._since_reinvert >= REINVERT_EVERY:
-        state.lam_inv[:] = np.linalg.inv(state.lam)
-        state._since_reinvert = 0
-    return state
+    lam_inv -= np.outer(u, u) / denom
+    if count % REINVERT_EVERY == 0:
+        lam_inv[:] = np.linalg.inv(lam)
 
 
-def theta_hat(state: RegionRidgeState) -> np.ndarray:
-    """Ridge estimate lam_inv @ bvec."""
-    return state.lam_inv @ state.bvec
-
-
-def mahalanobis_inv_norm(state: RegionRidgeState, phi: np.ndarray) -> float:
+def mahalanobis_inv_norm(lam_inv: np.ndarray, phi: np.ndarray) -> float:
     """sqrt(phi^T lam_inv phi): the dual norm driving exploration bonuses."""
     phi = np.asarray(phi, dtype=float)
-    return float(np.sqrt(max(phi @ state.lam_inv @ phi, 0.0)))
+    return float(np.sqrt(max(phi @ lam_inv @ phi, 0.0)))

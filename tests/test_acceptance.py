@@ -17,7 +17,7 @@ from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, featu
 from cinderella.geometry import assign_regions, build_partition
 from cinderella.harness import RunConfig, build_env, random_policy_gap, run_experiment, run_sweep
 from cinderella.oracle import dp_solve, inherent_error_estimate, taylor_remainder_check
-from cinderella.regression import ridge_init, ridge_update
+from cinderella.regression import ridge_update
 from conftest import sin2x, sin2x_derivative
 
 
@@ -95,10 +95,12 @@ def test_criterion_04_incremental_inverse():
         rng = np.random.default_rng(404)
         worst = 0.0
         for d in (4, 16):
-            state = ridge_init(d, 1.0)
-            for _ in range(1000):
-                ridge_update(state, rng.normal(size=d), float(np.clip(rng.normal(), -1, 2)))
-            gap = float(np.max(np.abs(state.lam_inv - np.linalg.inv(state.lam))))
+            lam, lam_inv = np.eye(d), np.eye(d)
+            for count in range(1, 1001):
+                phi = rng.normal(size=d)
+                rng.normal()  # the former regression target: keeps the feature stream
+                ridge_update(lam, lam_inv, phi, count)
+            gap = float(np.max(np.abs(lam_inv - np.linalg.inv(lam))))
             worst = max(worst, gap)
     _verdict(4, worst <= 1e-8, f"incremental vs direct inverse max-entry gap {worst:.2e} <= 1e-8")
 

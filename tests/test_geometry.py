@@ -42,18 +42,18 @@ def test_cells_per_axis_float_safe(eps, m):
 
 def test_assign_nearest_center():
     part = build_partition(1, 0.5)
-    assert assign_region(part, np.array([0.2])).value == 1
+    assert assign_region(part, np.array([0.2])) == 1
 
 
 def test_assign_boundary_tie_goes_to_earlier_cell():
     part = build_partition(1, 0.5)
-    assert assign_region(part, np.array([0.0])).value == 0
+    assert assign_region(part, np.array([0.0])) == 0
 
 
 def test_assign_single_region():
     part = build_partition(2, 1.0)
     for z in ([0.0, 0.0], [1.0, -1.0], [-0.3, 0.7]):
-        assert assign_region(part, np.array(z)).value == 0
+        assert assign_region(part, np.array(z)) == 0
 
 
 def test_assign_matches_bruteforce_nearest(rng):
@@ -95,7 +95,7 @@ def test_assignment_deterministic(rng):
 def test_every_point_lands_in_exactly_one_cell(dim, eps, coords):
     part = build_partition(dim, eps)
     z = np.array(coords[:dim])
-    idx = assign_region(part, z).value
+    idx = assign_region(part, z)
     assert 0 <= idx < part.n_regions
     assert np.max(np.abs(z - part.centers[idx])) <= eps + 1e-12
 

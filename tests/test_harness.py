@@ -1,13 +1,17 @@
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
 
 from cinderella.cli import main as cli_main
+from cinderella.envs import env_uniform_shift
+from cinderella.features import TaylorFeatureMap
 from cinderella.harness import (
     CSV_HEADER,
     RunConfig,
+    _policy_eval_tables,
     check_suite,
     derive_seed,
     load_config,
@@ -15,6 +19,7 @@ from cinderella.harness import (
     run_experiment,
     run_sweep,
 )
+from cinderella.oracle import dp_solve
 
 
 def _small_config(**overrides):
@@ -39,6 +44,23 @@ def _strip_ms(csv_text):
 
 
 # -- config -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("field", ["lam_reg", "l_phi", "r_max", "inherent_bound", "bonus_scale"])
+def test_non_finite_schedule_constant_fails_before_oracle(monkeypatch, field, horizon, value):
+    def oracle_reached(*args, **kwargs):
+        raise AssertionError("dp_solve reached with an invalid schedule")
+
+    monkeypatch.setattr("cinderella.harness.dp_solve", oracle_reached)
+    if field == "l_phi":  # derived from the feature map, not a config field
+        monkeypatch.setattr(TaylorFeatureMap, "norm_bound", property(lambda self: value))
+        cfg = _small_config(horizon=horizon)
+    else:
+        cfg = _small_config(horizon=horizon, **{field: value})
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        run_experiment(cfg)
 
 
 def test_from_dict_unknown_top_key_rejected():
@@ -313,3 +335,13 @@ def test_cli_sweep(tmp_path):
     out_dir = tmp_path / "out"
     assert cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_dir), "--jobs", "2"]) == 0
     assert len(list(out_dir.glob("*.csv"))) == 2
+
+
+def test_policy_eval_tables_reject_vanishing_density():
+    env = env_uniform_shift(beta=0.5, horizon=2)
+    dp = dp_solve(env, 17, 9)
+    dead = dataclasses.replace(
+        env, transition_density=lambda h, Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+    )
+    with pytest.raises(ValueError, match="vanished"):
+        _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])

@@ -53,7 +53,7 @@ def test_beta_radius_monotone_in_k():
 
 def test_alpha_radius_degenerate_terms():
     sch = _schedule(r_max=0.0)
-    assert alpha_radius(sch, k=3, count=10) == pytest.approx(beta_radius(sch, 3))
+    assert alpha_radius(sch, k=3, counts=10) == pytest.approx(beta_radius(sch, 3))
 
 
 def test_alpha_radius_no_visits_no_misspecification_term():
@@ -112,7 +112,7 @@ def test_horizon_one_acts_like_linucb():
     mean = feats @ learner.theta_hat_all[1, 0]
     bonuses = np.array(
         [
-            learner.alpha_all[1, 0] * mahalanobis_inv_norm(learner.ridge[1][0], f)
+            learner.alpha_all[1, 0] * mahalanobis_inv_norm(learner.lam_inv_all[1, 0], f)
             for f in feats
         ]
     )
@@ -147,7 +147,7 @@ def test_bonus_monotone_under_region_updates():
     for k in range(1, 40):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(1, k, 0, 1))
         alpha = alpha_radius(learner.schedule, k_frozen, int(learner.counts[1, region]))
-        bonuses.append(alpha * mahalanobis_inv_norm(learner.ridge[1][region], phi))
+        bonuses.append(alpha * mahalanobis_inv_norm(learner.lam_inv_all[1, region], phi))
     assert all(b <= a + 1e-12 for a, b in zip(bonuses, bonuses[1:]))
 
 
@@ -232,7 +232,7 @@ def test_exact_grid_objective_matches_relaxation_on_tiny_instance():
     table = solve_exact_grid(learner, np.zeros(1), 5)
     radius = alpha_radius(learner.schedule, learner.k + 1, int(learner.counts[1, 0]))
     relax = table.theta_hat[1, 0, 0] + radius * mahalanobis_inv_norm(
-        learner.ridge[1][0], np.ones(1)
+        learner.lam_inv_all[1, 0], np.ones(1)
     )
     assert table.objective >= relax - 1e-9
     assert table.objective == pytest.approx(relax, abs=1e-9)
@@ -278,4 +278,20 @@ def test_schedule_validation():
     with pytest.raises(ValueError):
         _schedule(lam_reg=-1.0)
     with pytest.raises(ValueError):
+        _schedule(lam_reg=0.0)
+    with pytest.raises(ValueError):
         _schedule(bonus_scale=-0.5)
+
+
+def test_alpha_radius_vectorizes_over_counts():
+    sch = _schedule(inherent_bound=0.3, r_max=0.5, lam_reg=2.0)
+    counts = np.array([[0, 1, 7], [512, 3, 0]])
+    want = [[alpha_radius(sch, 4, int(c)) for c in row] for row in counts]
+    np.testing.assert_array_equal(alpha_radius(sch, 4, counts), want)
+
+
+def test_observe_rejects_non_finite_reward():
+    learner = _fresh_learner()
+    with pytest.raises(ValueError, match="non-finite"):
+        learner.observe_transition(1, np.zeros(1), np.zeros(1), math.nan, None)
+    assert learner.counts.sum() == 0 and learner.history[1].size == 0

@@ -67,6 +67,7 @@ def build_partition(dim: int, epsilon: float) -> Partition:
     axis = -1.0 + (2.0 * np.arange(1, m + 1) - 1.0) / m
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)
+    centers.flags.writeable = False
     return Partition(dim=dim, epsilon=float(epsilon), cells_per_axis=m, centers=centers)
 
 

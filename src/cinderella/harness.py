@@ -13,6 +13,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -61,6 +62,28 @@ _TOP_KEYS = {
 }
 
 
+_INT_FIELDS = ("episodes", "horizon", "action_grid", "seed", "oracle_m_state", "oracle_m_action")
+_FLOAT_FIELDS = ("nu", "lam_reg", "delta", "bonus_scale", "inherent_bound", "init_value", "r_max")
+
+
+def _is_finite_real(value) -> bool:
+    """True for a finite int or float that is not a bool."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
+def _section(doc: dict, key: str, default: dict) -> dict:
+    """A nested config object, copied; anything but a JSON object is invalid."""
+    value = doc.get(key, default)
+    if not isinstance(value, dict):
+        raise ValueError(f"config invalid: {key} must be an object, got {value!r}")
+    return dict(value)
+
+
 def make_rng(seed: int, episode: int = 0, step: int = 0, purpose: int = 0):
     """Splittable deterministic stream keyed by (seed, episode, step, purpose)."""
     return np.random.default_rng(np.random.SeedSequence((seed, episode, step, purpose)))
@@ -91,17 +114,34 @@ class RunConfig:
     reward_clip: tuple[float, float] = (-1.0, 2.0)
 
     def __post_init__(self):
-        if self.env_name not in _ENV_DIMS:
+        if not isinstance(self.env_name, str) or self.env_name not in _ENV_DIMS:
             raise ValueError(f"config invalid: unknown env {self.env_name!r}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"config invalid: {name} must be an integer, got {value!r}")
+        for name in _FLOAT_FIELDS:
+            value = getattr(self, name)
+            if not _is_finite_real(value):
+                raise ValueError(f"config invalid: {name} must be finite and real, got {value!r}")
+        if self.epsilon != "auto" and not _is_finite_real(self.epsilon):
+            raise ValueError(
+                f'config invalid: epsilon must be "auto" or a number, got {self.epsilon!r}'
+            )
+        clip = self.reward_clip
+        if not (
+            isinstance(clip, (tuple, list)) and len(clip) == 2 and all(map(_is_finite_real, clip))
+        ):
+            raise ValueError(
+                f"config invalid: reward clip must be two finite numbers, got {clip!r}"
+            )
         unknown = set(self.env_params) - _ENV_PARAM_KEYS[self.env_name]
         if unknown:
             raise ValueError(f"config invalid: unknown env params {sorted(unknown)}")
         if self.episodes < 1 or self.horizon < 1:
             raise ValueError("config invalid: episodes and horizon must be >= 1")
-        if self.epsilon != "auto":
-            eps = float(self.epsilon)
-            if not (0.0 < eps <= 1.0):
-                raise ValueError(f"config invalid: epsilon {eps} outside (0, 1]")
+        if self.epsilon != "auto" and not (0.0 < self.epsilon <= 1.0):
+            raise ValueError(f"config invalid: epsilon {self.epsilon} outside (0, 1]")
         if self.planner not in ("relaxation", "exact-grid"):
             raise ValueError(f"config invalid: unknown planner {self.planner!r}")
         if self.init_mode not in ("fixed", "uniform"):
@@ -125,23 +165,24 @@ class RunConfig:
         return float(self.epsilon)
 
     def semantic_dict(self) -> dict:
+        """The config as a JSON document; numbers are normalized, so 1 and 1.0 hash alike."""
         return {
             "env": {"name": self.env_name, **self.env_params},
             "episodes": self.episodes,
             "horizon": self.horizon,
-            "nu": self.nu,
-            "epsilon": self.epsilon,
-            "lambda": self.lam_reg,
-            "delta": self.delta,
-            "bonus_scale": self.bonus_scale,
-            "inherent_bound": self.inherent_bound,
+            "nu": float(self.nu),
+            "epsilon": self.epsilon if self.epsilon == "auto" else float(self.epsilon),
+            "lambda": float(self.lam_reg),
+            "delta": float(self.delta),
+            "bonus_scale": float(self.bonus_scale),
+            "inherent_bound": float(self.inherent_bound),
             "action_grid": self.action_grid,
             "planner": self.planner,
             "seed": self.seed,
             "oracle": {"m_state": self.oracle_m_state, "m_action": self.oracle_m_action},
-            "init_state": {"mode": self.init_mode, "value": self.init_value},
-            "r_max": self.r_max,
-            "reward_clip": list(self.reward_clip),
+            "init_state": {"mode": self.init_mode, "value": float(self.init_value)},
+            "r_max": float(self.r_max),
+            "reward_clip": [float(b) for b in self.reward_clip],
         }
 
     def config_hash(self) -> str:
@@ -153,14 +194,14 @@ class RunConfig:
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ValueError(f"config invalid: unknown keys {sorted(unknown)}")
-        env = dict(doc.get("env", {}))
+        env = _section(doc, "env", {})
         name = env.pop("name", None)
         if name is None:
             raise ValueError("config invalid: env.name missing")
-        oracle = dict(doc.get("oracle", {}))
+        oracle = _section(doc, "oracle", {})
         if set(oracle) - {"m_state", "m_action"}:
             raise ValueError(f"config invalid: unknown oracle keys {sorted(oracle)}")
-        init = dict(doc.get("init_state", {"mode": "fixed", "value": 0.0}))
+        init = _section(doc, "init_state", {"mode": "fixed", "value": 0.0})
         if set(init) - {"mode", "value"}:
             raise ValueError(f"config invalid: unknown init_state keys {sorted(init)}")
         kwargs = dict(
@@ -188,7 +229,8 @@ class RunConfig:
             if key in doc:
                 kwargs[attr] = doc[key]
         if "reward_clip" in doc:
-            kwargs["reward_clip"] = tuple(doc["reward_clip"])
+            clip = doc["reward_clip"]
+            kwargs["reward_clip"] = tuple(clip) if isinstance(clip, list) else clip
         return RunConfig(**kwargs)
 
 
@@ -381,8 +423,11 @@ def derive_seed(master_seed: int, run_index: int) -> int:
 
 
 def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
-    """Run several experiments concurrently; results keep the input order.
+    """Run several experiments; results keep the input order.
 
+    ``jobs > 1`` runs them on that many threads of one process. The threads
+    share the interpreter lock and a run is mostly short numpy calls, so they
+    give about 1.0x over ``jobs=1`` (four K=4096 runs at jobs=2 on 2 cores).
     With ``master_seed`` given, each run's seed is re-derived from
     (master_seed, run index). Errors are aggregated with their run indices.
     """

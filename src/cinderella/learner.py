@@ -33,6 +33,10 @@ from .regression import ridge_update
 
 log = logging.getLogger(__name__)
 
+# Below this feature dimension the bonus quadratic form is as cheap as
+# finding the stale entries of a width cache, so widths are not cached.
+WIDTH_CACHE_MIN_DIM = 2
+
 
 @dataclass
 class BonusSchedule:
@@ -112,14 +116,24 @@ class ThetaTable:
 
 
 class _StepHistory:
-    """Growable per-step visit record; next-state blocks cached for re-fits."""
+    """Growable per-step visit record; next-state blocks cached for re-fits.
 
-    def __init__(self, capacity: int, d_feat: int, n_actions: int, has_next: bool):
+    ``next_width`` holds the next-state blocks' bonus widths under the
+    next step's inverses: rows below ``width_rows`` are current for the
+    region counts ``width_seen`` recorded at the last refresh.
+    """
+
+    def __init__(
+        self, capacity: int, d_feat: int, n_actions: int, n_regions: int, has_next: bool
+    ):
         self.feats = np.zeros((capacity, d_feat))
         self.rewards = np.zeros(capacity)
         self.regions = np.zeros(capacity, dtype=np.int64)
         self.next_feats = np.zeros((capacity, n_actions, d_feat)) if has_next else None
         self.next_regions = np.zeros((capacity, n_actions), dtype=np.int64) if has_next else None
+        self.next_width = np.zeros((capacity, n_actions)) if has_next else None
+        self.width_seen = np.zeros(n_regions, dtype=np.int64)
+        self.width_rows = 0
         self.size = 0
 
     def _grow(self):
@@ -134,6 +148,7 @@ class _StepHistory:
         if self.next_feats is not None:
             self.next_feats = dbl(self.next_feats)
             self.next_regions = dbl(self.next_regions)
+            self.next_width = dbl(self.next_width)
 
     def append(self, phi, reward, region, next_feats=None, next_regions=None):
         if self.size == self.feats.shape[0]:
@@ -160,6 +175,15 @@ class CinderellaLearner:
 
     Single-writer: one learner per run. Independent runs may execute
     concurrently with no shared mutable state.
+
+    The relaxation planner caches the bonus width
+    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` of every history next-state entry
+    and every probe entry. ``counts[h, n]`` is the version of region n's
+    inverse at step h: it is bumped with every ``ridge_update``, the only
+    writer of ``lam_inv_all``. A cached width is valid iff its region's count
+    is unchanged since the width was computed; a refresh recomputes only the
+    entries whose count moved, plus rows appended since the last refresh.
+    ``alpha`` stays outside the cache because it changes with ``k``.
     """
 
     def __init__(
@@ -195,14 +219,18 @@ class CinderellaLearner:
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
         M = self.actions.shape[0]
         self.history = [
-            _StepHistory(max(schedule.episodes, 16), d, M, has_next=(1 <= h < H))
+            _StepHistory(max(schedule.episodes, 16), d, M, N, has_next=(1 <= h < H))
             for h in range(H + 1)
         ]
+        self._width_cache = planner == "relaxation" and d >= WIDTH_CACHE_MIN_DIM
         self.theta_hat_all = np.zeros((H + 1, N, d))
         self.theta_bar_all = None  # set by the exact planner
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
         self._probe_blocks = None
+        # Bonus widths of the probe blocks per step, (H + 1, n, M), current
+        # for the counts _probe_seen, (H + 1, N).
+        self._probe_width = self._probe_seen = None
         self.last_policy_actions = None
         self.last_plan_info: dict = {}
 
@@ -224,16 +252,39 @@ class CinderellaLearner:
 
     # -- scoring ------------------------------------------------------------
 
-    def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """Raw optimistic scores for feature blocks of any leading shape."""
+    def _width(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
+        """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the step-h inverses."""
+        li = self.lam_inv_all[h][regions]
+        quad = np.einsum("...d,...de,...e->...", feats, li, feats)
+        return np.sqrt(np.maximum(quad, 0.0))
+
+    def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray, width=None) -> np.ndarray:
+        """Raw optimistic scores for feature blocks of any leading shape.
+
+        ``width`` is the blocks' cached bonus width; it is computed when None.
+        """
         if self.theta_bar_all is not None:
             th = self.theta_bar_all[h][regions]
             return np.einsum("...d,...d->...", feats, th)
         th = self.theta_hat_all[h][regions]
         mean = np.einsum("...d,...d->...", feats, th)
-        li = self.lam_inv_all[h][regions]
-        quad = np.einsum("...d,...de,...e->...", feats, li, feats)
-        return mean + self.alpha_all[h][regions] * np.sqrt(np.maximum(quad, 0.0))
+        if width is None:
+            width = self._width(h, feats, regions)
+        return mean + self.alpha_all[h][regions] * width
+
+    def _refresh_widths(self, h, feats, regions, width, seen, fresh: int) -> None:
+        """Bring the cached ``width`` of (rows, M) blocks up to date, in place.
+
+        Rows from ``fresh`` on are new and computed in full. Older entries
+        are recomputed only where their region's step-h count differs from
+        ``seen``, the counts at the last refresh, which is then updated.
+        """
+        stale = self.counts[h] != seen
+        if fresh and stale.any():
+            rows, cols = np.nonzero(stale[regions[:fresh]])
+            width[rows, cols] = self._width(h, feats[rows, cols], regions[rows, cols])
+        width[fresh:] = self._width(h, feats[fresh:], regions[fresh:])
+        seen[:] = self.counts[h]
 
     def optimistic_q(self, h: int, z: np.ndarray) -> float:
         """Current optimistic Q at a point, clipped to [0, 1]."""
@@ -267,11 +318,29 @@ class CinderellaLearner:
         np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
+    def _history_width(self, h: int):
+        """Step-(h+1) widths of the step-h next-state blocks, refreshed; None if uncached."""
+        hist = self.history[h]
+        if not self._width_cache or hist.next_width is None:
+            return None
+        p = hist.size
+        self._refresh_widths(
+            h + 1,
+            hist.next_feats[:p],
+            hist.next_regions[:p],
+            hist.next_width[:p],
+            hist.width_seen,
+            hist.width_rows,
+        )
+        hist.width_rows = p
+        return hist.next_width[:p]
+
     def _plan_relaxation(self, k: int) -> None:
         self.theta_bar_all = None
         self.alpha_all[1:] = alpha_radius(self.schedule, k, self.counts[1:])
         for h in range(self.H, 0, -1):
-            self.theta_hat_all[h] = self._refit(h, lambda f, r: self._scores(h + 1, f, r))
+            width = self._history_width(h)
+            self.theta_hat_all[h] = self._refit(h, lambda f, r: self._scores(h + 1, f, r, width))
 
     def plan(self, s1: np.ndarray | None = None) -> None:
         """Refresh the optimistic tables for the upcoming episode."""
@@ -345,16 +414,25 @@ class CinderellaLearner:
         feats = features_at_centers(
             self.fmap, Z, self.partition.centers[regions.ravel()]
         ).reshape(n, M, self.d)
+        feats.flags.writeable = False
+        regions.flags.writeable = False
         self._probe_blocks = (feats, regions)
+        self._probe_width = np.zeros((self.H + 1, n, M))
+        self._probe_seen = np.full((self.H + 1, self.N), -1)  # no width computed yet
 
     def greedy_action_indices(self) -> np.ndarray:
         """Greedy grid-action index at every probe state, per step: (H+1, n)."""
         if self._probe_blocks is None:
             raise ValueError("no probe registered")
         feats, regions = self._probe_blocks
-        out = np.zeros((self.H + 1, feats.shape[0]), dtype=np.int64)
+        n = feats.shape[0]
+        out = np.zeros((self.H + 1, n), dtype=np.int64)
         for h in range(1, self.H + 1):
-            out[h] = np.argmax(self._scores(h, feats, regions), axis=1)
+            width = None
+            if self._width_cache:
+                width = self._probe_width[h]
+                self._refresh_widths(h, feats, regions, width, self._probe_seen[h], n)
+            out[h] = np.argmax(self._scores(h, feats, regions, width), axis=1)
         return out
 
 

@@ -1,14 +1,19 @@
 import dataclasses
 import json
 import math
+import runpy
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cinderella.cli import main as cli_main
 from cinderella.envs import env_uniform_shift
 from cinderella.features import TaylorFeatureMap
 from cinderella.harness import (
+    _TOP_KEYS,
     CSV_HEADER,
     RunConfig,
     _policy_eval_tables,
@@ -20,6 +25,8 @@ from cinderella.harness import (
     run_sweep,
 )
 from cinderella.oracle import dp_solve
+
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _small_config(**overrides):
@@ -54,13 +61,13 @@ def test_non_finite_schedule_constant_fails_before_oracle(monkeypatch, field, ho
         raise AssertionError("dp_solve reached with an invalid schedule")
 
     monkeypatch.setattr("cinderella.harness.dp_solve", oracle_reached)
+    overrides = {field: value}
     if field == "l_phi":  # derived from the feature map, not a config field
         monkeypatch.setattr(TaylorFeatureMap, "norm_bound", property(lambda self: value))
-        cfg = _small_config(horizon=horizon)
-    else:
-        cfg = _small_config(horizon=horizon, **{field: value})
+        overrides = {}
+    # Config fields are rejected when the RunConfig is built, l_phi by the schedule.
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        run_experiment(cfg)
+        run_experiment(_small_config(horizon=horizon, **overrides))
 
 
 def test_from_dict_unknown_top_key_rejected():
@@ -87,6 +94,113 @@ def test_config_validation():
         _small_config(env_name="lunar_lander")
     with pytest.raises(ValueError, match="episodes"):
         _small_config(episodes=0)
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"episodes": "10"},
+        {"episodes": True},
+        {"episodes": 10.0},
+        {"seed": 2**70 + 0.5},
+        {"action_grid": 2.5},
+        {"oracle": {"m_state": "65"}},
+        {"nu": "1"},
+        {"delta": "0.1"},
+        {"lambda": False},
+        {"bonus_scale": math.nan},
+        {"r_max": math.inf},
+        {"inherent_bound": 10**400},
+        {"epsilon": "0.5"},
+        {"epsilon": None},
+        {"init_state": {"mode": "fixed", "value": "0"}},
+        {"reward_clip": [-1.0, "2"]},
+        {"reward_clip": [-1.0, 0.0, 2.0]},
+        {"reward_clip": 2.0},
+        {"env": ["uniform_shift"]},
+        {"env": {"name": ["uniform_shift"]}},
+        {"oracle": 65},
+    ],
+)
+def test_from_dict_rejects_mistyped_values(override):
+    doc = {"env": {"name": "uniform_shift"}, **override}
+    with pytest.raises(ValueError, match="^config invalid"):
+        RunConfig.from_dict(doc)
+
+
+def test_config_hash_ignores_int_versus_float():
+    doc = {"env": {"name": "uniform_shift"}, "nu": 1.0, "lambda": 2.0, "epsilon": 0.5}
+    same = {**doc, "nu": 1, "lambda": 2, "epsilon": 0.5, "reward_clip": [-1, 2]}
+    assert RunConfig.from_dict(same).config_hash() == RunConfig.from_dict(doc).config_hash()
+
+
+def test_config_hashes_of_shipped_configs_unchanged():
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    got = [RunConfig.from_dict(json.loads((ROOT / "configs/uniform_shift.json").read_text()))]
+    sweep = json.loads((ROOT / "configs/sweep_epsilon.json").read_text())
+    got += [RunConfig.from_dict(run) for run in sweep["runs"]]
+    got += [w.config(1) for w in workloads.values()]
+    assert [cfg.config_hash() for cfg in got] == [
+        "9f3a585ff243",
+        "93a490ccef82",
+        "9359088b7f42",
+        "5b8d4486106a",
+        "54a1ba08d95c",  # uniform_shift_k1024, benchmark seed 1
+        "bb7214770e13",  # smooth_drift_nu3
+        "4a1bb90a4289",  # fine_oracle_h3
+    ]
+
+
+_ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=6,
+)
+_VALID = {
+    "env": st.fixed_dictionaries(
+        {"name": st.sampled_from(["uniform_shift", "smooth_drift", "exact_linear"])}
+    ),
+    "episodes": st.integers(1, 10**6),
+    "horizon": st.integers(1, 5),
+    "nu": st.floats(0.1, 5.0) | st.integers(1, 5),
+    "epsilon": st.just("auto") | st.floats(0.01, 1.0),
+    "lambda": st.floats(0.01, 10.0),
+    "delta": st.floats(0.01, 0.99),
+    "bonus_scale": st.floats(0.0, 2.0),
+    "inherent_bound": st.floats(0.0, 1.0),
+    "action_grid": st.integers(2, 41),
+    "planner": st.sampled_from(["relaxation", "exact-grid"]),
+    "seed": st.integers(0, 2**64),
+    "oracle": st.fixed_dictionaries({"m_state": st.integers(2, 257)}),
+    "init_state": st.fixed_dictionaries(
+        {"mode": st.sampled_from(["fixed", "uniform"]), "value": st.floats(-1.0, 1.0)}
+    ),
+    "r_max": st.floats(0.0, 2.0),
+    "reward_clip": st.tuples(st.floats(-2.0, 0.0), st.floats(0.5, 3.0)).map(list),
+}
+
+
+@st.composite
+def _config_docs(draw):
+    """A valid config document with up to two values replaced by arbitrary JSON."""
+    optional = {key: strategy for key, strategy in _VALID.items() if key != "env"}
+    doc = draw(st.fixed_dictionaries({"env": _VALID["env"]}, optional=optional))
+    for key in draw(st.sets(st.sampled_from(sorted(_TOP_KEYS)), max_size=2)):
+        doc[key] = draw(_ANY_JSON)
+    return doc
+
+
+@given(doc=_config_docs())
+@settings(max_examples=300, deadline=None)
+def test_from_dict_is_valid_or_config_invalid(doc):
+    try:
+        cfg = RunConfig.from_dict(doc)
+    except ValueError as exc:
+        assert str(exc).startswith("config invalid"), exc
+        return
+    # A valid config serializes to a document that loads back to the same hash.
+    assert RunConfig.from_dict(cfg.semantic_dict()).config_hash() == cfg.config_hash()
 
 
 def test_config_hash_tracks_semantic_fields():

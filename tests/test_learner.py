@@ -295,3 +295,15 @@ def test_observe_rejects_non_finite_reward():
     with pytest.raises(ValueError, match="non-finite"):
         learner.observe_transition(1, np.zeros(1), np.zeros(1), math.nan, None)
     assert learner.counts.sum() == 0 and learner.history[1].size == 0
+
+
+def test_partition_centers_and_probe_blocks_are_read_only():
+    part = build_partition(2, 0.5)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
+    schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
+    learner = CinderellaLearner(part, fmap, schedule, state_dim=1, action_points_per_axis=5)
+    learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
+    feats, regions = learner._probe_blocks
+    for arr in (part.centers, feats, regions):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 0

@@ -5,7 +5,8 @@ transitions, solves ``(lambda*I + sum phi phi^T) theta = sum phi * target``
 with ``np.linalg.solve``, and scores grid actions one at a time in Python
 loops. The learner keeps Sherman-Morrison inverses, re-fits from its cached
 history blocks and scores whole blocks at once; both must plan the same
-tables and pick the same actions.
+tables and pick the same actions. A second pin holds the learner's cached
+bonus widths to a fresh computation over many plans.
 """
 
 import math
@@ -40,12 +41,15 @@ def _learner(degree, horizon):
     return CinderellaLearner(part, fmap, schedule, state_dim=1, action_points_per_axis=9)
 
 
-def _feed(learner, rng):
-    """Random transitions at every step; returns them as (h, s, a, r, s') tuples."""
+def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
+    """Random transitions at every step; returns them as (h, s, a, r, s') tuples.
+
+    The first ``hot`` rounds all land in region 0, the next ``spread`` anywhere.
+    """
     records = []
-    for i in range(HOT_VISITS + SPREAD_VISITS):
+    for i in range(hot + spread):
         for h in range(1, learner.H + 1):
-            hi = -0.05 if i < HOT_VISITS else 1.0
+            hi = -0.05 if i < hot else 1.0
             s, a = rng.uniform(-1.0, hi, size=1), rng.uniform(-1.0, hi, size=1)
             r = float(rng.uniform(-1.5, 1.5))  # wide enough to hit both target clips
             s_next = rng.uniform(-1.0, 1.0, size=1) if h < learner.H else None
@@ -132,3 +136,62 @@ def test_learner_matches_naive_reference(degree, horizon):
     for h in range(1, horizon + 1):
         for s in rng.uniform(-1.0, 1.0, size=(6, 1)):
             np.testing.assert_array_equal(learner.act(h, s), ref.act(h, s))
+
+
+def _uncached_plan(learner):
+    """theta_hat and greedy probe actions re-planned with widths computed afresh."""
+    cached = learner.theta_hat_all
+    theta = learner.theta_hat_all = np.zeros_like(cached)
+    try:
+        for h in range(learner.H, 0, -1):
+            theta[h] = learner._refit(h, lambda f, r: learner._scores(h + 1, f, r))
+        feats, regions = learner._probe_blocks
+        greedy = np.zeros((learner.H + 1, feats.shape[0]), dtype=np.int64)
+        for h in range(1, learner.H + 1):
+            greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
+    finally:
+        learner.theta_hat_all = cached
+    return theta, greedy
+
+
+# (hot, spread) visits per step before each plan. Region 0 ends round one
+# below REINVERT_EVERY and crosses it in round two, which also doubles the
+# history (512 -> 1024 rows) while the other regions stay unchanged, so
+# their widths must survive the copy; the last plan sees no new data.
+ROUNDS = [(REINVERT_EVERY - 12, 0), (20, 0), (0, 30), (0, 0)]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
+def test_cached_widths_match_uncached_scores(degree, horizon):
+    rng = np.random.default_rng(2000 + 10 * degree + horizon)
+    learner = _learner(degree, horizon)
+    learner._width_cache = True  # plan() leaves it off at d = 1; pin it there too
+    learner.register_probe(rng.uniform(-1.0, 1.0, size=(23, 1)))
+    capacities = []
+    for i, (hot, spread) in enumerate(ROUNDS):
+        before = learner.counts[1:, 0].copy()
+        _feed(learner, rng, hot, spread)
+        if i == 1:
+            assert np.all(before < REINVERT_EVERY)
+            assert np.all(learner.counts[1:, 0] >= REINVERT_EVERY)
+        learner.k = 11 * i  # alpha changes between plans
+        learner.plan()
+        capacities.append(learner.history[1].feats.shape[0])
+
+        theta, greedy = _uncached_plan(learner)
+        np.testing.assert_array_equal(learner.theta_hat_all, theta)
+        np.testing.assert_array_equal(learner.last_policy_actions, greedy)
+        np.testing.assert_array_equal(learner.greedy_action_indices(), greedy)
+        feats, regions = learner._probe_blocks
+        for h in range(1, horizon + 1):
+            np.testing.assert_array_equal(
+                learner._probe_width[h], learner._width(h, feats, regions)
+            )
+        for h in range(1, horizon):
+            hist, p = learner.history[h], learner.history[h].size
+            np.testing.assert_array_equal(
+                hist.next_width[:p],
+                learner._width(h + 1, hist.next_feats[:p], hist.next_regions[:p]),
+            )
+    assert capacities[1] > capacities[0]

@@ -16,8 +16,9 @@ from cinderella import (
     env_smooth_drift,
     env_uniform_shift,
     inherent_error_estimate,
+    policy_eval_tables,
     policy_value,
-    random_policy_value,
+    random_policy_gap,
 )
 
 s1 = np.zeros(1)
@@ -25,8 +26,10 @@ s1 = np.zeros(1)
 for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizon=2)):
     dp = dp_solve(env, m_state=129, m_action=65)
     vstar = dp.value_at(s1)
-    v_rand = random_policy_value(dp, s1, env.horizon)
-    v_greedy = policy_value(env, dp, dp.greedy_policy(), s1)
+    v_rand = vstar - random_policy_gap(env, dp, s1)
+    rewards, kernels = policy_eval_tables(env, dp, dp.action_points)
+    greedy = dp.q.argmax(axis=2)[:, :, None]  # one action index per (step, grid state)
+    v_greedy = policy_value(rewards, kernels, greedy, dp.state_points[:, 0], s1)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
           f"greedy-from-oracle {v_greedy:.4f}")
 

@@ -54,8 +54,8 @@ from .oracle import (
     InherentErrorReport,
     dp_solve,
     inherent_error_estimate,
+    policy_eval_tables,
     policy_value,
-    random_policy_value,
     taylor_remainder_check,
 )
 from .regression import mahalanobis_inv_norm, ridge_update
@@ -95,9 +95,9 @@ __all__ = [
     "make_rng",
     "mahalanobis_inv_norm",
     "nu_star",
+    "policy_eval_tables",
     "policy_value",
     "random_policy_gap",
-    "random_policy_value",
     "ridge_update",
     "run_episode",
     "run_experiment",

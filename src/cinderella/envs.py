@@ -54,6 +54,11 @@ class EnvironmentModel:
     nu: float | None = None
     c_t: float | None = None  # rough bound on the Bellman smoothing constant
 
+    def __post_init__(self):
+        sigma = self.reward_noise_sigma
+        if not (np.isfinite(sigma) and sigma >= 0.0):
+            raise ValueError(f"reward noise sigma must be finite and >= 0, got {sigma}")
+
     @property
     def dim(self) -> int:
         return self.state_dim + self.action_dim
@@ -177,10 +182,7 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
         return
     rng = np.random.default_rng(0)
     Z = rng.uniform(-1, 1, size=(8, env.dim))
-    sp = np.linspace(-1, 1, n_quad)
-    grid = np.stack([sp] * env.state_dim, axis=-1) if env.state_dim == 1 else None
-    if grid is None:
-        return  # multi-d spot check handled by dedicated tests
+    grid = np.linspace(-1, 1, n_quad)[:, None]
     w = 2.0 / (n_quad - 1)
     dens = env.transition_density(1, Z, grid)
     totals = dens.sum(axis=1) * w

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
@@ -38,26 +38,20 @@ class GridDP:
     """Backward-induction tables for one environment on a fixed grid.
 
     ``v[h]`` and ``q[h]`` are indexed with h starting at 1 (entry 0 unused in
-    q; v[horizon + 1] is the terminal zero function). Kernel matrices are the
-    row-normalized discretized transition operators.
+    q; v[horizon + 1] is the terminal zero function). States are 1-D.
     """
 
     m_state: int
     m_action: int
-    state_points: np.ndarray  # (n_s, d_S)
+    state_points: np.ndarray  # (n_s, 1)
     action_points: np.ndarray  # (n_a, d_A)
     v: np.ndarray  # (H + 2, n_s)
     q: np.ndarray  # (H + 1, n_s, n_a)
-    kernels: list = field(repr=False)  # kernels[h] for h = 1..H-1, (n_s * n_a, n_s)
-    rewards: np.ndarray = field(repr=False)  # (H + 1, n_s, n_a)
 
     def value_at(self, s: np.ndarray, h: int = 1) -> float:
-        """Interpolated V_h at an arbitrary state (linear in each axis)."""
+        """Linearly interpolated V_h at an arbitrary state."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        if s.shape[0] == 1:
-            axis = self.state_points[:, 0]
-            return float(np.interp(s[0], axis, self.v[h]))
-        raise NotImplementedError("interpolation implemented for 1-d states only")
+        return float(np.interp(s[0], self.state_points[:, 0], self.v[h]))
 
     def greedy_policy(self):
         """Deterministic policy taking the argmax action at the nearest grid state."""
@@ -82,8 +76,7 @@ def _discretized_kernel(
     env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.ndarray, m_state: int
 ):
     """Row-normalized quadrature weights for E[f(s') | z] on the state grid."""
-    w = (2.0 / (m_state - 1)) ** sp.shape[1]
-    dens = env.transition_density(h, Z, sp) * w
+    dens = env.transition_density(h, Z, sp) * (2.0 / (m_state - 1))
     totals = dens.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("transition density vanished on the whole state grid")
@@ -94,15 +87,15 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     """Optimal value tables by backward induction on a uniform grid.
 
     Q and V tables are clipped to [0, 1], matching the normalization the
-    environments guarantee.
+    environments guarantee. Each step's kernel is used once and dropped.
     """
     if env.transition_density is None:
         raise ValueError("environment does not expose a transition density")
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
-    if env.state_dim > 2:
-        raise ValueError("grid DP supports at most 2 state dimensions")
-    sp = _product_grid(m_state, env.state_dim)
+    if env.state_dim != 1:
+        raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
+    sp = _axis_grid(m_state)[:, None]
     ap = _product_grid(m_action, env.action_dim)
     n_s, n_a = sp.shape[0], ap.shape[0]
     if n_s * n_a * n_s > MAX_KERNEL_ENTRIES:
@@ -113,71 +106,54 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
-    rewards = np.zeros((H + 1, n_s, n_a))
-    kernels: list = [None] * H
     for h in range(H, 0, -1):
-        r = env.reward_mean(h, Z).reshape(n_s, n_a)
-        rewards[h] = r
-        backup = r
+        backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            kernels[h] = _discretized_kernel(env, h, Z, sp, m_state)
-            backup = r + (kernels[h] @ v[h + 1]).reshape(n_s, n_a)
+            kernel = _discretized_kernel(env, h, Z, sp, m_state)
+            backup = backup + (kernel @ v[h + 1]).reshape(n_s, n_a)
+            del kernel  # free it before the next step builds its own
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
-    return GridDP(
-        m_state=m_state,
-        m_action=m_action,
-        state_points=sp,
-        action_points=ap,
-        v=v,
-        q=q,
-        kernels=kernels,
-        rewards=rewards,
-    )
+    return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
 
 
-def policy_value(env: EnvironmentModel, dp: GridDP, policy, s1: np.ndarray) -> float:
-    """Value V^pi_1(s1) of a deterministic policy by backward induction.
+def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
+    """Reward/kernel tables on (oracle states x the given actions).
 
-    The policy is queried at every grid state; its actions need not lie on the
-    oracle action grid (density rows are evaluated at the exact actions).
+    ``rewards[h]`` is (n_s, M) and ``kernels[h]`` is (n_s, M, n_s) for
+    h = 1..H-1; ``kernels[0]`` and ``kernels[H]`` are None.
     """
     sp = dp.state_points
-    n_s = sp.shape[0]
+    n_s, M = sp.shape[0], actions.shape[0]
+    Z = np.concatenate([np.repeat(sp, M, axis=0), np.tile(actions, (n_s, 1))], axis=1)
     H = env.horizon
-    actions = np.zeros((H + 1, n_s, env.action_dim))
+    rewards = np.zeros((H + 1, n_s, M))
+    kernels = [None] * (H + 1)
     for h in range(1, H + 1):
-        for i in range(n_s):
-            a = np.atleast_1d(np.asarray(policy(h, sp[i]), dtype=float))
-            if np.any(np.abs(a) > 1.0):
-                raise ValueError(f"policy action out of range at step {h}: {a}")
-            actions[h, i] = a
-    v_next = np.zeros(n_s)
-    for h in range(H, 0, -1):
-        Z = np.concatenate([sp, actions[h]], axis=1)
-        r = env.reward_mean(h, Z)
+        rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
         if h < H:
-            kernel = _discretized_kernel(env, h, Z, sp, dp.m_state)
-            v_next = np.clip(r + kernel @ v_next, 0.0, 1.0)
-        else:
-            v_next = np.clip(r, 0.0, 1.0)
-    s = np.atleast_1d(np.asarray(s1, dtype=float))
-    if s.shape[0] == 1:
-        return float(np.interp(s[0], sp[:, 0], v_next))
-    raise NotImplementedError("interpolation implemented for 1-d states only")
+            kernels[h] = _discretized_kernel(env, h, Z, sp, dp.m_state).reshape(n_s, M, n_s)
+    return rewards, kernels
 
 
-def random_policy_value(dp: GridDP, s1: np.ndarray, horizon: int) -> float:
-    """Value of the uniform-random policy over the oracle action grid."""
-    n_s = dp.state_points.shape[0]
+def policy_value(rewards, kernels, action_idx, state_axis, s1) -> float:
+    """V^pi_1(s1) by backward induction over ``policy_eval_tables``.
+
+    ``action_idx[h]`` is (n_s, J): at each grid state the policy plays one of
+    those J table actions uniformly at random, so J = 1 is a deterministic
+    policy and ``arange(M)`` at every state the uniform-random one. The
+    horizon is ``len(rewards) - 1``.
+    """
+    n_s = rewards.shape[1]
+    rows = np.arange(n_s)[:, None]
     v_next = np.zeros(n_s)
-    for h in range(horizon, 0, -1):
-        backup = dp.rewards[h].copy()
-        if h < horizon:
-            backup += (dp.kernels[h] @ v_next).reshape(backup.shape)
+    for h in range(len(rewards) - 1, 0, -1):
+        a = action_idx[h]
+        backup = rewards[h, rows, a]
+        if kernels[h] is not None:
+            backup = backup + np.einsum("ijk,k->ij", kernels[h][rows, a], v_next)
         v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
-    s = np.atleast_1d(np.asarray(s1, dtype=float))
-    return float(np.interp(s[0], dp.state_points[:, 0], v_next))
+    return float(np.interp(s1[0], state_axis, v_next))
 
 
 # ---------------------------------------------------------------------------

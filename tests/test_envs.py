@@ -110,6 +110,23 @@ def test_exact_linear_rejects_unnormalized_theta():
         env_exact_linear(np.array([[0.1, 0.0, 0.5]]), fmap, horizon=1)  # negative at a=-1
 
 
+@pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda sigma: env_uniform_shift(0.5, reward_noise_sigma=sigma),
+        lambda sigma: env_smooth_drift(0.5, 0.3, reward_noise_sigma=sigma),
+        lambda sigma: env_exact_linear(
+            np.array([[0.4, 0.05, 0.2]]), _linear_fmap(), horizon=1, reward_noise_sigma=sigma
+        ),
+    ],
+    ids=["uniform_shift", "smooth_drift", "exact_linear"],
+)
+def test_builders_reject_bad_reward_noise_sigma(build, sigma):
+    with pytest.raises(ValueError, match="reward noise sigma"):
+        build(sigma)
+
+
 def test_run_episode_zero_reward_noise_mean(rng):
     env = env_uniform_shift(0.5, reward_spec="zero", horizon=2, reward_noise_sigma=0.1)
     totals = []

@@ -1,0 +1,51 @@
+"""Golden behaviour hashes: the regret CSV of fixed (config, seed) pairs.
+
+Each hash is the sha256 of the CSV with the wallclock ``ms`` column removed,
+as the benchmark computes it. A change that keeps the run's behaviour keeps
+every hash; a change that moves any regret, value or return by one bit of a
+printed digit fails here. Update a hash only with a change that is meant to
+alter behaviour, and say why.
+"""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+from cinderella.harness import RunConfig, run_experiment
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench"
+WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
+behaviour_sha256 = runpy.run_path(str(BENCH / "outcheck.py"))["behaviour_sha256"]
+
+WORKLOAD_HASHES = {  # Workload.config(1, episodes=32)
+    "uniform_shift_k1024": "e21100ee6c7d8d5a0bfb21fa6d12f1274e3105fa60462203317bcd187140581e",
+    "smooth_drift_nu3": "81af21a9ea61fb4fbd4838134c57a9e523755e1b1af4b6847e0c6d26a512bf87",
+    "fine_oracle_h3": "01dd6770410de722f581d23f9b8654a475b16ce23b3e799e05bca7e175d3bb6f",
+}
+
+
+def _hash(cfg: RunConfig) -> str:
+    return behaviour_sha256([run_experiment(cfg).to_csv()])
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_HASHES))
+def test_workload_csv_hash(name):
+    assert _hash(WORKLOADS[name].config(1, episodes=32)) == WORKLOAD_HASHES[name]
+
+
+def test_exact_grid_csv_hash():
+    cfg = RunConfig(
+        env_name="exact_linear",
+        env_params={"theta": [[0.4, 0.05, 0.2]], "reward_noise_sigma": 0.05},
+        episodes=24,
+        horizon=1,
+        nu=2.0,
+        epsilon=1.0,
+        planner="exact-grid",
+        bonus_scale=1.0,
+        seed=3,
+        oracle_m_state=65,
+        oracle_m_action=33,
+    )
+    assert _hash(cfg) == "26b05918fb36d406e3577e0032641814e0aae4d1715819c8093a87023e7e8bfb"

@@ -120,6 +120,21 @@ def test_config_validation():
         {"env": ["uniform_shift"]},
         {"env": {"name": ["uniform_shift"]}},
         {"oracle": 65},
+        {"env": {"name": "uniform_shift", "horizon": 3}, "horizon": 2},
+        {"env": {"name": "smooth_drift", "horizon": 2.0}},
+        {"env": {"name": "uniform_shift", "beta": "x"}},
+        {"env": {"name": "uniform_shift", "beta": True}},
+        {"env": {"name": "uniform_shift", "beta": math.nan}},
+        {"env": {"name": "smooth_drift", "noise_sigma": None}},
+        {"env": {"name": "smooth_drift", "drift_gain": math.inf}},
+        {"env": {"name": "uniform_shift", "reward_noise_sigma": "0.1"}},
+        {"env": {"name": "uniform_shift", "reward": 3}},
+        {"env": {"name": "exact_linear", "theta": [0.4, 0.05, 0.2]}},
+        {"env": {"name": "exact_linear", "theta": [[0.4, "0.05", 0.2]]}},
+        {"env": {"name": "exact_linear", "theta": [[0.4, math.nan, 0.2]]}},
+        {"env": {"name": "exact_linear", "theta": "[[0.4]]"}},
+        {"nu": 0},
+        {"nu": -1.0},
     ],
 )
 def test_from_dict_rejects_mistyped_values(override):

@@ -1,14 +1,17 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
 from cinderella.geometry import build_partition
+from cinderella.harness import random_policy_gap
 from cinderella.oracle import (
     dp_solve,
     inherent_error_estimate,
+    policy_eval_tables,
     policy_value,
-    random_policy_value,
     taylor_remainder_check,
 )
 from conftest import sin2x, sin2x_derivative
@@ -74,11 +77,22 @@ def test_dp_grid_convergence(make_env):
     assert abs(v_fine - v_coarse) <= 0.01
 
 
+def test_dp_rejects_two_dimensional_states():
+    env = dataclasses.replace(env_uniform_shift(0.5, horizon=2), state_dim=2)
+    with pytest.raises(ValueError, match="1-d states"):
+        dp_solve(env, 17, 9)
+
+
+def _value(env, dp, actions, action_idx, s1):
+    rewards, kernels = policy_eval_tables(env, dp, actions)
+    return policy_value(rewards, kernels, action_idx, dp.state_points[:, 0], s1)
+
+
 def test_policy_value_greedy_self_consistency():
     env = env_uniform_shift(0.5, horizon=2)
     dp = dp_solve(env, 65, 33)
     s1 = np.zeros(1)
-    v_pi = policy_value(env, dp, dp.greedy_policy(), s1)
+    v_pi = _value(env, dp, dp.action_points, dp.q.argmax(axis=2)[:, :, None], s1)
     assert v_pi == pytest.approx(dp.value_at(s1), abs=1e-9)
 
 
@@ -86,8 +100,8 @@ def test_policy_value_random_on_zero_reward():
     env = env_uniform_shift(0.5, reward_spec="zero", horizon=2)
     dp = dp_solve(env, 33, 17)
     rng = np.random.default_rng(0)
-    policy = lambda h, s: rng.choice(dp.action_points.ravel())[None]
-    assert policy_value(env, dp, policy, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
+    idx = rng.integers(0, dp.action_points.shape[0], size=(env.horizon + 1, 33, 1))
+    assert _value(env, dp, dp.action_points, idx, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_policy_value_never_beats_optimal(rng):
@@ -95,17 +109,63 @@ def test_policy_value_never_beats_optimal(rng):
     dp = dp_solve(env, 65, 33)
     s1 = np.zeros(1)
     vstar = dp.value_at(s1)
+    idx = np.zeros((env.horizon + 1, 65, 1), dtype=np.int64)
     for _ in range(5):
         a_fixed = rng.uniform(-1, 1)
-        v_pi = policy_value(env, dp, lambda h, s: np.array([a_fixed]), s1)
+        v_pi = _value(env, dp, np.array([[a_fixed]]), idx, s1)
         assert v_pi <= vstar + 1e-9
 
 
 def test_random_policy_value_below_optimal():
     env = env_uniform_shift(0.5, horizon=2)
     dp = dp_solve(env, 65, 33)
-    v_rand = random_policy_value(dp, np.zeros(1), env.horizon)
-    assert 0.0 <= v_rand <= dp.value_at(np.zeros(1))
+    vstar = dp.value_at(np.zeros(1))
+    v_rand = vstar - random_policy_gap(env, dp, np.zeros(1))
+    assert 0.0 <= v_rand <= vstar
+
+
+def _naive_policy_value(env, dp, actions, action_idx, s1):
+    """Per-state backward induction with the density queried at each exact (s, a)."""
+    sp = dp.state_points
+    w = 2.0 / (dp.m_state - 1)
+    v_next = np.zeros(sp.shape[0])
+    for h in range(env.horizon, 0, -1):
+        v = np.zeros_like(v_next)
+        for i, s in enumerate(sp):
+            values = []
+            for j in action_idx[h][i]:
+                z = np.concatenate([s, actions[j]])[None, :]
+                backup = env.reward_mean(h, z)[0]
+                if h < env.horizon:
+                    dens = env.transition_density(h, z, sp)[0] * w
+                    backup += (dens / dens.sum()) @ v_next
+                values.append(min(max(backup, 0.0), 1.0))
+            v[i] = np.mean(values)
+        v_next = v
+    return float(np.interp(s1[0], sp[:, 0], v_next))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda H: env_uniform_shift(0.5, horizon=H),
+        lambda H: env_smooth_drift(0.5, 0.3, horizon=H),
+    ],
+    ids=["uniform_shift", "smooth_drift"],
+)
+def test_policy_value_matches_naive_reference(make_env, horizon):
+    env = make_env(horizon)
+    dp = dp_solve(env, 17, 9)
+    rng = np.random.default_rng(100 + horizon)
+    actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
+    s1 = np.array([rng.uniform(-1.0, 1.0)])
+    n_s, M = 17, actions.shape[0]
+    tables = [rng.integers(0, M, size=(horizon + 1, n_s, 1)) for _ in range(3)]
+    tables.append(np.broadcast_to(np.arange(M), (horizon + 1, n_s, M)))  # uniform random
+    for idx in tables:
+        fast = _value(env, dp, actions, idx, s1)
+        assert fast == pytest.approx(_naive_policy_value(env, dp, actions, idx, s1), abs=1e-12)
 
 
 # -- inherent error ----------------------------------------------------------

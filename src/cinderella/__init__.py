@@ -6,13 +6,14 @@ optimistic ridge regression per (step, region). Grid-based dynamic
 programming oracles provide ground truth for regret measurement.
 """
 
+from .checks import check_suite
 from .envs import (
     EnvironmentModel,
+    LearnerView,
     Transition,
     env_exact_linear,
     env_smooth_drift,
     env_uniform_shift,
-    learner_view,
     run_episode,
 )
 from .features import (
@@ -34,7 +35,6 @@ from .geometry import (
 from .harness import (
     RegretTrace,
     RunConfig,
-    check_suite,
     load_config,
     make_rng,
     random_policy_gap,
@@ -68,6 +68,7 @@ __all__ = [
     "EnvironmentModel",
     "GridDP",
     "InherentErrorReport",
+    "LearnerView",
     "MultiIndexSet",
     "Partition",
     "RegretTrace",
@@ -90,10 +91,9 @@ __all__ = [
     "extend_features",
     "feature_matrix",
     "inherent_error_estimate",
-    "learner_view",
     "load_config",
-    "make_rng",
     "mahalanobis_inv_norm",
+    "make_rng",
     "nu_star",
     "policy_eval_tables",
     "policy_value",

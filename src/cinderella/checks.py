@@ -1,4 +1,4 @@
-"""Machine-readable invariant checks behind ``check_suite``.
+"""Machine-readable invariant checks run by ``check_suite``.
 
 Each check is a small self-contained experiment returning (passed, detail).
 The quick level finishes within a minute on desk hardware; the full level
@@ -188,7 +188,7 @@ def _check_inherent_monotone():
     return ok, f"estimates eps=0.5: {estimates[0.5]:.4f}, eps=0.25: {estimates[0.25]:.4f}"
 
 
-def run_check_suite(level: str = "quick") -> dict:
+def check_suite(level: str = "quick") -> dict:
     """Run the invariant suite; prints one JSON line per check."""
     if level not in ("quick", "full"):
         raise ValueError(f"unknown level {level!r}")

@@ -7,7 +7,8 @@ import json
 import sys
 from pathlib import Path
 
-from .harness import RunConfig, check_suite, load_config, run_experiment, run_sweep
+from .checks import check_suite
+from .harness import RunConfig, load_config, run_experiment, run_sweep
 
 
 def _cmd_run(args) -> int:

@@ -2,7 +2,7 @@
 
 Every environment exposes its exact transition density and mean reward so the
 grid oracles can compute ground truth; learners are expected to touch only the
-sampling surface (``learner_view``). Rewards are scaled so every Q-value lies
+sampling surface (``LearnerView``). Rewards are scaled so every Q-value lies
 in [0, 1]: mean rewards stay within [0, 1/H] and reward noise is a truncated
 Gaussian, hence subgaussian.
 """
@@ -35,7 +35,8 @@ class EnvironmentModel:
 
     Vectorized callables:
       transition_sample(h, Z, rng) -> next states, Z of shape (n, d)
-      transition_density(h, Z, S') -> (n, m) densities over states S' (m, d_S)
+      transition_density(h, Z, S') -> (n, m) densities over states S' (m, d_S),
+        a new float array that the caller may overwrite
       reward_mean(h, Z) -> (n,) mean rewards in [0, 1/H]
 
     Transitions exist for steps h = 1..H-1; rewards for h = 1..H.
@@ -50,8 +51,6 @@ class EnvironmentModel:
     transition_density: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
     reward_mean: Callable[[int, np.ndarray], np.ndarray]
     reward_noise_sigma: float
-    smoothness: str  # "mildly-smooth" | "strongly-smooth" | "linear"
-    nu: float | None = None
     c_t: float | None = None  # rough bound on the Bellman smoothing constant
 
     def __post_init__(self):
@@ -99,10 +98,6 @@ class LearnerView:
         return self._env.sample_reward(h, z, rng)
 
 
-def learner_view(env: EnvironmentModel) -> LearnerView:
-    return LearnerView(env)
-
-
 def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = None):
     """Roll one episode under ``policy(h, state) -> action``.
 
@@ -136,12 +131,11 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
 def _resolve_reward(spec, horizon: int):
     """Turn a reward spec into a vectorized mean-reward callable.
 
-    ``spec`` is "default" (a smooth sinusoidal bump), "zero", "constant"
-    (the maximal flat reward 1/H), or a callable f(s, a) -> [0, 1] that gets
-    scaled by 1/H.
+    ``spec`` is "default" (a smooth sinusoidal bump), "zero" or "constant"
+    (the maximal flat reward 1/H). Returns the callable and its slope bound.
     """
     scale = 1.0 / horizon
-    if spec == "default" or spec is None:
+    if spec == "default":
 
         def mean(h, Z):
             s = Z[:, 0]
@@ -153,12 +147,6 @@ def _resolve_reward(spec, horizon: int):
         return (lambda h, Z: np.zeros(Z.shape[0])), 0.0
     if spec == "constant":
         return (lambda h, Z: np.full(Z.shape[0], scale)), 0.0
-    if callable(spec):
-
-        def mean(h, Z):
-            return scale * np.asarray(spec(Z[:, 0], Z[:, 1]), dtype=float)
-
-        return mean, None
     raise ValueError(f"unknown reward spec: {spec!r}")
 
 
@@ -223,7 +211,7 @@ def env_uniform_shift(
         return inside / width
 
     # Bellman smoothing: kernel contributes 2/(1-beta), reward its C^1 norm.
-    c_t = 2.0 / width + 1.0 + (reward_slope if reward_slope is not None else 1.0 / horizon)
+    c_t = 2.0 / width + 1.0 + reward_slope
     env = EnvironmentModel(
         name="uniform_shift",
         state_dim=1,
@@ -233,8 +221,6 @@ def env_uniform_shift(
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,
-        smoothness="mildly-smooth",
-        nu=1.0,
         c_t=c_t,
     )
     _check_normalization(env)
@@ -282,9 +268,16 @@ def env_smooth_drift(
 
     def density(h, Z, Sp):
         mu, lo, hi = _bounds(Z)
-        x = (Sp[:, 0][None, :] - mu[:, None]) / noise_sigma
-        pdf = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi)
-        return pdf / (noise_sigma * (hi - lo))[:, None]
+        # In place, in the order of exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass):
+        # the (n, m) result is as large as an oracle kernel.
+        x = Sp[:, 0][None, :] - mu[:, None]
+        x /= noise_sigma
+        y = -0.5 * x
+        y *= x
+        np.exp(y, out=y)
+        y /= np.sqrt(2.0 * np.pi)
+        y /= (noise_sigma * (hi - lo))[:, None]
+        return y
 
     c_t = 1.0 + (1.0 + abs(drift_gain)) / noise_sigma  # coarse scale estimate
     env = EnvironmentModel(
@@ -296,8 +289,6 @@ def env_smooth_drift(
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,
-        smoothness="strongly-smooth",
-        nu=float("inf"),
         c_t=c_t,
     )
     _check_normalization(env)
@@ -308,7 +299,7 @@ def env_smooth_drift(
 def env_exact_linear(
     theta_true: np.ndarray,
     fmap: TaylorFeatureMap,
-    horizon: int | None = None,
+    horizon: int,
     reward_noise_sigma: float = 0.05,
 ) -> EnvironmentModel:
     """Sanity instance whose Bellman backups are exactly linear in ``fmap``.
@@ -320,8 +311,6 @@ def env_exact_linear(
     zero error.
     """
     theta = np.atleast_2d(np.asarray(theta_true, dtype=float))
-    if horizon is None:
-        horizon = theta.shape[0]
     if theta.shape != (horizon, fmap.dim_features):
         raise ValueError(
             f"theta must have shape ({horizon}, {fmap.dim_features}), got {theta.shape}"
@@ -349,8 +338,6 @@ def env_exact_linear(
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,
-        smoothness="linear",
-        nu=None,
         c_t=None,
     )
     try:

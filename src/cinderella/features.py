@@ -59,15 +59,10 @@ def enumerate_multi_indices(dim: int, degree: int) -> MultiIndexSet:
 
 @dataclass(frozen=True)
 class TaylorFeatureMap:
-    """Per-cell monomial features (z - center)^alpha on a partition.
-
-    With ``normalize`` set, outputs are divided by the certified norm bound
-    ``1 + 2*sqrt(size)`` so the 2-norm never exceeds 1.
-    """
+    """Per-cell monomial features (z - center)^alpha on a partition."""
 
     partition: Partition
     index_set: MultiIndexSet
-    normalize: bool = False
 
     def __post_init__(self):
         if self.index_set.dim != self.partition.dim:
@@ -79,9 +74,7 @@ class TaylorFeatureMap:
 
     @property
     def norm_bound(self) -> float:
-        """Certified bound on the feature 2-norm (1 when normalized)."""
-        if self.normalize:
-            return 1.0
+        """Certified bound on the feature 2-norm."""
         return 1.0 + 2.0 * math.sqrt(self.index_set.size)
 
 
@@ -104,10 +97,7 @@ def features_at_centers(
     diffs = np.asarray(points, dtype=float) - centers
     # (n, 1, d) ** (1, k, d) -> product over d gives the k monomials per point.
     powers = diffs[:, None, :] ** fmap.index_set.indices[None, :, :]
-    out = np.prod(powers, axis=-1)
-    if fmap.normalize:
-        out = out / (1.0 + 2.0 * math.sqrt(fmap.index_set.size))
-    return out
+    return np.prod(powers, axis=-1)
 
 
 def extend_features(fmap: TaylorFeatureMap, z: np.ndarray) -> np.ndarray:

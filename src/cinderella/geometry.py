@@ -8,7 +8,6 @@ to the earliest cell in row-major enumeration order.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -35,20 +34,6 @@ class Partition:
     def effective_radius(self) -> float:
         """Infinity-norm distance from any point to its assigned center."""
         return 1.0 / self.cells_per_axis
-
-    def to_json(self) -> str:
-        """Serialize the defining parameters; centers are recomputed on load."""
-        return json.dumps(
-            {"dim": self.dim, "epsilon": self.epsilon, "cells_per_axis": self.cells_per_axis}
-        )
-
-    @staticmethod
-    def from_json(payload: str) -> "Partition":
-        doc = json.loads(payload)
-        part = build_partition(doc["dim"], doc["epsilon"])
-        if part.cells_per_axis != doc["cells_per_axis"]:
-            raise ValueError("serialized cells_per_axis inconsistent with epsilon")
-        return part
 
 
 def build_partition(dim: int, epsilon: float) -> Partition:

@@ -152,6 +152,8 @@ class RunConfig:
         for key, value in self.env_params.items():
             if not _env_param_ok(key, value):
                 raise ValueError(f"config invalid: env param {key} has wrong type: {value!r}")
+        if self.env_name == "exact_linear" and "theta" not in self.env_params:
+            raise ValueError("config invalid: exact_linear needs env param theta")
         if self.nu <= 0:
             raise ValueError(f"config invalid: nu must be positive, got {self.nu}")
         if self.episodes < 1 or self.horizon < 1:
@@ -453,10 +455,3 @@ def random_policy_gap(env: EnvironmentModel, dp: GridDP, s1) -> float:
     every_action = np.broadcast_to(np.arange(dp.action_points.shape[0]), rewards.shape[1:])
     v_rand = policy_value(rewards, kernels, [every_action] * len(rewards), dp.state_points[:, 0], s1)
     return dp.value_at(s1) - v_rand
-
-
-def check_suite(level: str = "quick") -> dict:
-    """Run the machine-readable invariant suite (see ``checks``)."""
-    from .checks import run_check_suite
-
-    return run_check_suite(level)

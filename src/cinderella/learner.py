@@ -36,6 +36,8 @@ log = logging.getLogger(__name__)
 # Below this feature dimension the bonus quadratic form is as cheap as
 # finding the stale entries of a width cache, so widths are not cached.
 WIDTH_CACHE_MIN_DIM = 2
+# Grid points per uncertainty coordinate in the exact-grid planner.
+_EXACT_GRID_RESOLUTION = 5
 
 
 @dataclass
@@ -195,7 +197,6 @@ class CinderellaLearner:
         action_points_per_axis: int = 21,
         planner: str = "relaxation",
         clip_bounds: tuple[float, float] = (-1.0, 2.0),
-        exact_grid_resolution: int = 5,
     ):
         if planner not in ("relaxation", "exact-grid"):
             raise ValueError(f"unknown planner: {planner!r}")
@@ -209,7 +210,6 @@ class CinderellaLearner:
         self.actions = action_grid(action_points_per_axis, self.action_dim)
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
-        self.exact_grid_resolution = exact_grid_resolution
 
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
         self.H, self.N, self.d = H, N, d
@@ -348,7 +348,7 @@ class CinderellaLearner:
         if self.planner == "exact-grid":
             if s1 is None:
                 raise ValueError("exact-grid planning needs the initial state")
-            solve_exact_grid(self, s1, self.exact_grid_resolution)
+            solve_exact_grid(self, s1, _EXACT_GRID_RESOLUTION)
         else:
             self._plan_relaxation(k)
         if self._probe_blocks is not None:

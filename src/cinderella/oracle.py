@@ -9,7 +9,6 @@ grid resolution that produced it.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -21,6 +20,7 @@ from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_cen
 from .geometry import Partition, assign_regions, build_partition
 
 MAX_KERNEL_ENTRIES = 80_000_000  # refuse DP instances whose kernel tensors explode
+_N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
 
 
 def _axis_grid(m: int) -> np.ndarray:
@@ -53,16 +53,6 @@ class GridDP:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return float(np.interp(s[0], self.state_points[:, 0], self.v[h]))
 
-    def greedy_policy(self):
-        """Deterministic policy taking the argmax action at the nearest grid state."""
-
-        def policy(h: int, s: np.ndarray):
-            s = np.atleast_1d(np.asarray(s, dtype=float))
-            idx = int(np.argmin(np.max(np.abs(self.state_points - s[None, :]), axis=1)))
-            return self.action_points[int(np.argmax(self.q[h, idx]))]
-
-        return policy
-
     def report(self, s1: np.ndarray) -> dict:
         return {
             "v_star_at_s1": self.value_at(s1),
@@ -76,11 +66,15 @@ def _discretized_kernel(
     env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.ndarray, m_state: int
 ):
     """Row-normalized quadrature weights for E[f(s') | z] on the state grid."""
-    dens = env.transition_density(h, Z, sp) * (2.0 / (m_state - 1))
+    dens = env.transition_density(h, Z, sp)
+    # Scaled and normalized in place: a kernel is the largest array of a solve,
+    # so same-size temporaries would set the peak memory.
+    dens *= 2.0 / (m_state - 1)
     totals = dens.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("transition density vanished on the whole state grid")
-    return dens / totals
+    dens /= totals
+    return dens
 
 
 def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
@@ -177,19 +171,6 @@ class InherentErrorReport:
     m_state: int
     m_action: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "estimate": self.estimate,
-                "witness_step": self.witness_step,
-                "witness_point": self.witness_point.tolist(),
-                "per_step": self.per_step.tolist(),
-                "n_candidates": self.n_candidates,
-                "m_state": self.m_state,
-                "m_action": self.m_action,
-            }
-        )
-
 
 def _chebyshev_fit_residual(phi: np.ndarray, y: np.ndarray, radius: float) -> float:
     """min over theta in the box of max |phi @ theta - y| (linear program)."""
@@ -206,12 +187,12 @@ def _chebyshev_fit_residual(phi: np.ndarray, y: np.ndarray, radius: float) -> fl
     return float(res.x[-1])
 
 
-def _candidate_thetas(n_regions, d_feat, radius, n_random, rng):
+def _candidate_thetas(n_regions, d_feat, radius, rng):
     """Structured probes of the parameter box: zero, corners, interior points."""
     cands = [np.zeros((n_regions, d_feat))]
     cands.append(np.full((n_regions, d_feat), radius))
     cands.append(np.full((n_regions, d_feat), -radius))
-    for _ in range(n_random):
+    for _ in range(_N_RANDOM_CANDIDATES):
         cands.append(rng.choice([-radius, radius], size=(n_regions, d_feat)))
         cands.append(rng.uniform(-radius, radius, size=(n_regions, d_feat)))
     return cands
@@ -224,9 +205,7 @@ def inherent_error_estimate(
     theta_box_radius: float,
     m_state: int = 65,
     m_action: int = 33,
-    n_random_candidates: int = 6,
     seed: int = 0,
-    extra_candidates=None,
 ) -> InherentErrorReport:
     """Sampled sup-inf estimate of the inherent Bellman error.
 
@@ -259,9 +238,7 @@ def inherent_error_estimate(
         if h == H:
             candidates = [np.zeros((N, d_feat))]
         else:
-            candidates = _candidate_thetas(N, d_feat, theta_box_radius, n_random_candidates, rng)
-            if extra_candidates is not None:
-                candidates += [np.asarray(t, dtype=float) for t in extra_candidates]
+            candidates = _candidate_thetas(N, d_feat, theta_box_radius, rng)
         n_cands = max(n_cands, len(candidates))
         dens = env.transition_density(h, Z, sp) * quad_w if h < H else None
         worst = 0.0

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 from cinderella.envs import (
+    LearnerView,
     env_exact_linear,
     env_smooth_drift,
     env_uniform_shift,
-    learner_view,
     run_episode,
 )
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
@@ -57,6 +58,17 @@ def test_smooth_drift_density_integrates(rng):
     np.testing.assert_allclose(totals, 1.0, atol=1e-2)
 
 
+def test_smooth_drift_density_matches_closed_form():
+    env = env_smooth_drift(0.5, 0.3, horizon=2)
+    sp = np.linspace(-1.0, 1.0, 33)[:, None]
+    Z = np.stack(np.meshgrid(np.linspace(-1, 1, 9), np.linspace(-1, 1, 9)), -1).reshape(-1, 2)
+    mu = Z[:, 0] + 0.5 * Z[:, 1]
+    mass = ndtr((1.0 - mu) / 0.3) - ndtr((-1.0 - mu) / 0.3)
+    x = (sp[:, 0][None, :] - mu[:, None]) / 0.3
+    want = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) / (0.3 * mass)[:, None]
+    np.testing.assert_array_equal(env.transition_density(1, Z, sp), want)
+
+
 def test_smooth_drift_reward_normalized():
     env = env_smooth_drift(0.5, 0.3, horizon=4)
     Z = np.stack(np.meshgrid(np.linspace(-1, 1, 64), np.linspace(-1, 1, 64)), -1).reshape(-1, 2)
@@ -99,7 +111,7 @@ def test_exact_linear_greedy_matches_dp_policy():
     dp = dp_solve(env, 65, 33)
     # argmax of a linear-in-a reward is the right endpoint everywhere
     for i in range(0, 65, 7):
-        assert dp.greedy_policy()(1, dp.state_points[i])[0] == pytest.approx(1.0)
+        assert dp.action_points[dp.q[1, i].argmax()][0] == pytest.approx(1.0)
 
 
 def test_exact_linear_rejects_unnormalized_theta():
@@ -168,9 +180,9 @@ def test_transitions_have_horizon_structure(rng):
     assert all(t.next_state is not None for t in transitions[:-1])
 
 
-def test_learner_view_hides_ground_truth(rng):
+def test_sampling_view_hides_ground_truth(rng):
     env = env_uniform_shift(0.5, horizon=2)
-    view = learner_view(env)
+    view = LearnerView(env)
     assert not hasattr(view, "transition_density")
     assert not hasattr(view, "reward_mean")
     transitions, _ = run_episode(view, lambda h, s: np.zeros(1), rng)

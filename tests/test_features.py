@@ -60,11 +60,9 @@ def test_nu_star():
         nu_star(0.0)
 
 
-def _fmap(dim, eps, degree, normalize=False):
+def _fmap(dim, eps, degree):
     part = build_partition(dim, eps)
-    return TaylorFeatureMap(
-        partition=part, index_set=enumerate_multi_indices(dim, degree), normalize=normalize
-    )
+    return TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, degree))
 
 
 def test_features_at_center_are_unit_vector():
@@ -93,11 +91,6 @@ def test_feature_norm_bound(rng):
     pts = rng.uniform(-1, 1, size=(10_000, 2))
     norms = np.linalg.norm(feature_matrix(fmap, pts), axis=1)
     assert norms.max() <= 1.0 + 2.0 * math.sqrt(fmap.dim_features)
-
-    normed = _fmap(2, 0.5, 3, normalize=True)
-    norms = np.linalg.norm(feature_matrix(normed, pts), axis=1)
-    assert norms.max() <= 1.0
-    assert normed.norm_bound == 1.0
 
 
 def test_extend_features_single_block():

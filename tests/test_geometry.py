@@ -1,12 +1,9 @@
-import json
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinderella.geometry import (
-    Partition,
     assign_region,
     assign_regions,
     auto_epsilon,
@@ -126,12 +123,3 @@ def test_assign_rejects_out_of_domain():
     part = build_partition(2, 0.5)
     with pytest.raises(ValueError):
         assign_region(part, np.array([1.2, 0.0]))
-
-
-def test_json_roundtrip():
-    part = build_partition(2, 0.4)
-    doc = json.loads(part.to_json())
-    assert set(doc) == {"dim", "epsilon", "cells_per_axis"}
-    back = Partition.from_json(part.to_json())
-    assert back.cells_per_axis == part.cells_per_axis
-    np.testing.assert_allclose(back.centers, part.centers)

@@ -9,6 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cinderella
+from cinderella.checks import check_suite
 from cinderella.cli import main as cli_main
 from cinderella.envs import env_uniform_shift
 from cinderella.features import TaylorFeatureMap
@@ -17,7 +19,6 @@ from cinderella.harness import (
     CSV_HEADER,
     RunConfig,
     _policy_eval_tables,
-    check_suite,
     derive_seed,
     load_config,
     make_rng,
@@ -133,6 +134,7 @@ def test_config_validation():
         {"env": {"name": "exact_linear", "theta": [[0.4, "0.05", 0.2]]}},
         {"env": {"name": "exact_linear", "theta": [[0.4, math.nan, 0.2]]}},
         {"env": {"name": "exact_linear", "theta": "[[0.4]]"}},
+        {"env": {"name": "exact_linear"}},
         {"nu": 0},
         {"nu": -1.0},
     ],
@@ -173,9 +175,13 @@ _ANY_JSON = st.recursive(
     max_leaves=6,
 )
 _VALID = {
-    "env": st.fixed_dictionaries(
-        {"name": st.sampled_from(["uniform_shift", "smooth_drift", "exact_linear"])}
-    ),
+    "env": st.sampled_from(
+        [
+            {"name": "uniform_shift"},
+            {"name": "smooth_drift"},
+            {"name": "exact_linear", "theta": [[0.5]]},
+        ]
+    ).map(dict),
     "episodes": st.integers(1, 10**6),
     "horizon": st.integers(1, 5),
     "nu": st.floats(0.1, 5.0) | st.integers(1, 5),
@@ -427,6 +433,18 @@ def test_check_suite_quick_all_green(capsys):
     assert "optimism-negative-control" in names
     out = capsys.readouterr().out
     assert '"passed": true' in out
+
+
+def test_cli_check_quick(capsys):
+    assert cli_main(["check", "--level", "quick"]) == 0
+    assert '"passed": true' in capsys.readouterr().out
+
+
+def test_public_names_resolve_sorted_and_unique():
+    names = cinderella.__all__
+    assert [n for n in names if not hasattr(cinderella, n)] == []
+    assert names == sorted(names)
+    assert len(set(names)) == len(names)
 
 
 def test_cli_run_and_oracle(tmp_path):

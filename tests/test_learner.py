@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from cinderella.checks import tiny_exact_linear_setup
-from cinderella.envs import env_exact_linear, learner_view
+from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
 from cinderella.geometry import build_partition
 from cinderella.harness import make_rng
@@ -170,7 +170,7 @@ def test_argmax_invariant_under_positive_scaling():
 def test_learner_works_against_sampling_view():
     learner = _fresh_learner()
     env = env_exact_linear(np.array([[0.4, 0.05, 0.2]]), learner.fmap, horizon=1)
-    view = learner_view(env)
+    view = LearnerView(env)
     transitions, _ = learner.plan_and_act_episode(view, np.zeros(1), make_rng(0, 1, 0, 1))
     assert len(transitions) == 1
 

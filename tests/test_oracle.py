@@ -8,6 +8,7 @@ from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
 from cinderella.geometry import build_partition
 from cinderella.harness import random_policy_gap
 from cinderella.oracle import (
+    _discretized_kernel,
     dp_solve,
     inherent_error_estimate,
     policy_eval_tables,
@@ -86,6 +87,36 @@ def test_dp_rejects_two_dimensional_states():
 def _value(env, dp, actions, action_idx, s1):
     rewards, kernels = policy_eval_tables(env, dp, actions)
     return policy_value(rewards, kernels, action_idx, dp.state_points[:, 0], s1)
+
+
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: env_uniform_shift(0.5, horizon=2),
+        lambda: env_smooth_drift(0.5, 0.3, horizon=2),
+        lambda: env_exact_linear(
+            np.array([[0.4, 0.05, 0.2]]),
+            TaylorFeatureMap(
+                partition=build_partition(2, 1.0), index_set=enumerate_multi_indices(2, 1)
+            ),
+            horizon=1,
+        ),
+    ],
+    ids=["uniform_shift", "smooth_drift", "exact_linear"],
+)
+@pytest.mark.parametrize("m_state", [7, 19, 26])  # quadrature weights not powers of 2
+def test_discretized_kernel_matches_out_of_place(make_env, m_state):
+    env = make_env()
+    sp = np.linspace(-1.0, 1.0, m_state)[:, None]
+    ap = np.linspace(-1.0, 1.0, 9)[:, None]
+    Z = np.concatenate([np.repeat(sp, 9, axis=0), np.tile(ap, (m_state, 1))], axis=1)
+    dens = env.transition_density(1, Z, sp) * (2.0 / (m_state - 1))
+    want = dens / dens.sum(axis=1, keepdims=True)
+    first = _discretized_kernel(env, 1, Z, sp, m_state)
+    second = _discretized_kernel(env, 1, Z, sp, m_state)
+    np.testing.assert_array_equal(first, want)
+    np.testing.assert_array_equal(second, want)
+    assert not np.shares_memory(first, second)
 
 
 def test_policy_value_greedy_self_consistency():
@@ -224,7 +255,6 @@ def test_inherent_error_report_shape():
     rep = inherent_error_estimate(env, part, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
     assert rep.estimate == pytest.approx(rep.per_step.max())
     assert 1 <= rep.witness_step <= 2
-    assert rep.to_json()
     with pytest.raises(ValueError, match="at least 2"):
         inherent_error_estimate(env, part, fmap, 1.0, m_state=1, m_action=9)
 

@@ -268,16 +268,17 @@ def env_smooth_drift(
 
     def density(h, Z, Sp):
         mu, lo, hi = _bounds(Z)
-        # In place, in the order of exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass):
-        # the (n, m) result is as large as an oracle kernel.
+        # exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass), all in the one (n, m)
+        # array, which is as large as an oracle kernel; scaling by -0.5 is
+        # exact, so (x * x) * -0.5 equals (-0.5 * x) * x bit for bit.
         x = Sp[:, 0][None, :] - mu[:, None]
         x /= noise_sigma
-        y = -0.5 * x
-        y *= x
-        np.exp(y, out=y)
-        y /= np.sqrt(2.0 * np.pi)
-        y /= (noise_sigma * (hi - lo))[:, None]
-        return y
+        x *= x
+        x *= -0.5
+        np.exp(x, out=x)
+        x /= np.sqrt(2.0 * np.pi)
+        x /= (noise_sigma * (hi - lo))[:, None]
+        return x
 
     c_t = 1.0 + (1.0 + abs(drift_gain)) / noise_sigma  # coarse scale estimate
     env = EnvironmentModel(

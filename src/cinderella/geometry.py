@@ -82,6 +82,16 @@ def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
     return flat
 
 
+def grid_pairs(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
+    """Every (state, action) pair, (n_s * n_a, d_S + d_A): states slowest, actions fastest.
+
+    Row ``i * n_a + j`` pairs ``states[i]`` with ``actions[j]``, so per-pair
+    values reshape to (n_s, n_a) tables indexed by state, then action.
+    """
+    n_s, n_a = states.shape[0], actions.shape[0]
+    return np.concatenate([np.repeat(states, n_a, axis=0), np.tile(actions, (n_s, 1))], axis=1)
+
+
 def auto_epsilon(episodes: int, dim: int, nu: float) -> float:
     """Cover radius balancing approximation bias against region count.
 

@@ -20,7 +20,6 @@ so rescaling all estimates by a positive constant never changes the choice.
 from __future__ import annotations
 
 import itertools
-import logging
 import math
 from dataclasses import dataclass
 
@@ -28,10 +27,8 @@ import numpy as np
 
 from .envs import run_episode
 from .features import TaylorFeatureMap, features_at_centers
-from .geometry import Partition, assign_regions
+from .geometry import Partition, assign_regions, grid_pairs
 from .regression import ridge_update
-
-log = logging.getLogger(__name__)
 
 # Below this feature dimension the bonus quadratic form is as cheap as
 # finding the stale entries of a width cache, so widths are not cached.
@@ -117,13 +114,26 @@ class ThetaTable:
     objective: float
 
 
-class _StepHistory:
-    """Growable per-step visit record; next-state blocks cached for re-fits.
+class _Blocks:
+    """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) to score.
 
-    ``next_width`` holds the next-state blocks' bonus widths under the
-    next step's inverses: rows below ``width_rows`` are current for the
-    region counts ``width_seen`` recorded at the last refresh.
+    ``width`` caches the blocks' bonus widths under one step's inverses.
+    ``counts[h, n]`` is the version of region n's step-h inverse: it is bumped
+    with every ``ridge_update``, the only writer of ``lam_inv_all``. Rows
+    below ``fresh`` hold widths computed when the step's counts were
+    ``seen``; such a width is valid iff its region's count is unchanged.
     """
+
+    def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int):
+        self.feats = feats
+        self.regions = regions
+        self.width = np.zeros(regions.shape)
+        self.seen = np.zeros(n_regions, dtype=np.int64)
+        self.fresh = 0
+
+
+class _StepHistory:
+    """Per-step visit record, one row per episode; ``next`` holds the next-state blocks."""
 
     def __init__(
         self, capacity: int, d_feat: int, n_actions: int, n_regions: int, has_next: bool
@@ -131,37 +141,22 @@ class _StepHistory:
         self.feats = np.zeros((capacity, d_feat))
         self.rewards = np.zeros(capacity)
         self.regions = np.zeros(capacity, dtype=np.int64)
-        self.next_feats = np.zeros((capacity, n_actions, d_feat)) if has_next else None
-        self.next_regions = np.zeros((capacity, n_actions), dtype=np.int64) if has_next else None
-        self.next_width = np.zeros((capacity, n_actions)) if has_next else None
-        self.width_seen = np.zeros(n_regions, dtype=np.int64)
-        self.width_rows = 0
+        self.next = None
+        if has_next:
+            self.next = _Blocks(
+                np.zeros((capacity, n_actions, d_feat)),
+                np.zeros((capacity, n_actions), dtype=np.int64),
+                n_regions,
+            )
         self.size = 0
 
-    def _grow(self):
-        def dbl(a):
-            out = np.zeros((a.shape[0] * 2,) + a.shape[1:], dtype=a.dtype)
-            out[: a.shape[0]] = a
-            return out
-
-        self.feats = dbl(self.feats)
-        self.rewards = dbl(self.rewards)
-        self.regions = dbl(self.regions)
-        if self.next_feats is not None:
-            self.next_feats = dbl(self.next_feats)
-            self.next_regions = dbl(self.next_regions)
-            self.next_width = dbl(self.next_width)
-
-    def append(self, phi, reward, region, next_feats=None, next_regions=None):
-        if self.size == self.feats.shape[0]:
-            self._grow()
+    def append(self, phi, reward, region, next_blocks=None):
         i = self.size
         self.feats[i] = phi
         self.rewards[i] = reward
         self.regions[i] = region
-        if self.next_feats is not None and next_feats is not None:
-            self.next_feats[i] = next_feats
-            self.next_regions[i] = next_regions
+        if self.next is not None:
+            self.next.feats[i], self.next.regions[i] = next_blocks
         self.size += 1
 
 
@@ -178,14 +173,12 @@ class CinderellaLearner:
     Single-writer: one learner per run. Independent runs may execute
     concurrently with no shared mutable state.
 
-    The relaxation planner caches the bonus width
-    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` of every history next-state entry
-    and every probe entry. ``counts[h, n]`` is the version of region n's
-    inverse at step h: it is bumped with every ``ridge_update``, the only
-    writer of ``lam_inv_all``. A cached width is valid iff its region's count
-    is unchanged since the width was computed; a refresh recomputes only the
-    entries whose count moved, plus rows appended since the last refresh.
-    ``alpha`` stays outside the cache because it changes with ``k``.
+    Each step holds ``schedule.episodes`` transitions, one per episode.
+    The relaxation planner scores the history's next-state blocks and the
+    probe's blocks through ``_block_scores``, which caches their bonus widths
+    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at ``d_feat >= WIDTH_CACHE_MIN_DIM``
+    (see ``_Blocks`` for when a cached width is valid). ``alpha`` stays
+    outside the cache because it changes with ``k``.
     """
 
     def __init__(
@@ -219,7 +212,7 @@ class CinderellaLearner:
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
         M = self.actions.shape[0]
         self.history = [
-            _StepHistory(max(schedule.episodes, 16), d, M, N, has_next=(1 <= h < H))
+            _StepHistory(schedule.episodes, d, M, N, has_next=(1 <= h < H))
             for h in range(H + 1)
         ]
         self._width_cache = planner == "relaxation" and d >= WIDTH_CACHE_MIN_DIM
@@ -227,22 +220,22 @@ class CinderellaLearner:
         self.theta_bar_all = None  # set by the exact planner
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
-        self._probe_blocks = None
-        # Bonus widths of the probe blocks per step, (H + 1, n, M), current
-        # for the counts _probe_seen, (H + 1, N).
-        self._probe_width = self._probe_seen = None
+        self._probe = None  # one _Blocks per step h >= 1, sharing feats and regions
         self.last_policy_actions = None
-        self.last_plan_info: dict = {}
 
     # -- feature plumbing ---------------------------------------------------
 
-    def _blocks(self, state: np.ndarray):
-        """Features and regions of (state, a) for every grid action."""
-        M = self.actions.shape[0]
-        Z = np.concatenate([np.tile(state, (M, 1)), self.actions], axis=1)
+    def _blocks(self, states: np.ndarray):
+        """Features (n, M, d) and regions (n, M) of (s, a) for every grid action.
+
+        ``states`` is (n, d_S), or one state of shape (d_S,) giving n = 1.
+        """
+        states = np.asarray(states, dtype=float).reshape(-1, self.state_dim)
+        n, M = states.shape[0], self.actions.shape[0]
+        Z = grid_pairs(states, self.actions)
         regions = assign_regions(self.partition, Z)
         feats = features_at_centers(self.fmap, Z, self.partition.centers[regions])
-        return feats, regions
+        return feats.reshape(n, M, self.d), regions.reshape(n, M)
 
     def _point(self, state: np.ndarray, action: np.ndarray):
         z = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
@@ -272,19 +265,25 @@ class CinderellaLearner:
             width = self._width(h, feats, regions)
         return mean + self.alpha_all[h][regions] * width
 
-    def _refresh_widths(self, h, feats, regions, width, seen, fresh: int) -> None:
-        """Bring the cached ``width`` of (rows, M) blocks up to date, in place.
+    def _block_scores(self, h: int, blocks: _Blocks, rows: int) -> np.ndarray:
+        """Raw optimistic step-h scores (rows, M) of the first ``rows`` block rows.
 
-        Rows from ``fresh`` on are new and computed in full. Older entries
-        are recomputed only where their region's step-h count differs from
-        ``seen``, the counts at the last refresh, which is then updated.
+        With the width cache on, rows from ``blocks.fresh`` on are computed in
+        full and older entries only where their region's step-h count differs
+        from ``blocks.seen``; the cache is then current for ``rows`` rows.
         """
-        stale = self.counts[h] != seen
+        feats, regions = blocks.feats[:rows], blocks.regions[:rows]
+        if not self._width_cache:
+            return self._scores(h, feats, regions)
+        width, fresh = blocks.width[:rows], blocks.fresh
+        stale = self.counts[h] != blocks.seen
         if fresh and stale.any():
-            rows, cols = np.nonzero(stale[regions[:fresh]])
-            width[rows, cols] = self._width(h, feats[rows, cols], regions[rows, cols])
+            r, c = np.nonzero(stale[regions[:fresh]])
+            width[r, c] = self._width(h, feats[r, c], regions[r, c])
         width[fresh:] = self._width(h, feats[fresh:], regions[fresh:])
-        seen[:] = self.counts[h]
+        blocks.seen[:] = self.counts[h]
+        blocks.fresh = rows
+        return self._scores(h, feats, regions, width)
 
     def optimistic_q(self, h: int, z: np.ndarray) -> float:
         """Current optimistic Q at a point, clipped to [0, 1]."""
@@ -295,7 +294,7 @@ class CinderellaLearner:
 
     def value_estimate(self, state: np.ndarray, h: int = 1) -> float:
         """Optimistic state value: clipped max score over the action grid."""
-        feats, regions = self._blocks(np.atleast_1d(np.asarray(state, dtype=float)))
+        feats, regions = self._blocks(state)
         return float(np.clip(self._scores(h, feats, regions).max(), 0.0, 1.0))
 
     # -- planning -----------------------------------------------------------
@@ -304,43 +303,28 @@ class CinderellaLearner:
         """Ridge estimates (N, d) at step h from the whole step-h history.
 
         Targets are ``reward + max_a clip(q, 0, 1)``, clipped to the target
-        bounds, where ``q_next(feats, regions)`` scores the cached next-state
-        blocks with the step-(h+1) tables; the last step has no continuation.
+        bounds, where ``q_next(blocks, rows)`` scores the first ``rows`` cached
+        next-state blocks with the step-(h+1) tables; the last step has no
+        continuation.
         """
         hist = self.history[h]
         p = hist.size
         targets = hist.rewards[:p]
         if h < self.H:
-            q = q_next(hist.next_feats[:p], hist.next_regions[:p])
+            q = q_next(hist.next, p)
             targets = targets + np.clip(q, 0.0, 1.0).max(axis=1)
         targets = np.clip(targets, self.clip_lo, self.clip_hi)
         bsum = np.zeros((self.N, self.d))
         np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
-    def _history_width(self, h: int):
-        """Step-(h+1) widths of the step-h next-state blocks, refreshed; None if uncached."""
-        hist = self.history[h]
-        if not self._width_cache or hist.next_width is None:
-            return None
-        p = hist.size
-        self._refresh_widths(
-            h + 1,
-            hist.next_feats[:p],
-            hist.next_regions[:p],
-            hist.next_width[:p],
-            hist.width_seen,
-            hist.width_rows,
-        )
-        hist.width_rows = p
-        return hist.next_width[:p]
-
     def _plan_relaxation(self, k: int) -> None:
         self.theta_bar_all = None
         self.alpha_all[1:] = alpha_radius(self.schedule, k, self.counts[1:])
         for h in range(self.H, 0, -1):
-            width = self._history_width(h)
-            self.theta_hat_all[h] = self._refit(h, lambda f, r: self._scores(h + 1, f, r, width))
+            self.theta_hat_all[h] = self._refit(
+                h, lambda blocks, rows: self._block_scores(h + 1, blocks, rows)
+            )
 
     def plan(self, s1: np.ndarray | None = None) -> None:
         """Refresh the optimistic tables for the upcoming episode."""
@@ -351,38 +335,35 @@ class CinderellaLearner:
             solve_exact_grid(self, s1, _EXACT_GRID_RESOLUTION)
         else:
             self._plan_relaxation(k)
-        if self._probe_blocks is not None:
+        if self._probe is not None:
             self.last_policy_actions = self.greedy_action_indices()
-        self.last_plan_info = {
-            "episode": k,
-            "planner": self.planner,
-            "alpha_min": float(self.alpha_all[1:].min()),
-            "alpha_max": float(self.alpha_all[1:].max()),
-            "visits": self.counts[1:].sum(axis=0).tolist(),
-        }
-        if log.isEnabledFor(logging.DEBUG):
-            log.debug("plan %s", self.last_plan_info)
 
     # -- acting -------------------------------------------------------------
 
     def act(self, h: int, state: np.ndarray) -> np.ndarray:
         """Greedy action on the grid for the raw optimistic score."""
-        state = np.atleast_1d(np.asarray(state, dtype=float))
         feats, regions = self._blocks(state)
         return self.actions[int(np.argmax(self._scores(h, feats, regions)))]
 
     def observe_transition(self, h, state, action, reward, next_state) -> None:
-        """Absorb one transition into the (h, region) design matrix and history."""
+        """Absorb one transition into the (h, region) design matrix and history.
+
+        ``next_state`` is required at every step but the last.
+        """
+        if not 1 <= h <= self.H:
+            raise ValueError(f"step must be in 1..{self.H}, got {h}")
+        if self.history[h].size == self.schedule.episodes:
+            raise ValueError(f"history full: step {h} holds one transition per episode")
+        if h < self.H and next_state is None:
+            raise ValueError(f"step {h} < {self.H} needs a next state")
         if not math.isfinite(reward):
             raise ValueError("non-finite reward")
         phi, region = self._point(state, action)
-        nf = nr = None
-        if h < self.H and next_state is not None:
-            nf, nr = self._blocks(np.atleast_1d(np.asarray(next_state, dtype=float)))
+        next_blocks = self._blocks(next_state) if h < self.H else None
         count = self.counts[h, region] + 1
         ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
         self.counts[h, region] = count
-        self.history[h].append(phi, reward, region, nf, nr)
+        self.history[h].append(phi, reward, region, next_blocks)
 
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
         """One full episode: plan, act greedily, then absorb the transitions.
@@ -404,35 +385,19 @@ class CinderellaLearner:
 
     def register_probe(self, states: np.ndarray) -> None:
         """Precompute feature blocks of a fixed state grid for fast greedy reads."""
-        states = np.asarray(states, dtype=float)
-        n = states.shape[0]
-        M = self.actions.shape[0]
-        Z = np.concatenate(
-            [np.repeat(states, M, axis=0), np.tile(self.actions, (n, 1))], axis=1
-        )
-        regions = assign_regions(self.partition, Z).reshape(n, M)
-        feats = features_at_centers(
-            self.fmap, Z, self.partition.centers[regions.ravel()]
-        ).reshape(n, M, self.d)
+        feats, regions = self._blocks(states)
         feats.flags.writeable = False
         regions.flags.writeable = False
-        self._probe_blocks = (feats, regions)
-        self._probe_width = np.zeros((self.H + 1, n, M))
-        self._probe_seen = np.full((self.H + 1, self.N), -1)  # no width computed yet
+        self._probe = [None] + [_Blocks(feats, regions, self.N) for _ in range(self.H)]
 
     def greedy_action_indices(self) -> np.ndarray:
         """Greedy grid-action index at every probe state, per step: (H+1, n)."""
-        if self._probe_blocks is None:
+        if self._probe is None:
             raise ValueError("no probe registered")
-        feats, regions = self._probe_blocks
-        n = feats.shape[0]
+        n = self._probe[1].regions.shape[0]
         out = np.zeros((self.H + 1, n), dtype=np.int64)
         for h in range(1, self.H + 1):
-            width = None
-            if self._width_cache:
-                width = self._probe_width[h]
-                self._refresh_widths(h, feats, regions, width, self._probe_seen[h], n)
-            out[h] = np.argmax(self._scores(h, feats, regions, width), axis=1)
+            out[h] = np.argmax(self._block_scores(h, self._probe[h], n), axis=1)
         return out
 
 
@@ -455,7 +420,6 @@ def solve_exact_grid(
             f"got dims={H * N * d}, g={g}"
         )
     k = learner.k + 1
-    s1 = np.atleast_1d(np.asarray(s1, dtype=float))
     alpha = np.zeros((H + 1, N))
     alpha[1:] = alpha_radius(learner.schedule, k, learner.counts[1:])
 
@@ -488,12 +452,13 @@ def solve_exact_grid(
         theta_bar = np.zeros((H + 1, N, d))
         for h in range(H, 0, -1):
             theta_hat[h] = learner._refit(
-                h, lambda f, r: np.einsum("pmd,pmd->pm", f, theta_bar[h + 1][r])
+                h,
+                lambda blocks, p: np.einsum(
+                    "pmd,pmd->pm", blocks.feats[:p], theta_bar[h + 1][blocks.regions[:p]]
+                ),
             )
             theta_bar[h] = theta_hat[h] + xi[h]
-        obj = float(
-            np.einsum("md,md->m", s1_feats, theta_bar[1][s1_regions]).max()
-        )
+        obj = float(np.einsum("pmd,pmd->pm", s1_feats, theta_bar[1][s1_regions]).max())
         if obj > best_obj:
             best_obj = obj
             best = (theta_hat, theta_bar, xi)

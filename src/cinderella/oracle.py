@@ -17,7 +17,7 @@ from scipy.optimize import linprog
 
 from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
-from .geometry import Partition, assign_regions, build_partition
+from .geometry import Partition, assign_regions, build_partition, grid_pairs
 
 MAX_KERNEL_ENTRIES = 80_000_000  # refuse DP instances whose kernel tensors explode
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
@@ -94,9 +94,7 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     n_s, n_a = sp.shape[0], ap.shape[0]
     if n_s * n_a * n_s > MAX_KERNEL_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
-    Z = np.concatenate(
-        [np.repeat(sp, n_a, axis=0), np.tile(ap, (n_s, 1))], axis=1
-    )  # (n_s * n_a, d)
+    Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
@@ -119,7 +117,7 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     """
     sp = dp.state_points
     n_s, M = sp.shape[0], actions.shape[0]
-    Z = np.concatenate([np.repeat(sp, M, axis=0), np.tile(actions, (n_s, 1))], axis=1)
+    Z = grid_pairs(sp, actions)
     H = env.horizon
     rewards = np.zeros((H + 1, n_s, M))
     kernels = [None] * (H + 1)
@@ -224,7 +222,7 @@ def inherent_error_estimate(
     sp = _product_grid(m_state, env.state_dim)
     ap = _product_grid(m_action, env.action_dim)
     n_s, n_a = sp.shape[0], ap.shape[0]
-    Z = np.concatenate([np.repeat(sp, n_a, axis=0), np.tile(ap, (n_s, 1))], axis=1)
+    Z = grid_pairs(sp, ap)
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])
     quad_w = (2.0 / (m_state - 1)) ** env.state_dim

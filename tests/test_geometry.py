@@ -8,6 +8,7 @@ from cinderella.geometry import (
     assign_regions,
     auto_epsilon,
     build_partition,
+    grid_pairs,
 )
 
 
@@ -123,3 +124,13 @@ def test_assign_rejects_out_of_domain():
     part = build_partition(2, 0.5)
     with pytest.raises(ValueError):
         assign_region(part, np.array([1.2, 0.0]))
+
+
+def test_grid_pairs_states_slowest_actions_fastest():
+    states = np.array([[0.1], [0.2], [0.3]])
+    actions = np.array([[-1.0, 0.5], [0.0, 0.25]])
+    Z = grid_pairs(states, actions)
+    assert Z.shape == (6, 3)
+    for i, s in enumerate(states):
+        for j, a in enumerate(actions):
+            np.testing.assert_array_equal(Z[i * 2 + j], np.concatenate([s, a]))

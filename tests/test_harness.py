@@ -333,27 +333,6 @@ def test_three_step_horizon_learns():
     assert regret[-50:].mean() < regret[:50].mean()
 
 
-def test_plan_metadata_emitted():
-    from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
-    from cinderella.geometry import build_partition
-    from cinderella.harness import build_env
-    from cinderella.learner import BonusSchedule, CinderellaLearner
-
-    cfg = _small_config(episodes=4)
-    part = build_partition(2, 0.5)
-    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
-    env = build_env(cfg, fmap)
-    sch = BonusSchedule(
-        delta=0.1, lam_reg=1.0, l_phi=fmap.norm_bound, r_max=1.0,
-        n_regions=part.n_regions, d_feat=1, episodes=4, horizon=2,
-    )
-    learner = CinderellaLearner(part, fmap, sch, state_dim=1)
-    learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
-    info = learner.last_plan_info
-    assert info["planner"] == "relaxation" and info["episode"] == 1
-    assert set(info) >= {"alpha_min", "alpha_max", "visits"}
-
-
 # -- sweeps ---------------------------------------------------------------------
 
 

@@ -66,14 +66,16 @@ def test_alpha_radius_misspecification_arithmetic():
     assert alpha_radius(sch, 1, 100) == pytest.approx(1.0)
 
 
-def _fresh_learner(degree=1, eps=1.0, planner="relaxation", episodes=50, bonus_scale=1.0):
+def _fresh_learner(
+    degree=1, eps=1.0, planner="relaxation", episodes=50, bonus_scale=1.0, horizon=1
+):
     part = build_partition(2, eps)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
     sch = _schedule(
         n_regions=part.n_regions,
         d_feat=fmap.dim_features,
         episodes=episodes,
-        horizon=1,
+        horizon=horizon,
         bonus_scale=bonus_scale,
         delta=0.1,
         l_phi=fmap.norm_bound,
@@ -109,6 +111,9 @@ def test_horizon_one_acts_like_linucb():
     learner.plan()
     s = np.zeros(1)
     feats, regions = learner._blocks(s)
+    assert feats.shape == (1, learner.actions.shape[0], learner.d)
+    assert regions.shape == feats.shape[:2]
+    feats, regions = feats[0], regions[0]
     mean = feats @ learner.theta_hat_all[1, 0]
     bonuses = np.array(
         [
@@ -297,13 +302,35 @@ def test_observe_rejects_non_finite_reward():
     assert learner.counts.sum() == 0 and learner.history[1].size == 0
 
 
+@pytest.mark.parametrize(
+    "h, next_state, prior, match",
+    [
+        (0, np.zeros(1), 0, r"step must be in 1\.\.2, got 0"),
+        (3, None, 0, r"step must be in 1\.\.2, got 3"),
+        (1, None, 0, "step 1 < 2 needs a next state"),
+        (1, np.zeros(1), 3, "history full: step 1"),
+        (2, None, 3, "history full: step 2"),
+    ],
+)
+def test_observe_transition_fails_fast(h, next_state, prior, match):
+    """Bad steps, a missing next state and a full history raise and change nothing."""
+    learner = _fresh_learner(episodes=3, horizon=2)
+    for _ in range(prior):
+        learner.observe_transition(h, np.zeros(1), np.zeros(1), 0.5, next_state)
+    counts, sizes = learner.counts.copy(), [hist.size for hist in learner.history]
+    with pytest.raises(ValueError, match=match):
+        learner.observe_transition(h, np.zeros(1), np.zeros(1), 0.5, next_state)
+    np.testing.assert_array_equal(learner.counts, counts)
+    assert [hist.size for hist in learner.history] == sizes
+
+
 def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
     learner = CinderellaLearner(part, fmap, schedule, state_dim=1, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
-    feats, regions = learner._probe_blocks
+    feats, regions = learner._probe[1].feats, learner._probe[1].regions
     for arr in (part.centers, feats, regions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

@@ -6,7 +6,8 @@ with ``np.linalg.solve``, and scores grid actions one at a time in Python
 loops. The learner keeps Sherman-Morrison inverses, re-fits from its cached
 history blocks and scores whole blocks at once; both must plan the same
 tables and pick the same actions. A second pin holds the learner's cached
-bonus widths to a fresh computation over many plans.
+bonus widths to a fresh computation over many plans, and a third holds the
+oracle probe's greedy indices to the actions ``act`` plays.
 """
 
 import math
@@ -33,7 +34,7 @@ def _learner(degree, horizon):
         r_max=1.0,
         n_regions=part.n_regions,
         d_feat=fmap.dim_features,
-        episodes=64,
+        episodes=HOT_VISITS + SPREAD_VISITS,  # history rows per step that _feed writes
         horizon=horizon,
         inherent_bound=0.01,
         bonus_scale=0.3,
@@ -144,8 +145,10 @@ def _uncached_plan(learner):
     theta = learner.theta_hat_all = np.zeros_like(cached)
     try:
         for h in range(learner.H, 0, -1):
-            theta[h] = learner._refit(h, lambda f, r: learner._scores(h + 1, f, r))
-        feats, regions = learner._probe_blocks
+            theta[h] = learner._refit(
+                h, lambda b, p: learner._scores(h + 1, b.feats[:p], b.regions[:p])
+            )
+        feats, regions = learner._probe[1].feats, learner._probe[1].regions
         greedy = np.zeros((learner.H + 1, feats.shape[0]), dtype=np.int64)
         for h in range(1, learner.H + 1):
             greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
@@ -155,9 +158,9 @@ def _uncached_plan(learner):
 
 
 # (hot, spread) visits per step before each plan. Region 0 ends round one
-# below REINVERT_EVERY and crosses it in round two, which also doubles the
-# history (512 -> 1024 rows) while the other regions stay unchanged, so
-# their widths must survive the copy; the last plan sees no new data.
+# below REINVERT_EVERY and crosses it in round two while the other regions
+# stay unchanged, so only region 0's cached widths go stale and the rows
+# appended since the last plan are new; the last plan sees no new data.
 ROUNDS = [(REINVERT_EVERY - 12, 0), (20, 0), (0, 30), (0, 0)]
 
 
@@ -168,7 +171,6 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
     learner = _learner(degree, horizon)
     learner._width_cache = True  # plan() leaves it off at d = 1; pin it there too
     learner.register_probe(rng.uniform(-1.0, 1.0, size=(23, 1)))
-    capacities = []
     for i, (hot, spread) in enumerate(ROUNDS):
         before = learner.counts[1:, 0].copy()
         _feed(learner, rng, hot, spread)
@@ -177,21 +179,44 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
             assert np.all(learner.counts[1:, 0] >= REINVERT_EVERY)
         learner.k = 11 * i  # alpha changes between plans
         learner.plan()
-        capacities.append(learner.history[1].feats.shape[0])
 
         theta, greedy = _uncached_plan(learner)
         np.testing.assert_array_equal(learner.theta_hat_all, theta)
         np.testing.assert_array_equal(learner.last_policy_actions, greedy)
         np.testing.assert_array_equal(learner.greedy_action_indices(), greedy)
-        feats, regions = learner._probe_blocks
         for h in range(1, horizon + 1):
+            probe = learner._probe[h]
             np.testing.assert_array_equal(
-                learner._probe_width[h], learner._width(h, feats, regions)
+                probe.width, learner._width(h, probe.feats, probe.regions)
             )
         for h in range(1, horizon):
-            hist, p = learner.history[h], learner.history[h].size
+            nxt, p = learner.history[h].next, learner.history[h].size
+            assert nxt.fresh == p
             np.testing.assert_array_equal(
-                hist.next_width[:p],
-                learner._width(h + 1, hist.next_feats[:p], hist.next_regions[:p]),
+                nxt.width[:p], learner._width(h + 1, nxt.feats[:p], nxt.regions[:p])
             )
-    assert capacities[1] > capacities[0]
+
+
+@pytest.mark.parametrize("cache", [False, True])
+@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
+def test_probe_greedy_indices_match_act(degree, cache):
+    """The probe's greedy indices, whose regret the harness measures, are the actions played."""
+    rng = np.random.default_rng(3000 + 10 * degree + cache)
+    learner = _learner(degree, 3)
+    learner._width_cache = cache
+    states = rng.uniform(-1.0, 1.0, size=(17, 1))
+    learner.register_probe(states)
+    probe = learner._probe[1]
+    for i, s in enumerate(states):
+        feats, regions = learner._blocks(s)
+        np.testing.assert_array_equal(probe.feats[i], feats[0])
+        np.testing.assert_array_equal(probe.regions[i], regions[0])
+    for hot, spread in [(30, 10), (0, 20)]:
+        _feed(learner, rng, hot, spread)
+        learner.k += 7
+        learner.plan()
+        greedy = learner.greedy_action_indices()
+        np.testing.assert_array_equal(learner.last_policy_actions, greedy)
+        for h in range(1, learner.H + 1):
+            for i, s in enumerate(states):
+                np.testing.assert_array_equal(learner.act(h, s), learner.actions[greedy[h, i]])

@@ -14,11 +14,10 @@ import time
 
 import numpy as np
 
-from .envs import env_exact_linear, env_uniform_shift
+from .envs import env_uniform_shift
 from .features import TaylorFeatureMap, enumerate_multi_indices
 from .geometry import assign_regions, build_partition
-from .harness import STREAM_ENV, make_rng
-from .learner import BonusSchedule, CinderellaLearner
+from .harness import STREAM_ENV, RunConfig, build_env, build_learner, make_rng
 from .oracle import dp_solve, inherent_error_estimate, taylor_remainder_check
 from .regression import ridge_update
 
@@ -106,30 +105,21 @@ def tiny_exact_linear_setup(
     episodes: int, bonus_scale: float = 1.0, delta: float = 0.1, noise: float = 0.2
 ):
     """One-step, one-region, constant-feature instance for optimism studies."""
-    part = build_partition(2, 1.0)
-    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
-    env = env_exact_linear(np.array([[0.5]]), fmap, horizon=1, reward_noise_sigma=noise)
-    schedule = BonusSchedule(
-        delta=delta,
-        lam_reg=1.0,
-        l_phi=fmap.norm_bound,
-        r_max=1.0,
-        n_regions=part.n_regions,
-        d_feat=fmap.dim_features,
+    config = RunConfig(
+        env_name="exact_linear",
+        env_params={"theta": [[0.5]], "reward_noise_sigma": noise},
         episodes=episodes,
         horizon=1,
+        nu=1.0,
+        epsilon=1.0,
+        delta=delta,
         bonus_scale=bonus_scale,
-    )
-    learner = CinderellaLearner(
-        part,
-        fmap,
-        schedule,
-        state_dim=env.state_dim,
-        action_points_per_axis=21,
         planner="exact-grid",
+        oracle_m_state=65,
+        oracle_m_action=21,
     )
-    dp = dp_solve(env, m_state=65, m_action=21)
-    return env, learner, dp
+    env = build_env(config)
+    return env, build_learner(config), dp_solve(env, config.oracle_m_state, config.oracle_m_action)
 
 
 def optimism_rate(

@@ -8,7 +8,7 @@ import sys
 from pathlib import Path
 
 from .checks import check_suite
-from .harness import RunConfig, load_config, run_experiment, run_sweep
+from .harness import RunConfig, build_env, load_config, random_policy_gap, run_experiment, run_sweep
 
 
 def _cmd_run(args) -> int:
@@ -58,18 +58,10 @@ def _cmd_sweep(args) -> int:
 def _cmd_oracle(args) -> int:
     import numpy as np
 
-    from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
-    from .geometry import build_partition
-    from .harness import build_env, random_policy_gap
     from .oracle import dp_solve
 
     cfg = load_config(args.config)
-    eps = cfg.resolved_epsilon()
-    partition = build_partition(cfg.dim, eps)
-    fmap = TaylorFeatureMap(
-        partition=partition, index_set=enumerate_multi_indices(cfg.dim, nu_star(cfg.nu))
-    )
-    env = build_env(cfg, fmap)
+    env = build_env(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
     s1 = np.full(env.state_dim, float(cfg.init_value))
     report = dp.report(s1)

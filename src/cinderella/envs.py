@@ -16,6 +16,7 @@ import numpy as np
 from scipy.special import ndtr, ndtri
 
 from .features import TaylorFeatureMap, feature_matrix
+from .geometry import uniform_grid
 
 REWARD_NOISE_TRUNCATION = 4.0  # reward noise support is +-4 sigma
 
@@ -111,7 +112,7 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
     total = 0.0
     for h in range(1, view.horizon + 1):
         action = np.atleast_1d(np.asarray(policy(h, state), dtype=float))
-        if action.shape != (view.action_dim,) or np.any(np.abs(action) > 1.0):
+        if action.shape != (view.action_dim,) or not np.all(np.abs(action) <= 1.0):
             raise ValueError(f"policy action out of [-1, 1]^{view.action_dim}: {action}")
         z = np.concatenate([state, action])
         reward = view.sample_reward(h, z, rng)
@@ -152,9 +153,7 @@ def _resolve_reward(spec, horizon: int):
 
 def _check_normalization(env: EnvironmentModel, grid_per_axis: int = 128) -> None:
     """Assert 0 <= H * reward_mean <= 1 on a dense grid (Q in [0, 1])."""
-    axes = [np.linspace(-1, 1, grid_per_axis)] * env.dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    Z = np.stack([g.ravel() for g in mesh], axis=-1)
+    Z = uniform_grid(grid_per_axis, env.dim)
     for h in range(1, env.horizon + 1):
         r = env.reward_mean(h, Z)
         if np.any(r < -1e-12) or np.any(env.horizon * r > 1.0 + 1e-9):
@@ -184,8 +183,8 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
 
 
 def env_uniform_shift(
-    beta: float,
-    reward_spec="default",
+    beta: float = 0.5,
+    reward="default",
     horizon: int = 2,
     reward_noise_sigma: float = 0.1,
 ) -> EnvironmentModel:
@@ -197,7 +196,7 @@ def env_uniform_shift(
     """
     if not (0.0 < beta < 1.0):
         raise ValueError(f"beta must be in (0, 1), got {beta}")
-    mean_reward, reward_slope = _resolve_reward(reward_spec, horizon)
+    mean_reward, reward_slope = _resolve_reward(reward, horizon)
     width = 1.0 - beta
 
     def sample(h, Z, rng):
@@ -229,9 +228,9 @@ def env_uniform_shift(
 
 
 def env_smooth_drift(
-    drift_gain: float,
-    noise_sigma: float,
-    reward_spec="default",
+    drift_gain: float = 0.5,
+    noise_sigma: float = 0.3,
+    reward="default",
     horizon: int = 2,
     reward_noise_sigma: float = 0.1,
 ) -> EnvironmentModel:
@@ -252,7 +251,7 @@ def env_smooth_drift(
             "drift pushes the kernel mass outside [-1, 1]; "
             "reduce |drift_gain| or increase noise_sigma"
         )
-    mean_reward, _ = _resolve_reward(reward_spec, horizon)
+    mean_reward, _ = _resolve_reward(reward, horizon)
 
     def _bounds(Z):
         mu = Z[:, 0] + drift_gain * Z[:, 1]
@@ -298,7 +297,7 @@ def env_smooth_drift(
 
 
 def env_exact_linear(
-    theta_true: np.ndarray,
+    theta: np.ndarray,
     fmap: TaylorFeatureMap,
     horizon: int,
     reward_noise_sigma: float = 0.05,
@@ -311,7 +310,7 @@ def env_exact_linear(
     which the constant feature absorbs, so the class fits Bellman images with
     zero error.
     """
-    theta = np.atleast_2d(np.asarray(theta_true, dtype=float))
+    theta = np.atleast_2d(np.asarray(theta, dtype=float))
     if theta.shape != (horizon, fmap.dim_features):
         raise ValueError(
             f"theta must have shape ({horizon}, {fmap.dim_features}), got {theta.shape}"

@@ -70,7 +70,7 @@ def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != partition.dim:
         raise ValueError(f"expected points of shape (n, {partition.dim}), got {pts.shape}")
-    if np.any(np.abs(pts) > 1.0):
+    if not np.all(np.abs(pts) <= 1.0):  # also catches NaN
         raise ValueError("point outside [-1, 1]^d")
     m = partition.cells_per_axis
     # Cell j covers (-1 + 2j/m, -1 + 2(j+1)/m]; boundary points fall to cell j.
@@ -90,6 +90,13 @@ def grid_pairs(states: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """
     n_s, n_a = states.shape[0], actions.shape[0]
     return np.concatenate([np.repeat(states, n_a, axis=0), np.tile(actions, (n_s, 1))], axis=1)
+
+
+def uniform_grid(points_per_axis: int, dim: int) -> np.ndarray:
+    """Uniform grid over [-1, 1]^dim, row-major (first axis slowest): (m^dim, dim)."""
+    axis = np.linspace(-1.0, 1.0, points_per_axis)
+    mesh = np.meshgrid(*([axis] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 def auto_epsilon(episodes: int, dim: int, nu: float) -> float:

@@ -27,7 +27,7 @@ import numpy as np
 
 from .envs import run_episode
 from .features import TaylorFeatureMap, features_at_centers
-from .geometry import Partition, assign_regions, grid_pairs
+from .geometry import Partition, assign_regions, grid_pairs, uniform_grid
 from .regression import ridge_update
 
 # Below this feature dimension the bonus quadratic form is as cheap as
@@ -160,11 +160,13 @@ class _StepHistory:
         self.size += 1
 
 
-def action_grid(points_per_axis: int, action_dim: int) -> np.ndarray:
-    """Uniform grid over [-1, 1]^action_dim, row-major, shape (m^d_A, d_A)."""
-    axis = np.linspace(-1.0, 1.0, points_per_axis)
-    mesh = np.meshgrid(*([axis] * action_dim), indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
+def _check_exact_grid_size(H: int, N: int, d: int, g: int) -> None:
+    """Refuse exact-grid instances past the exhaustive search's reach."""
+    if H * N * d > 6 or not (1 <= g <= 5):
+        raise ValueError(
+            f"exact grid solver limited to <= 6 uncertainty dims and g <= 5, "
+            f"got dims={H * N * d}, g={g}"
+        )
 
 
 class CinderellaLearner:
@@ -200,11 +202,13 @@ class CinderellaLearner:
         self.schedule = schedule
         self.state_dim = state_dim
         self.action_dim = partition.dim - state_dim
-        self.actions = action_grid(action_points_per_axis, self.action_dim)
+        self.actions = uniform_grid(action_points_per_axis, self.action_dim)
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
 
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
+        if planner == "exact-grid":
+            _check_exact_grid_size(H, N, d, _EXACT_GRID_RESOLUTION)
         self.H, self.N, self.d = H, N, d
         lam0 = schedule.lam_reg
         self.lam_all = np.tile(np.eye(d) * lam0, (H + 1, N, 1, 1))
@@ -372,7 +376,7 @@ class CinderellaLearner:
         sampling surface of ``env``.
         """
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-        if np.any(np.abs(s1) > 1.0):
+        if not np.all(np.abs(s1) <= 1.0):
             raise ValueError("initial state outside [-1, 1]^d_S")
         self.plan(s1)
         transitions, total = run_episode(env, self.act, rng, s1=s1)
@@ -414,11 +418,7 @@ def solve_exact_grid(
     """
     g = int(grid_resolution)
     H, N, d = learner.H, learner.N, learner.d
-    if H * N * d > 6 or not (1 <= g <= 5):
-        raise ValueError(
-            f"exact grid solver limited to <= 6 uncertainty dims and g <= 5, "
-            f"got dims={H * N * d}, g={g}"
-        )
+    _check_exact_grid_size(H, N, d, g)
     k = learner.k + 1
     alpha = np.zeros((H + 1, N))
     alpha[1:] = alpha_radius(learner.schedule, k, learner.counts[1:])

@@ -17,20 +17,10 @@ from scipy.optimize import linprog
 
 from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
-from .geometry import Partition, assign_regions, build_partition, grid_pairs
+from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
 
 MAX_KERNEL_ENTRIES = 80_000_000  # refuse DP instances whose kernel tensors explode
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
-
-
-def _axis_grid(m: int) -> np.ndarray:
-    return np.linspace(-1.0, 1.0, m)
-
-
-def _product_grid(m: int, dim: int) -> np.ndarray:
-    axes = [_axis_grid(m)] * dim
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([g.ravel() for g in mesh], axis=-1)
 
 
 @dataclass
@@ -89,8 +79,8 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
         raise ValueError("grid resolutions must be at least 2")
     if env.state_dim != 1:
         raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
-    sp = _axis_grid(m_state)[:, None]
-    ap = _product_grid(m_action, env.action_dim)
+    sp = uniform_grid(m_state, 1)
+    ap = uniform_grid(m_action, env.action_dim)
     n_s, n_a = sp.shape[0], ap.shape[0]
     if n_s * n_a * n_s > MAX_KERNEL_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
@@ -219,8 +209,8 @@ def inherent_error_estimate(
     if not np.isfinite(theta_box_radius):
         raise ValueError("theta box radius must be finite")
     rng = np.random.default_rng(seed)
-    sp = _product_grid(m_state, env.state_dim)
-    ap = _product_grid(m_action, env.action_dim)
+    sp = uniform_grid(m_state, env.state_dim)
+    ap = uniform_grid(m_action, env.action_dim)
     n_s, n_a = sp.shape[0], ap.shape[0]
     Z = grid_pairs(sp, ap)
     z_regions = assign_regions(partition, Z)
@@ -292,7 +282,7 @@ def taylor_remainder_check(
     for n in range(part.n_regions):
         c = part.centers[n]
         thetas[n] = np.array([derivative(tuple(alpha), c) for alpha in idx.indices]) / factorials
-    pts = _product_grid(n_grid, dim)
+    pts = uniform_grid(n_grid, dim)
     regions = assign_regions(part, pts)
     feats = features_at_centers(fmap, pts, part.centers[regions])
     fit = np.einsum("zf,zf->z", feats, thetas[regions])

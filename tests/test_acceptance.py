@@ -148,9 +148,15 @@ def test_criterion_07_inherent_error_scaling():
         part1 = build_partition(2, 1.0)
         fmap1 = TaylorFeatureMap(partition=part1, index_set=enumerate_multi_indices(2, 1))
         theta = np.array([[0.3, 0.05, 0.1], [0.3, 0.05, 0.1]])
+        # epsilon 1 and nu 2 give the env the feature map fmap1
         env_lin = build_env(
-            RunConfig(env_name="exact_linear", env_params={"theta": theta.tolist()}, horizon=2),
-            fmap1,
+            RunConfig(
+                env_name="exact_linear",
+                env_params={"theta": theta.tolist()},
+                horizon=2,
+                epsilon=1.0,
+                nu=2.0,
+            )
         )
         rep_lin = inherent_error_estimate(
             env_lin, part1, fmap1, theta_box_radius=3.0, m_state=33, m_action=17
@@ -185,11 +191,7 @@ def test_criterion_08_regret_sublinearity():
         A = np.vstack([np.log(k[half]), np.ones(half.sum())]).T
         slope = float(np.linalg.lstsq(A, np.log(np.maximum(cum[half], 1e-9)), rcond=None)[0][0])
 
-        fmap = TaylorFeatureMap(
-            partition=build_partition(2, base.resolved_epsilon()),
-            index_set=enumerate_multi_indices(2, 0),
-        )
-        env = build_env(base, fmap)
+        env = build_env(base)
         dp = dp_solve(env, base.oracle_m_state, base.oracle_m_action)
         gap = random_policy_gap(env, dp, np.zeros(1))
         avg = cum[-1] / K

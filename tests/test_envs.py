@@ -37,13 +37,13 @@ def test_uniform_shift_rejects_bad_beta():
 
 
 def test_uniform_shift_zero_reward_optimal_value():
-    env = env_uniform_shift(0.5, reward_spec="zero", horizon=2)
+    env = env_uniform_shift(0.5, reward="zero", horizon=2)
     dp = dp_solve(env, 65, 33)
     assert dp.value_at(np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_uniform_shift_constant_reward_telescopes():
-    env = env_uniform_shift(0.5, reward_spec="constant", horizon=3)
+    env = env_uniform_shift(0.5, reward="constant", horizon=3)
     dp = dp_solve(env, 65, 33)
     assert dp.value_at(np.zeros(1)) == pytest.approx(1.0, abs=1e-9)
 
@@ -140,7 +140,7 @@ def test_builders_reject_bad_reward_noise_sigma(build, sigma):
 
 
 def test_run_episode_zero_reward_noise_mean(rng):
-    env = env_uniform_shift(0.5, reward_spec="zero", horizon=2, reward_noise_sigma=0.1)
+    env = env_uniform_shift(0.5, reward="zero", horizon=2, reward_noise_sigma=0.1)
     totals = []
     for _ in range(1000):
         _, ret = run_episode(env, lambda h, s: np.zeros(1), rng)
@@ -150,7 +150,7 @@ def test_run_episode_zero_reward_noise_mean(rng):
 
 
 def test_run_episode_constant_reward_mean(rng):
-    env = env_uniform_shift(0.5, reward_spec="constant", horizon=1, reward_noise_sigma=0.05)
+    env = env_uniform_shift(0.5, reward="constant", horizon=1, reward_noise_sigma=0.05)
     totals = [run_episode(env, lambda h, s: np.zeros(1), rng)[1] for _ in range(500)]
     assert np.mean(totals) == pytest.approx(1.0, abs=0.02)
 

@@ -124,6 +124,8 @@ def test_assign_rejects_out_of_domain():
     part = build_partition(2, 0.5)
     with pytest.raises(ValueError):
         assign_region(part, np.array([1.2, 0.0]))
+    with pytest.raises(ValueError, match="outside"):
+        assign_regions(part, np.array([[np.nan, 0.0]]))
 
 
 def test_grid_pairs_states_slowest_actions_fastest():

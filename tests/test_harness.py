@@ -71,6 +71,17 @@ def test_non_finite_schedule_constant_fails_before_oracle(monkeypatch, field, ho
         run_experiment(_small_config(horizon=horizon, **overrides))
 
 
+def test_oversized_exact_grid_fails_before_oracle(monkeypatch):
+    def oracle_reached(*args, **kwargs):
+        raise AssertionError("dp_solve reached with an oversized exact-grid instance")
+
+    monkeypatch.setattr("cinderella.harness.dp_solve", oracle_reached)
+    # epsilon "auto" at K=256 gives N=9 regions: 2 steps x 9 regions x 1 feature
+    cfg = RunConfig.from_dict({"env": {"name": "uniform_shift"}, "planner": "exact-grid"})
+    with pytest.raises(ValueError, match="dims=18"):
+        run_experiment(cfg)
+
+
 def test_from_dict_unknown_top_key_rejected():
     with pytest.raises(ValueError, match="unknown keys"):
         RunConfig.from_dict({"env": {"name": "uniform_shift"}, "episoeds": 10})
@@ -115,6 +126,8 @@ def test_config_validation():
         {"epsilon": "0.5"},
         {"epsilon": None},
         {"init_state": {"mode": "fixed", "value": "0"}},
+        {"init_state": {"mode": "fixed", "value": 2.0}},
+        {"init_state": {"mode": "fixed", "value": -1.5}},
         {"reward_clip": [-1.0, "2"]},
         {"reward_clip": [-1.0, 0.0, 2.0]},
         {"reward_clip": 2.0},

@@ -310,10 +310,11 @@ def test_observe_rejects_non_finite_reward():
         (1, None, 0, "step 1 < 2 needs a next state"),
         (1, np.zeros(1), 3, "history full: step 1"),
         (2, None, 3, "history full: step 2"),
+        (1, np.array([math.nan]), 0, "outside"),
     ],
 )
 def test_observe_transition_fails_fast(h, next_state, prior, match):
-    """Bad steps, a missing next state and a full history raise and change nothing."""
+    """Bad steps, a missing or NaN next state and a full history raise and change nothing."""
     learner = _fresh_learner(episodes=3, horizon=2)
     for _ in range(prior):
         learner.observe_transition(h, np.zeros(1), np.zeros(1), 0.5, next_state)

@@ -24,14 +24,14 @@ UNIFORM_SHIFT_VSTAR_AT_0 = 1.0
 
 
 def test_dp_zero_reward_tables_vanish():
-    env = env_uniform_shift(0.5, reward_spec="zero", horizon=3)
+    env = env_uniform_shift(0.5, reward="zero", horizon=3)
     dp = dp_solve(env, 33, 17)
     assert np.all(dp.v == 0.0)
     assert np.all(dp.q == 0.0)
 
 
 def test_dp_constant_reward_telescopes():
-    env = env_uniform_shift(0.5, reward_spec="constant", horizon=2)
+    env = env_uniform_shift(0.5, reward="constant", horizon=2)
     dp = dp_solve(env, 65, 33)
     assert dp.value_at(np.zeros(1)) == pytest.approx(1.0, abs=1e-9)
 
@@ -58,8 +58,8 @@ def test_dp_guards():
 
 
 def test_dp_monotone_under_reward_domination():
-    lo = env_uniform_shift(0.5, reward_spec="zero", horizon=2)
-    hi = env_uniform_shift(0.5, reward_spec="default", horizon=2)
+    lo = env_uniform_shift(0.5, reward="zero", horizon=2)
+    hi = env_uniform_shift(0.5, reward="default", horizon=2)
     dp_lo, dp_hi = dp_solve(lo, 33, 17), dp_solve(hi, 33, 17)
     assert np.all(dp_hi.v >= dp_lo.v - 1e-12)
 
@@ -128,7 +128,7 @@ def test_policy_value_greedy_self_consistency():
 
 
 def test_policy_value_random_on_zero_reward():
-    env = env_uniform_shift(0.5, reward_spec="zero", horizon=2)
+    env = env_uniform_shift(0.5, reward="zero", horizon=2)
     dp = dp_solve(env, 33, 17)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, dp.action_points.shape[0], size=(env.horizon + 1, 33, 1))
@@ -214,7 +214,7 @@ def test_inherent_error_exact_linear_is_zero():
 def test_inherent_error_zero_class_saturates():
     # Box radius 0 collapses the class to the zero function; with the maximal
     # flat reward at H = 1 the estimate hits the normalization ceiling.
-    env = env_uniform_shift(0.5, reward_spec="constant", horizon=1)
+    env = env_uniform_shift(0.5, reward="constant", horizon=1)
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     rep = inherent_error_estimate(env, part, fmap, theta_box_radius=0.0, m_state=17, m_action=9)

@@ -44,10 +44,8 @@ from .harness import (
 from .learner import (
     BonusSchedule,
     CinderellaLearner,
-    ThetaTable,
     alpha_radius,
     beta_radius,
-    solve_exact_grid,
 )
 from .oracle import (
     GridDP,
@@ -74,7 +72,6 @@ __all__ = [
     "RegretTrace",
     "RunConfig",
     "TaylorFeatureMap",
-    "ThetaTable",
     "Transition",
     "alpha_radius",
     "assign_region",
@@ -102,7 +99,6 @@ __all__ = [
     "run_episode",
     "run_experiment",
     "run_sweep",
-    "solve_exact_grid",
     "taylor_features",
     "taylor_remainder_check",
 ]

@@ -29,8 +29,8 @@ def _cmd_run(args) -> int:
 
 def _load_sweep_configs(path: str):
     doc = json.loads(Path(path).read_text())
-    if not isinstance(doc, dict) or "runs" not in doc:
-        raise ValueError("sweep config must be an object with a 'runs' list")
+    if not isinstance(doc, dict) or not isinstance(doc.get("runs"), list):
+        raise ValueError("config invalid: a sweep config must be an object with a 'runs' list")
     unknown = set(doc) - {"runs", "master_seed"}
     if unknown:
         raise ValueError(f"config invalid: unknown sweep keys {sorted(unknown)}")

@@ -195,6 +195,9 @@ class RunConfig:
 
     @staticmethod
     def from_dict(doc: dict) -> "RunConfig":
+        if not isinstance(doc, dict):
+            kind = type(doc).__name__
+            raise ValueError(f"config invalid: a run config must be a JSON object, got {kind}")
         unknown = set(doc) - _TOP_KEYS
         if unknown:
             raise ValueError(f"config invalid: unknown keys {sorted(unknown)}")
@@ -222,7 +225,13 @@ def load_config(path: str | Path) -> RunConfig:
     cfg = RunConfig.from_dict(doc)
     override = os.environ.get("CINDERELLA_SEED")
     if override is not None:
-        cfg = dataclasses.replace(cfg, seed=int(override))
+        try:
+            seed = int(override)
+        except ValueError:
+            raise ValueError(
+                f"config invalid: CINDERELLA_SEED must be an integer, got {override!r}"
+            ) from None
+        cfg = dataclasses.replace(cfg, seed=seed)
     return cfg
 
 
@@ -291,7 +300,6 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
         bonus_scale=config.bonus_scale,
     )
     return CinderellaLearner(
-        fmap.partition,
         fmap,
         schedule,
         state_dim=1,  # see RunConfig.dim
@@ -366,13 +374,17 @@ def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
     """Run several experiments; results keep the input order.
 
     ``jobs > 1`` runs them on up to that many spawned processes, each first
-    importing numpy and scipy; at jobs=2 on 2 cores, five K=4096 runs take 0.75x
-    the wall of threads, and four 0.5 s runs 0.82x the wall of jobs=1.
-    With ``master_seed`` given, each run's seed is re-derived from
-    (master_seed, run index). Errors are aggregated with their run indices.
+    importing numpy and scipy; at jobs=2 on 2 cores, four 0.5 s runs take 0.82x
+    the wall of jobs=1. With ``master_seed`` (an integer >= 0) given, each run's
+    seed is re-derived from (master_seed, run index). Errors are aggregated
+    with their run indices.
     """
     configs = list(configs)
     if master_seed is not None:
+        if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:
+            raise ValueError(
+                f"config invalid: master_seed must be an integer >= 0, got {master_seed!r}"
+            )
         configs = [
             dataclasses.replace(cfg, seed=derive_seed(master_seed, i))
             for i, cfg in enumerate(configs)

@@ -3,13 +3,16 @@
 One ridge regression per (step, region). At the start of every episode the
 value parameters are re-fit backward from step H to 1 against targets
 ``reward + next-step optimistic value``; optimism comes from per-region
-confidence radii. Two planners are available:
+confidence radii. Both planners write one table per (step, region), a
+parameter ``theta`` and a radius ``alpha``, and every score is
+``phi . theta + alpha * ||phi||_{Lambda^-1}``:
 
-* ``relaxation`` (default): a pointwise additive bonus
-  ``radius * ||phi||_{Lambda^-1}`` on top of the ridge mean, tractable at any
-  scale.
-* ``exact-grid``: exhaustive search over the uncertainty vectors on a small
-  grid, feasible only for tiny instances, used to study optimism.
+* ``relaxation`` (default): ``theta`` is the ridge mean and ``alpha`` the
+  confidence radius, a pointwise additive bonus tractable at any scale.
+* ``exact-grid``: ``theta`` is the optimistic ``theta_hat + xi`` found by
+  exhaustive search over the uncertainty vectors ``||xi||_Lambda <= radius``
+  on a small grid, and ``alpha`` is 0 because the optimism is inside
+  ``theta``; feasible only for tiny instances, used to study optimism.
 
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
@@ -27,7 +30,7 @@ import numpy as np
 
 from .envs import run_episode
 from .features import TaylorFeatureMap, features_at_centers
-from .geometry import Partition, assign_regions, grid_pairs, uniform_grid
+from .geometry import assign_regions, grid_pairs, uniform_grid
 from .regression import ridge_update
 
 # Below this feature dimension the bonus quadratic form is as cheap as
@@ -103,17 +106,6 @@ def alpha_radius(schedule: BonusSchedule, k: int, counts):
     )
 
 
-@dataclass
-class ThetaTable:
-    """Planned parameters per (step, region); arrays indexed by h starting at 1."""
-
-    theta_bar: np.ndarray  # (H + 1, N, d)
-    theta_hat: np.ndarray  # (H + 1, N, d)
-    xi_norm: np.ndarray  # (H + 1, N)
-    alpha: np.ndarray  # (H + 1, N) feasibility radii used
-    objective: float
-
-
 class _Blocks:
     """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) to score.
 
@@ -160,15 +152,6 @@ class _StepHistory:
         self.size += 1
 
 
-def _check_exact_grid_size(H: int, N: int, d: int, g: int) -> None:
-    """Refuse exact-grid instances past the exhaustive search's reach."""
-    if H * N * d > 6 or not (1 <= g <= 5):
-        raise ValueError(
-            f"exact grid solver limited to <= 6 uncertainty dims and g <= 5, "
-            f"got dims={H * N * d}, g={g}"
-        )
-
-
 class CinderellaLearner:
     """Episodic learner state: partition, features, per-(h, n) regressions.
 
@@ -176,16 +159,17 @@ class CinderellaLearner:
     concurrently with no shared mutable state.
 
     Each step holds ``schedule.episodes`` transitions, one per episode.
-    The relaxation planner scores the history's next-state blocks and the
-    probe's blocks through ``_block_scores``, which caches their bonus widths
-    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at ``d_feat >= WIDTH_CACHE_MIN_DIM``
-    (see ``_Blocks`` for when a cached width is valid). ``alpha`` stays
-    outside the cache because it changes with ``k``.
+    ``plan`` writes the planned table ``theta_all`` (H+1, N, d) and
+    ``alpha_all`` (H+1, N), indexed by h starting at 1, and ``_scores`` is
+    the one scoring rule that reads them. Both planners score the history's
+    next-state blocks and the probe's blocks through ``_block_scores``, which
+    caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at
+    ``d_feat >= WIDTH_CACHE_MIN_DIM`` (see ``_Blocks`` for when a cached width
+    is valid). ``alpha`` stays outside the cache because it changes with ``k``.
     """
 
     def __init__(
         self,
-        partition: Partition,
         fmap: TaylorFeatureMap,
         schedule: BonusSchedule,
         state_dim: int,
@@ -195,8 +179,19 @@ class CinderellaLearner:
     ):
         if planner not in ("relaxation", "exact-grid"):
             raise ValueError(f"unknown planner: {planner!r}")
+        partition = fmap.partition
         if not (1 <= state_dim < partition.dim):
             raise ValueError("state dimension must leave at least one action dimension")
+        H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
+        if (schedule.n_regions, schedule.d_feat) != (N, d):
+            raise ValueError(
+                f"schedule sized for n_regions={schedule.n_regions}, d_feat={schedule.d_feat}; "
+                f"the feature map has {N} regions and {d} features"
+            )
+        if planner == "exact-grid" and H * N * d > 6:
+            raise ValueError(
+                f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
+            )
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule
@@ -206,9 +201,6 @@ class CinderellaLearner:
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
 
-        H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
-        if planner == "exact-grid":
-            _check_exact_grid_size(H, N, d, _EXACT_GRID_RESOLUTION)
         self.H, self.N, self.d = H, N, d
         lam0 = schedule.lam_reg
         self.lam_all = np.tile(np.eye(d) * lam0, (H + 1, N, 1, 1))
@@ -219,9 +211,8 @@ class CinderellaLearner:
             _StepHistory(schedule.episodes, d, M, N, has_next=(1 <= h < H))
             for h in range(H + 1)
         ]
-        self._width_cache = planner == "relaxation" and d >= WIDTH_CACHE_MIN_DIM
-        self.theta_hat_all = np.zeros((H + 1, N, d))
-        self.theta_bar_all = None  # set by the exact planner
+        self._width_cache = d >= WIDTH_CACHE_MIN_DIM
+        self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
         self._probe = None  # one _Blocks per step h >= 1, sharing feats and regions
@@ -256,14 +247,11 @@ class CinderellaLearner:
         return np.sqrt(np.maximum(quad, 0.0))
 
     def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray, width=None) -> np.ndarray:
-        """Raw optimistic scores for feature blocks of any leading shape.
+        """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape.
 
         ``width`` is the blocks' cached bonus width; it is computed when None.
         """
-        if self.theta_bar_all is not None:
-            th = self.theta_bar_all[h][regions]
-            return np.einsum("...d,...d->...", feats, th)
-        th = self.theta_hat_all[h][regions]
+        th = self.theta_all[h][regions]
         mean = np.einsum("...d,...d->...", feats, th)
         if width is None:
             width = self._width(h, feats, regions)
@@ -296,10 +284,10 @@ class CinderellaLearner:
         feats = features_at_centers(self.fmap, z[None, :], self.partition.centers[region])
         return float(np.clip(self._scores(h, feats, region)[0], 0.0, 1.0))
 
-    def value_estimate(self, state: np.ndarray, h: int = 1) -> float:
-        """Optimistic state value: clipped max score over the action grid."""
+    def value_estimate(self, state: np.ndarray) -> float:
+        """Optimistic initial-state value: clipped max step-1 score over the action grid."""
         feats, regions = self._blocks(state)
-        return float(np.clip(self._scores(h, feats, regions).max(), 0.0, 1.0))
+        return float(np.clip(self._scores(1, feats, regions).max(), 0.0, 1.0))
 
     # -- planning -----------------------------------------------------------
 
@@ -322,23 +310,70 @@ class CinderellaLearner:
         np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
-    def _plan_relaxation(self, k: int) -> None:
-        self.theta_bar_all = None
-        self.alpha_all[1:] = alpha_radius(self.schedule, k, self.counts[1:])
+    def _backward(self, xi=None) -> None:
+        """Re-fit ``theta_all`` from step H down to 1, adding ``xi[h]`` when given.
+
+        Each step's targets are scored with the step-(h+1) table just written.
+        """
         for h in range(self.H, 0, -1):
-            self.theta_hat_all[h] = self._refit(
+            self.theta_all[h] = self._refit(
                 h, lambda blocks, rows: self._block_scores(h + 1, blocks, rows)
             )
+            if xi is not None:
+                self.theta_all[h] += xi[h]
+
+    def _plan_relaxation(self) -> None:
+        self.alpha_all[1:] = alpha_radius(self.schedule, self.k + 1, self.counts[1:])
+        self._backward()
+
+    def _plan_exact_grid(self, s1: np.ndarray) -> None:
+        """Exhaustive search over uncertainty vectors on a per-coordinate grid.
+
+        Feasible candidates (within the per-region confidence ellipsoid
+        ``||xi||_Lambda <= alpha``) are enumerated region by region; every
+        joint assignment is scored by the optimistic initial value after a
+        full backward re-fit with ``theta = theta_hat + xi``. The best
+        ``theta`` is kept with zero radii.
+        """
+        H, N, d, g = self.H, self.N, self.d, _EXACT_GRID_RESOLUTION
+        alpha = alpha_radius(self.schedule, self.k + 1, self.counts)
+        keys = [(h, n) for h in range(1, H + 1) for n in range(N)]
+        # Feasible xi per (h, n): grid of the bounding box, filtered by the
+        # ellipsoid constraint; the zero vector is always kept.
+        candidates = []
+        for h, n in keys:
+            lam = self.lam_all[h, n]
+            radius = alpha[h, n] / math.sqrt(float(np.linalg.eigvalsh(lam)[0]))
+            mesh = np.meshgrid(*[np.linspace(-radius, radius, g)] * d, indexing="ij")
+            pts = np.stack([m.ravel() for m in mesh], axis=-1)
+            norms = np.sqrt(np.einsum("cd,de,ce->c", pts, lam, pts))
+            feas = pts[norms <= alpha[h, n] + 1e-12]
+            if feas.shape[0] == 0 or not np.any(np.all(feas == 0.0, axis=1)):
+                feas = np.vstack([np.zeros((1, d)), feas])
+            candidates.append(np.unique(feas, axis=0))
+
+        s1_feats, s1_regions = self._blocks(s1)
+        s1_width = self._width(1, s1_feats, s1_regions)
+        self.alpha_all[:] = 0.0
+        xi = np.zeros((H + 1, N, d))
+        best_obj, best = -np.inf, None
+        for combo in itertools.product(*candidates):
+            for (h, n), c in zip(keys, combo):
+                xi[h, n] = c
+            self._backward(xi)
+            obj = self._scores(1, s1_feats, s1_regions, s1_width).max()
+            if obj > best_obj:
+                best_obj, best = obj, self.theta_all.copy()
+        self.theta_all[:] = best
 
     def plan(self, s1: np.ndarray | None = None) -> None:
-        """Refresh the optimistic tables for the upcoming episode."""
-        k = self.k + 1
+        """Refresh the planned table for the upcoming episode."""
         if self.planner == "exact-grid":
             if s1 is None:
                 raise ValueError("exact-grid planning needs the initial state")
-            solve_exact_grid(self, s1, _EXACT_GRID_RESOLUTION)
+            self._plan_exact_grid(s1)
         else:
-            self._plan_relaxation(k)
+            self._plan_relaxation()
         if self._probe is not None:
             self.last_policy_actions = self.greedy_action_indices()
 
@@ -404,75 +439,3 @@ class CinderellaLearner:
             out[h] = np.argmax(self._block_scores(h, self._probe[h], n), axis=1)
         return out
 
-
-def solve_exact_grid(
-    learner: CinderellaLearner, s1: np.ndarray, grid_resolution: int
-) -> ThetaTable:
-    """Exhaustive search over uncertainty vectors on a per-coordinate grid.
-
-    Feasible candidates (within the per-region confidence ellipsoid) are
-    enumerated region by region; every joint assignment is scored by the
-    optimistic initial value after a full backward re-fit. Guarded to tiny
-    instances: total uncertainty dimension <= 6 and <= 5 grid points per
-    coordinate.
-    """
-    g = int(grid_resolution)
-    H, N, d = learner.H, learner.N, learner.d
-    _check_exact_grid_size(H, N, d, g)
-    k = learner.k + 1
-    alpha = np.zeros((H + 1, N))
-    alpha[1:] = alpha_radius(learner.schedule, k, learner.counts[1:])
-
-    # Feasible xi candidates per (h, n): grid of the bounding box, filtered by
-    # the ellipsoid constraint; the zero vector is always kept.
-    keys = [(h, n) for h in range(1, H + 1) for n in range(N)]
-    candidates = {}
-    for h, n in keys:
-        lam = learner.lam_all[h, n]
-        lam_min = float(np.linalg.eigvalsh(lam)[0])
-        radius = alpha[h, n] / math.sqrt(lam_min)
-        axes = [np.linspace(-radius, radius, g)] * d
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts = np.stack([m.ravel() for m in mesh], axis=-1)
-        norms = np.sqrt(np.einsum("cd,de,ce->c", pts, lam, pts))
-        feas = pts[norms <= alpha[h, n] + 1e-12]
-        if feas.shape[0] == 0 or not np.any(np.all(feas == 0.0, axis=1)):
-            feas = np.vstack([np.zeros((1, d)), feas])
-        candidates[(h, n)] = np.unique(feas, axis=0)
-
-    s1_feats, s1_regions = learner._blocks(s1)
-
-    best_obj = -np.inf
-    best = None
-    for combo in itertools.product(*[range(candidates[key].shape[0]) for key in keys]):
-        xi = np.zeros((H + 1, N, d))
-        for (h, n), ci in zip(keys, combo):
-            xi[h, n] = candidates[(h, n)][ci]
-        theta_hat = np.zeros((H + 1, N, d))
-        theta_bar = np.zeros((H + 1, N, d))
-        for h in range(H, 0, -1):
-            theta_hat[h] = learner._refit(
-                h,
-                lambda blocks, p: np.einsum(
-                    "pmd,pmd->pm", blocks.feats[:p], theta_bar[h + 1][blocks.regions[:p]]
-                ),
-            )
-            theta_bar[h] = theta_hat[h] + xi[h]
-        obj = float(np.einsum("pmd,pmd->pm", s1_feats, theta_bar[1][s1_regions]).max())
-        if obj > best_obj:
-            best_obj = obj
-            best = (theta_hat, theta_bar, xi)
-    theta_hat, theta_bar, xi = best
-    xi_norm = np.zeros((H + 1, N))
-    for h, n in keys:
-        xi_norm[h, n] = math.sqrt(max(xi[h, n] @ learner.lam_all[h, n] @ xi[h, n], 0.0))
-    learner.theta_hat_all = theta_hat
-    learner.theta_bar_all = theta_bar
-    learner.alpha_all = alpha
-    return ThetaTable(
-        theta_bar=theta_bar,
-        theta_hat=theta_hat,
-        xi_norm=xi_norm,
-        alpha=alpha,
-        objective=best_obj,
-    )

@@ -49,3 +49,20 @@ def test_exact_grid_csv_hash():
         oracle_m_action=33,
     )
     assert _hash(cfg) == "26b05918fb36d406e3577e0032641814e0aae4d1715819c8093a87023e7e8bfb"
+
+
+def test_exact_grid_csv_hash_d3():
+    """Exact grid with 3 features per region (6 uncertainty dims), where widths are cached."""
+    cfg = RunConfig(
+        env_name="uniform_shift",
+        episodes=24,
+        horizon=2,
+        nu=2.0,
+        epsilon=1.0,
+        planner="exact-grid",
+        bonus_scale=1.0,
+        seed=5,
+        oracle_m_state=65,
+        oracle_m_action=33,
+    )
+    assert _hash(cfg) == "04a23be09291066d46d8c28c0baf49421824816c0a5203cd28e2241dd27352b5"

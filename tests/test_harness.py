@@ -263,6 +263,44 @@ def test_load_config_env_override(tmp_path, monkeypatch):
     assert load_config(path).seed == 99
 
 
+_RUN = {"env": {"name": "uniform_shift"}, "episodes": 4}
+
+
+@pytest.mark.parametrize(
+    "command, doc, seed_env",
+    [
+        ("from_dict", [], None),
+        ("from_dict", 5, None),
+        ("run", [], None),
+        ("run", _RUN, "abc"),
+        ("run", _RUN, "1.5"),
+        ("sweep", {"runs": 5}, None),
+        ("sweep", {"runs": [5]}, None),
+        ("sweep", {"master_seed": "x", "runs": [_RUN]}, None),
+        ("sweep", {"master_seed": 1.5, "runs": [_RUN]}, None),
+        ("sweep", {"master_seed": -1, "runs": [_RUN]}, None),
+        ("sweep", {"master_seed": True, "runs": [_RUN]}, None),
+    ],
+)
+def test_malformed_documents_are_config_invalid(tmp_path, monkeypatch, command, doc, seed_env):
+    """Non-object documents, bad sweep runs or master seeds and a bad seed override fail fast."""
+
+    def reached(*args, **kwargs):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr("cinderella.harness.run_experiment", reached)
+    monkeypatch.setattr("cinderella.cli.run_experiment", reached)
+    if seed_env is not None:
+        monkeypatch.setenv("CINDERELLA_SEED", seed_env)
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="config invalid"):
+        if command == "from_dict":
+            RunConfig.from_dict(doc)
+        else:
+            cli_main([command, "--config", str(path), "--out", str(tmp_path / "out")])
+
+
 # -- traces --------------------------------------------------------------------
 
 

@@ -7,13 +7,13 @@ from cinderella.checks import tiny_exact_linear_setup
 from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
 from cinderella.geometry import build_partition
-from cinderella.harness import make_rng
+from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import (
+    WIDTH_CACHE_MIN_DIM,
     BonusSchedule,
     CinderellaLearner,
     alpha_radius,
     beta_radius,
-    solve_exact_grid,
 )
 from cinderella.regression import mahalanobis_inv_norm
 
@@ -80,7 +80,7 @@ def _fresh_learner(
         delta=0.1,
         l_phi=fmap.norm_bound,
     )
-    learner = CinderellaLearner(part, fmap, sch, state_dim=1, planner=planner)
+    learner = CinderellaLearner(fmap, sch, state_dim=1, planner=planner)
     return learner
 
 
@@ -114,7 +114,7 @@ def test_horizon_one_acts_like_linucb():
     assert feats.shape == (1, learner.actions.shape[0], learner.d)
     assert regions.shape == feats.shape[:2]
     feats, regions = feats[0], regions[0]
-    mean = feats @ learner.theta_hat_all[1, 0]
+    mean = feats @ learner.theta_all[1, 0]
     bonuses = np.array(
         [
             learner.alpha_all[1, 0] * mahalanobis_inv_norm(learner.lam_inv_all[1, 0], f)
@@ -165,10 +165,10 @@ def test_argmax_invariant_under_positive_scaling():
     s = np.array([0.3])
     base = learner.act(1, s)
     for scale in (0.25, 4.0, 117.0):
-        learner.theta_hat_all *= scale
+        learner.theta_all *= scale
         learner.alpha_all *= scale
         np.testing.assert_array_equal(learner.act(1, s), base)
-        learner.theta_hat_all /= scale
+        learner.theta_all /= scale
         learner.alpha_all /= scale
 
 
@@ -208,39 +208,49 @@ def test_greedy_baseline_matches_dp_q_after_coverage(rng):
 # -- exact grid solver ------------------------------------------------------
 
 
+def _ridge_solution(learner):
+    """Hand-computed one-step, one-region ridge mean from the step-1 history."""
+    hist = learner.history[1]
+    p = hist.size
+    targets = np.clip(hist.rewards[:p], learner.clip_lo, learner.clip_hi)
+    return learner.lam_inv_all[1, 0] @ (hist.feats[:p].T @ targets)
+
+
 def test_exact_grid_zero_radius_returns_plain_ridge():
     env, learner, _ = tiny_exact_linear_setup(episodes=10)
     for k in range(1, 6):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, k, 0, 1))
     learner.schedule.bonus_scale = 0.0
     learner.schedule.r_max = 0.0
-    table = solve_exact_grid(learner, np.zeros(1), 5)
-    np.testing.assert_allclose(table.theta_bar, table.theta_hat)
-    np.testing.assert_allclose(table.xi_norm, 0.0, atol=1e-12)
+    learner.plan(np.zeros(1))
+    np.testing.assert_allclose(learner.theta_all[1, 0], _ridge_solution(learner), atol=1e-12)
+    np.testing.assert_array_equal(learner.alpha_all, 0.0)
 
 
 def test_exact_grid_matches_1d_closed_form():
     env, learner, _ = tiny_exact_linear_setup(episodes=10)
     for k in range(1, 6):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, k, 0, 1))
-    table = solve_exact_grid(learner, np.zeros(1), 5)
+    learner.plan(np.zeros(1))
     lam = learner.lam_all[1, 0, 0, 0]
     radius = alpha_radius(learner.schedule, learner.k + 1, int(learner.counts[1, 0]))
-    closed = table.theta_hat[1, 0, 0] + radius / math.sqrt(lam)
-    assert table.theta_bar[1, 0, 0] == pytest.approx(closed, abs=1e-10)
+    closed = _ridge_solution(learner)[0] + radius / math.sqrt(lam)
+    assert learner.theta_all[1, 0, 0] == pytest.approx(closed, abs=1e-10)
 
 
 def test_exact_grid_objective_matches_relaxation_on_tiny_instance():
     env, learner, _ = tiny_exact_linear_setup(episodes=10)
     for k in range(1, 8):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(5, k, 0, 1))
-    table = solve_exact_grid(learner, np.zeros(1), 5)
+    s1 = np.zeros(1)
+    learner.plan(s1)
+    objective = learner._scores(1, *learner._blocks(s1)).max()
     radius = alpha_radius(learner.schedule, learner.k + 1, int(learner.counts[1, 0]))
-    relax = table.theta_hat[1, 0, 0] + radius * mahalanobis_inv_norm(
+    relax = _ridge_solution(learner)[0] + radius * mahalanobis_inv_norm(
         learner.lam_inv_all[1, 0], np.ones(1)
     )
-    assert table.objective >= relax - 1e-9
-    assert table.objective == pytest.approx(relax, abs=1e-9)
+    assert objective >= relax - 1e-9
+    assert objective == pytest.approx(relax, abs=1e-9)
 
 
 def test_exact_grid_emits_feasible_tables():
@@ -248,33 +258,65 @@ def test_exact_grid_emits_feasible_tables():
     for k in range(1, 8):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(7, k, 0, 1))
     k_next = learner.k + 1
-    table = solve_exact_grid(learner, np.zeros(1), 5)
-    for h in range(1, 2):
-        for n in range(learner.N):
-            # uncertainty within its radius
-            assert table.xi_norm[h, n] <= table.alpha[h, n] + 1e-9
-            # theta_bar = theta_hat + xi with the recorded norm
-            xi = table.theta_bar[h, n] - table.theta_hat[h, n]
-            norm = math.sqrt(xi @ learner.lam_all[h, n] @ xi)
-            assert norm == pytest.approx(table.xi_norm[h, n], abs=1e-9)
-    # ridge constraint: theta_hat reproduces the regression solution
-    hist = learner.history[1]
-    p = hist.size
-    targets = np.clip(hist.rewards[:p], learner.clip_lo, learner.clip_hi)
-    manual = learner.lam_inv_all[1, 0] @ (hist.feats[:p].T @ targets)
-    np.testing.assert_allclose(table.theta_hat[1, 0], manual, atol=1e-9)
-    assert alpha_radius(learner.schedule, k_next, int(learner.counts[1, 0])) == pytest.approx(
-        table.alpha[1, 0]
-    )
+    learner.plan(np.zeros(1))
+    # the optimism lives in theta_all, so the planned radii are zero
+    np.testing.assert_array_equal(learner.alpha_all, 0.0)
+    # theta_bar = theta_hat + xi, with theta_hat the ridge solution and xi
+    # inside its confidence ellipsoid
+    xi = learner.theta_all[1, 0] - _ridge_solution(learner)
+    norm = math.sqrt(xi @ learner.lam_all[1, 0] @ xi)
+    alpha = alpha_radius(learner.schedule, k_next, int(learner.counts[1, 0]))
+    assert norm <= alpha + 1e-9
 
 
 def test_exact_grid_guard_rejects_large_instances():
-    learner = _fresh_learner(degree=2)  # 6 features, single region, horizon 1
-    with pytest.raises(ValueError, match="limited"):
-        solve_exact_grid(learner, np.zeros(1), 6)
-    learner2 = _fresh_learner(degree=2, eps=0.5)  # 4 regions x 6 features
-    with pytest.raises(ValueError, match="limited"):
-        solve_exact_grid(learner2, np.zeros(1), 3)
+    with pytest.raises(ValueError, match="limited.*dims=24"):
+        _fresh_learner(degree=2, eps=0.5, planner="exact-grid")  # 4 regions x 6 features
+
+
+def test_exact_grid_reads_only_theta_at_d3():
+    """act, value_estimate and the probe equal the max of phi . theta_bar, by hand.
+
+    At d_feat = 3 the width cache is on, so the history and probe scores of
+    the search go through it while the zero radii keep it out of the scores.
+    """
+    config = RunConfig(
+        env_name="uniform_shift", episodes=6, horizon=2, nu=2.0, epsilon=1.0,
+        planner="exact-grid", bonus_scale=1.0,
+    )
+    env, learner = build_env(config), build_learner(config)
+    assert learner.d >= WIDTH_CACHE_MIN_DIM and learner.H * learner.N * learner.d == 6
+    states = np.linspace(-1.0, 1.0, 9)[:, None]
+    learner.register_probe(states)
+    for k in range(1, 6):
+        learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(4, k, 0, 1))
+    learner.plan(np.full(1, 0.3))
+    theta = learner.theta_all
+
+    def by_hand(h, state):
+        feats, regions = learner._blocks(state)
+        return np.array([f @ theta[h, n] for f, n in zip(feats[0], regions[0])])
+
+    greedy = learner.greedy_action_indices()
+    for h in (1, 2):
+        for i, state in enumerate(states):
+            scores = by_hand(h, state)
+            assert greedy[h, i] == np.argmax(scores)
+            np.testing.assert_array_equal(learner.act(h, state), learner.actions[np.argmax(scores)])
+    for state in states:
+        want = float(np.clip(by_hand(1, state).max(), 0.0, 1.0))
+        assert learner.value_estimate(state) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "overrides", [{"n_regions": 1}, {"d_feat": 1}, {"n_regions": 16, "d_feat": 6}]
+)
+def test_schedule_must_match_feature_map(overrides):
+    part = build_partition(2, 0.25)  # 16 regions
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
+    sizes = {"n_regions": part.n_regions, "d_feat": fmap.dim_features, **overrides}
+    with pytest.raises(ValueError, match="schedule sized for"):
+        CinderellaLearner(fmap, _schedule(**sizes), state_dim=1)
 
 
 def test_schedule_validation():
@@ -329,7 +371,7 @@ def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
-    learner = CinderellaLearner(part, fmap, schedule, state_dim=1, action_points_per_axis=5)
+    learner = CinderellaLearner(fmap, schedule, state_dim=1, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
     feats, regions = learner._probe[1].feats, learner._probe[1].regions
     for arr in (part.centers, feats, regions):

@@ -39,7 +39,7 @@ def _learner(degree, horizon):
         inherent_bound=0.01,
         bonus_scale=0.3,
     )
-    return CinderellaLearner(part, fmap, schedule, state_dim=1, action_points_per_axis=9)
+    return CinderellaLearner(fmap, schedule, state_dim=1, action_points_per_axis=9)
 
 
 def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
@@ -133,16 +133,16 @@ def test_learner_matches_naive_reference(degree, horizon):
     np.testing.assert_array_equal(learner.counts, ref.counts)
     np.testing.assert_allclose(learner.lam_all[1:], ref.lam[1:], rtol=1e-12, atol=1e-9)
     np.testing.assert_allclose(learner.alpha_all, ref.alpha, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(learner.theta_hat_all, ref.theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(learner.theta_all, ref.theta, rtol=0, atol=1e-9)
     for h in range(1, horizon + 1):
         for s in rng.uniform(-1.0, 1.0, size=(6, 1)):
             np.testing.assert_array_equal(learner.act(h, s), ref.act(h, s))
 
 
 def _uncached_plan(learner):
-    """theta_hat and greedy probe actions re-planned with widths computed afresh."""
-    cached = learner.theta_hat_all
-    theta = learner.theta_hat_all = np.zeros_like(cached)
+    """theta_all and greedy probe actions re-planned with widths computed afresh."""
+    cached = learner.theta_all
+    theta = learner.theta_all = np.zeros_like(cached)
     try:
         for h in range(learner.H, 0, -1):
             theta[h] = learner._refit(
@@ -153,7 +153,7 @@ def _uncached_plan(learner):
         for h in range(1, learner.H + 1):
             greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
     finally:
-        learner.theta_hat_all = cached
+        learner.theta_all = cached
     return theta, greedy
 
 
@@ -181,7 +181,7 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
         learner.plan()
 
         theta, greedy = _uncached_plan(learner)
-        np.testing.assert_array_equal(learner.theta_hat_all, theta)
+        np.testing.assert_array_equal(learner.theta_all, theta)
         np.testing.assert_array_equal(learner.last_policy_actions, greedy)
         np.testing.assert_array_equal(learner.greedy_action_indices(), greedy)
         for h in range(1, horizon + 1):

@@ -237,24 +237,27 @@ def load_config(path: str | Path) -> RunConfig:
 
 @dataclass
 class RegretTrace:
-    """Per-episode regret accounting plus run metadata."""
+    """Per-episode regret accounting plus run metadata.
 
-    rows: list  # (k, ret, vstar, vpi, regret, cum_regret, ms)
+    ``rows`` is one float64 array, under a quarter of the memory of a list
+    of per-episode tuples; ``to_csv`` prints ``k`` as an integer.
+    """
+
+    rows: np.ndarray  # (K, 7) in CSV_HEADER order: k, ret, vstar, vpi, regret, cum_regret, ms
     metadata: dict
 
     @property
     def cumulative_regret(self) -> float:
-        return self.rows[-1][5] if self.rows else 0.0
+        return float(self.rows[-1, 5]) if len(self.rows) else 0.0
 
     def column(self, name: str) -> np.ndarray:
-        idx = CSV_HEADER.split(",").index(name)
-        return np.array([row[idx] for row in self.rows])
+        return self.rows[:, CSV_HEADER.split(",").index(name)].copy()
 
     def to_csv(self) -> str:
         lines = [CSV_HEADER]
         for k, ret, vstar, vpi, regret, cum, ms in self.rows:
             lines.append(
-                f"{k},{ret:.9g},{vstar:.9g},{vpi:.9g},{regret:.9g},{cum:.9g},{ms:.9g}"
+                f"{int(k)},{ret:.9g},{vstar:.9g},{vpi:.9g},{regret:.9g},{cum:.9g},{ms:.9g}"
             )
         return "\n".join(lines) + "\n"
 
@@ -361,7 +364,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         config.episodes,
         cum,
     )
-    return RegretTrace(rows=rows, metadata=metadata)
+    return RegretTrace(rows=np.array(rows), metadata=metadata)
 
 
 def derive_seed(master_seed: int, run_index: int) -> int:

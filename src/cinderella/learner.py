@@ -14,6 +14,10 @@ parameter ``theta`` and a radius ``alpha``, and every score is
   on a small grid, and ``alpha`` is 0 because the optimism is inside
   ``theta``; feasible only for tiny instances, used to study optimism.
 
+At degree 0 (``nu <= 1``) the one feature is the constant 1, so every score
+depends only on its region: the N region scores are computed once per call
+and gathered by region, which gives the same floats as the general rule.
+
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
 configured clip bounds. Action selection uses the unclipped optimistic score,
@@ -166,6 +170,8 @@ class CinderellaLearner:
     caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at
     ``d_feat >= WIDTH_CACHE_MIN_DIM`` (see ``_Blocks`` for when a cached width
     is valid). ``alpha`` stays outside the cache because it changes with ``k``.
+    At degree 0 ``_scores`` instead computes the N region scores
+    ``theta + alpha * sqrt(Lambda^-1)`` and gathers them by region.
     """
 
     def __init__(
@@ -212,6 +218,7 @@ class CinderellaLearner:
             for h in range(H + 1)
         ]
         self._width_cache = d >= WIDTH_CACHE_MIN_DIM
+        self._region_scores = fmap.index_set.degree == 0
         self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
@@ -250,7 +257,12 @@ class CinderellaLearner:
         """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape.
 
         ``width`` is the blocks' cached bonus width; it is computed when None.
+        At degree 0 the N region scores are gathered by ``regions`` instead:
+        ``1.0 * theta`` and ``1.0 * Lambda^-1 * 1.0`` are exact, so the floats agree.
         """
+        if self._region_scores:
+            width = np.sqrt(np.maximum(self.lam_inv_all[h][:, 0, 0], 0.0))
+            return (self.theta_all[h][:, 0] + self.alpha_all[h] * width)[regions]
         th = self.theta_all[h][regions]
         mean = np.einsum("...d,...d->...", feats, th)
         if width is None:
@@ -272,7 +284,8 @@ class CinderellaLearner:
         if fresh and stale.any():
             r, c = np.nonzero(stale[regions[:fresh]])
             width[r, c] = self._width(h, feats[r, c], regions[r, c])
-        width[fresh:] = self._width(h, feats[fresh:], regions[fresh:])
+        if rows > fresh:
+            width[fresh:] = self._width(h, feats[fresh:], regions[fresh:])
         blocks.seen[:] = self.counts[h]
         blocks.fresh = rows
         return self._scores(h, feats, regions, width)

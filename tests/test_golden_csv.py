@@ -66,3 +66,27 @@ def test_exact_grid_csv_hash_d3():
         oracle_m_action=33,
     )
     assert _hash(cfg) == "04a23be09291066d46d8c28c0baf49421824816c0a5203cd28e2241dd27352b5"
+
+
+@pytest.mark.parametrize(
+    "horizon, epsilon, expected",
+    [
+        (1, 0.5, "9153538aeceaef867809df220ee72376289c12902c0428e41624e493de3fa1db"),  # N=4
+        (3, 1.0, "c9dcdd6ea1f8682fc21ade922a32438775a1458931391d7184d5f40bc19f03bb"),  # N=1
+    ],
+)
+def test_exact_grid_csv_hash_d1(horizon, epsilon, expected):
+    """Exact grid at degree 0 (nu = 1, one all-ones feature), where scores are gathered by region."""
+    cfg = RunConfig(
+        env_name="uniform_shift",
+        episodes=24,
+        horizon=horizon,
+        nu=1.0,
+        epsilon=epsilon,
+        planner="exact-grid",
+        bonus_scale=1.0,
+        seed=5,
+        oracle_m_state=65,
+        oracle_m_action=33,
+    )
+    assert _hash(cfg) == expected

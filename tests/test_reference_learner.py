@@ -7,7 +7,9 @@ loops. The learner keeps Sherman-Morrison inverses, re-fits from its cached
 history blocks and scores whole blocks at once; both must plan the same
 tables and pick the same actions. A second pin holds the learner's cached
 bonus widths to a fresh computation over many plans, and a third holds the
-oracle probe's greedy indices to the actions ``act`` plays.
+oracle probe's greedy indices to the actions ``act`` plays. A fourth holds
+the degree-0 path, which gathers per-region scores, to the general per-entry
+scoring path bit for bit.
 """
 
 import math
@@ -24,8 +26,8 @@ HOT_VISITS = REINVERT_EVERY + 8  # region 0 crosses one re-inversion at every st
 SPREAD_VISITS = 40
 
 
-def _learner(degree, horizon):
-    part = build_partition(2, 0.5)
+def _learner(degree, horizon, epsilon=0.5, planner="relaxation"):
+    part = build_partition(2, epsilon)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
     schedule = BonusSchedule(
         delta=0.1,
@@ -39,7 +41,9 @@ def _learner(degree, horizon):
         inherent_bound=0.01,
         bonus_scale=0.3,
     )
-    return CinderellaLearner(fmap, schedule, state_dim=1, action_points_per_axis=9)
+    return CinderellaLearner(
+        fmap, schedule, state_dim=1, action_points_per_axis=9, planner=planner
+    )
 
 
 def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
@@ -220,3 +224,40 @@ def test_probe_greedy_indices_match_act(degree, cache):
         for h in range(1, learner.H + 1):
             for i, s in enumerate(states):
                 np.testing.assert_array_equal(learner.act(h, s), learner.actions[greedy[h, i]])
+
+
+@pytest.mark.parametrize(
+    "horizon, epsilon, planner",
+    [(1, 0.5, "relaxation"), (2, 0.5, "relaxation"), (3, 0.5, "relaxation"), (2, 1.0, "exact-grid")],
+)
+def test_region_scores_match_general_path(horizon, epsilon, planner):
+    """At degree 0 the per-region scores gathered by region equal the per-entry einsums exactly."""
+    seed = 4000 + 10 * horizon + (planner == "exact-grid")
+    learners = [_learner(0, horizon, epsilon, planner) for _ in range(2)]
+    region, general = learners
+    assert region._region_scores and region.d == 1
+    general._region_scores = False  # force the general path
+    rng = np.random.default_rng(seed)
+    probe_states = rng.uniform(-1.0, 1.0, size=(19, 1))
+    for learner in learners:
+        learner.register_probe(probe_states)
+    for i, (hot, spread) in enumerate(ROUNDS):
+        for learner in learners:
+            _feed(learner, np.random.default_rng([seed, i]), hot, spread)
+            learner.k = 11 * i + 3  # alpha changes between plans
+        s1 = rng.uniform(-1.0, 1.0, size=1)
+        for learner in learners:
+            learner.plan(s1)
+
+        np.testing.assert_array_equal(region.counts, general.counts)
+        np.testing.assert_array_equal(region.theta_all, general.theta_all)
+        np.testing.assert_array_equal(region.alpha_all, general.alpha_all)
+        np.testing.assert_array_equal(region.last_policy_actions, general.last_policy_actions)
+        for s in rng.uniform(-1.0, 1.0, size=(5, 1)):
+            assert region.value_estimate(s) == general.value_estimate(s)
+            for h in range(1, horizon + 1):
+                np.testing.assert_array_equal(region.act(h, s), general.act(h, s))
+        for z in rng.uniform(-1.0, 1.0, size=(5, 2)):
+            for h in range(1, horizon + 1):
+                assert region.optimistic_q(h, z) == general.optimistic_q(h, z)
+    assert region.counts[1:, 0].min() > REINVERT_EVERY

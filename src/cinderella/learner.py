@@ -172,6 +172,11 @@ class CinderellaLearner:
     is valid). ``alpha`` stays outside the cache because it changes with ``k``.
     At degree 0 ``_scores`` instead computes the N region scores
     ``theta + alpha * sqrt(Lambda^-1)`` and gathers them by region.
+
+    ``plan_and_act_episode`` computes each visited state's blocks once per
+    episode: the greedy pick's row is the regression row and the blocks of
+    the state at step h+1 are step h's next-state blocks.
+    ``observe_transition`` is the path for transitions from outside the loop.
     """
 
     def __init__(
@@ -392,44 +397,69 @@ class CinderellaLearner:
 
     # -- acting -------------------------------------------------------------
 
+    def _greedy(self, h: int, state: np.ndarray):
+        """Blocks of ``state`` and the index of its greedy grid action at step h."""
+        feats, regions = self._blocks(state)
+        return feats, regions, int(np.argmax(self._scores(h, feats, regions)))
+
     def act(self, h: int, state: np.ndarray) -> np.ndarray:
         """Greedy action on the grid for the raw optimistic score."""
-        feats, regions = self._blocks(state)
-        return self.actions[int(np.argmax(self._scores(h, feats, regions)))]
+        return self.actions[self._greedy(h, state)[2]]
 
-    def observe_transition(self, h, state, action, reward, next_state) -> None:
-        """Absorb one transition into the (h, region) design matrix and history.
+    def _absorb(self, h: int, phi, region: int, reward, next_blocks) -> None:
+        """Add one step-h row to the (h, region) design matrix and the history.
 
-        ``next_state`` is required at every step but the last.
+        ``next_blocks`` is the next state's ``(feats, regions)`` from ``_blocks``,
+        required at every step but the last.
         """
-        if not 1 <= h <= self.H:
-            raise ValueError(f"step must be in 1..{self.H}, got {h}")
         if self.history[h].size == self.schedule.episodes:
             raise ValueError(f"history full: step {h} holds one transition per episode")
-        if h < self.H and next_state is None:
+        if h < self.H and next_blocks is None:
             raise ValueError(f"step {h} < {self.H} needs a next state")
         if not math.isfinite(reward):
             raise ValueError("non-finite reward")
-        phi, region = self._point(state, action)
-        next_blocks = self._blocks(next_state) if h < self.H else None
         count = self.counts[h, region] + 1
         ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
         self.counts[h, region] = count
         self.history[h].append(phi, reward, region, next_blocks)
 
+    def observe_transition(self, h, state, action, reward, next_state) -> None:
+        """Absorb one transition from outside the episode loop, any action allowed.
+
+        ``next_state`` is required at every step but the last.
+        ``plan_and_act_episode`` does not come through here: it absorbs the
+        blocks its rollout already computed.
+        """
+        if not 1 <= h <= self.H:
+            raise ValueError(f"step must be in 1..{self.H}, got {h}")
+        phi, region = self._point(state, action)
+        next_blocks = self._blocks(next_state) if h < self.H and next_state is not None else None
+        self._absorb(h, phi, region, reward, next_blocks)
+
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
         """One full episode: plan, act greedily, then absorb the transitions.
 
-        Returns (transitions, total_return). The learner touches only the
-        sampling surface of ``env``.
+        Each visited state's blocks are computed once: the rollout keeps the
+        blocks it scored to pick the greedy action, whose row is the
+        transition's regression row, and the blocks of the state at step h+1
+        are step h's next-state blocks. These are the same floats as
+        ``observe_transition`` computes. Returns (transitions, total_return).
+        The learner touches only the sampling surface of ``env``.
         """
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
         if not np.all(np.abs(s1) <= 1.0):
             raise ValueError("initial state outside [-1, 1]^d_S")
         self.plan(s1)
-        transitions, total = run_episode(env, self.act, rng, s1=s1)
-        for tr in transitions:
-            self.observe_transition(tr.h, tr.state, tr.action, tr.reward_sample, tr.next_state)
+        visits = []  # (feats, regions, greedy index) per visited state
+
+        def policy(h, state):
+            visits.append(self._greedy(h, state))
+            return self.actions[visits[-1][2]]
+
+        transitions, total = run_episode(env, policy, rng, s1=s1)
+        nexts = [visit[:2] for visit in visits[1:]] + [None]
+        for tr, (feats, regions, i), next_blocks in zip(transitions, visits, nexts):
+            self._absorb(tr.h, feats[0, i], int(regions[0, i]), tr.reward_sample, next_blocks)
         self.k += 1
         return transitions, total
 

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import cinderella.learner as learner_mod
 from cinderella.checks import tiny_exact_linear_setup
 from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
@@ -377,3 +378,27 @@ def test_partition_centers_and_probe_blocks_are_read_only():
     for arr in (part.centers, feats, regions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
+
+
+@pytest.mark.parametrize("nu, horizon", [(1.0, 2), (2.0, 3)])
+def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horizon):
+    """One relaxation episode evaluates regions and features once per visited state."""
+    cfg = RunConfig(env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5)
+    env, learner = build_env(cfg), build_learner(cfg)
+    learner.register_probe(np.linspace(-1.0, 1.0, 5)[:, None])
+    learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
+    calls = {"assign_regions": 0, "features_at_centers": 0, "_point": 0}
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in ("assign_regions", "features_at_centers"):
+        monkeypatch.setattr(learner_mod, name, counting(name, getattr(learner_mod, name)))
+    monkeypatch.setattr(CinderellaLearner, "_point", counting("_point", CinderellaLearner._point))
+    learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, 2, 0, 1))
+    assert calls == {"assign_regions": horizon, "features_at_centers": horizon, "_point": 0}
+    assert [hist.size for hist in learner.history[1:]] == [2] * horizon

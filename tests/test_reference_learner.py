@@ -9,7 +9,9 @@ tables and pick the same actions. A second pin holds the learner's cached
 bonus widths to a fresh computation over many plans, and a third holds the
 oracle probe's greedy indices to the actions ``act`` plays. A fourth holds
 the degree-0 path, which gathers per-region scores, to the general per-entry
-scoring path bit for bit.
+scoring path bit for bit. A fifth holds ``plan_and_act_episode``, which
+absorbs the blocks its rollout scored, to the public loop of ``plan``,
+``act`` and ``observe_transition`` bit for bit.
 """
 
 import math
@@ -17,8 +19,10 @@ import math
 import numpy as np
 import pytest
 
+from cinderella.envs import run_episode
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
 from cinderella.geometry import assign_region, build_partition
+from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import BonusSchedule, CinderellaLearner, beta_radius
 from cinderella.regression import REINVERT_EVERY
 
@@ -261,3 +265,54 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
             for h in range(1, horizon + 1):
                 assert region.optimistic_q(h, z) == general.optimistic_q(h, z)
     assert region.counts[1:, 0].min() > REINVERT_EVERY
+
+
+@pytest.mark.parametrize(
+    "env_name, nu, horizon, epsilon, planner",
+    [
+        ("uniform_shift", 1.0, 2, 0.25, "relaxation"),  # degree 0, d = 1
+        ("uniform_shift", 2.0, 3, 0.5, "relaxation"),  # d = 3
+        ("smooth_drift", 3.0, 2, 0.5, "relaxation"),  # d = 6
+        ("uniform_shift", 2.0, 2, 1.0, "exact-grid"),  # d = 3, N = 1
+    ],
+)
+def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planner):
+    """The episode path's reused rollout blocks give the public path's floats exactly."""
+    cfg = RunConfig(
+        env_name=env_name, episodes=40, horizon=horizon, nu=nu, epsilon=epsilon, planner=planner
+    )
+    env = build_env(cfg)
+    episode, public = build_learner(cfg), build_learner(cfg)
+    assert episode.d == {1.0: 1, 2.0: 3, 3.0: 6}[nu]
+    for learner in (episode, public):
+        learner.register_probe(np.linspace(-1.0, 1.0, 9)[:, None])
+    for k in range(1, cfg.episodes + 1):
+        s1 = make_rng(7, k, 0, 0).uniform(-1.0, 1.0, 1)
+        got, got_total = episode.plan_and_act_episode(env, s1, make_rng(7, k, 0, 1))
+        public.plan(s1)
+        want, want_total = run_episode(env, public.act, make_rng(7, k, 0, 1), s1=s1)
+        for tr in want:
+            public.observe_transition(tr.h, tr.state, tr.action, tr.reward_sample, tr.next_state)
+        public.k += 1
+
+        assert got_total == want_total and len(got) == len(want) == horizon
+        for a, b in zip(got, want):
+            assert (a.h, a.reward_sample) == (b.h, b.reward_sample)
+            np.testing.assert_array_equal(a.state, b.state)
+            np.testing.assert_array_equal(a.action, b.action)
+            assert (a.next_state is None) == (b.next_state is None)
+            if a.next_state is not None:
+                np.testing.assert_array_equal(a.next_state, b.next_state)
+        for name in ("lam_all", "lam_inv_all", "counts", "theta_all", "alpha_all"):
+            np.testing.assert_array_equal(getattr(episode, name), getattr(public, name))
+        np.testing.assert_array_equal(episode.last_policy_actions, public.last_policy_actions)
+        assert episode.k == public.k == k
+    for a, b in zip(episode.history, public.history):
+        assert a.size == b.size
+        for name in ("feats", "rewards", "regions"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        assert (a.next is None) == (b.next is None)
+        if a.next is not None:
+            np.testing.assert_array_equal(a.next.feats, b.next.feats)
+            np.testing.assert_array_equal(a.next.regions, b.next.regions)
+    assert sum(hist.size for hist in episode.history) == horizon * cfg.episodes

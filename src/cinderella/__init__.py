@@ -27,7 +27,6 @@ from .features import (
 )
 from .geometry import (
     Partition,
-    assign_region,
     assign_regions,
     auto_epsilon,
     build_partition,
@@ -74,7 +73,6 @@ __all__ = [
     "TaylorFeatureMap",
     "Transition",
     "alpha_radius",
-    "assign_region",
     "assign_regions",
     "auto_epsilon",
     "beta_radius",

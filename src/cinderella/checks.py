@@ -85,7 +85,7 @@ def _check_ridge(dim: int, n_updates: int):
 
 def _check_extension(n_queries: int):
     from .features import extend_features, taylor_features
-    from .geometry import assign_region
+    from .geometry import assign_regions
 
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 2))
@@ -95,7 +95,7 @@ def _check_extension(n_queries: int):
     for _ in range(n_queries):
         z = rng.uniform(-1, 1, size=2)
         lhs = extend_features(fmap, z) @ theta.ravel()
-        rhs = taylor_features(fmap, z) @ theta[assign_region(part, z)]
+        rhs = taylor_features(fmap, z) @ theta[assign_regions(part, z[None, :])[0]]
         worst = max(worst, abs(lhs - rhs))
     ok = worst <= 1e-12
     return ok, f"max block/flat mismatch {worst:.2e} over {n_queries} queries"

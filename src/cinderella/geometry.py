@@ -56,17 +56,8 @@ def build_partition(dim: int, epsilon: float) -> Partition:
     return Partition(dim=dim, epsilon=float(epsilon), cells_per_axis=m, centers=centers)
 
 
-def assign_region(partition: Partition, z: np.ndarray) -> int:
-    """Map a point of [-1, 1]^d to the index of its infinity-nearest center.
-
-    Ties on cell boundaries go to the smallest row-major index, which matches
-    assigning each point to the first covering cell in enumeration order.
-    """
-    return int(assign_regions(partition, np.asarray(z, dtype=float)[None, :])[0])
-
-
 def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
-    """Vectorized region assignment for an (n, dim) array of points."""
+    """Index of the infinity-nearest center of each row of an (n, dim) array of points."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != partition.dim:
         raise ValueError(f"expected points of shape (n, {partition.dim}), got {pts.shape}")

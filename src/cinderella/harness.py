@@ -305,7 +305,6 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
     return CinderellaLearner(
         fmap,
         schedule,
-        state_dim=1,  # see RunConfig.dim
         action_points_per_axis=config.action_grid,
         planner=config.planner,
         clip_bounds=config.reward_clip,

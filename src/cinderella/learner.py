@@ -173,17 +173,17 @@ class CinderellaLearner:
     At degree 0 ``_scores`` instead computes the N region scores
     ``theta + alpha * sqrt(Lambda^-1)`` and gathers them by region.
 
-    ``plan_and_act_episode`` computes each visited state's blocks once per
-    episode: the greedy pick's row is the regression row and the blocks of
-    the state at step h+1 are step h's next-state blocks.
-    ``observe_transition`` is the path for transitions from outside the loop.
+    ``plan_and_act_episode`` plans, then runs the episode through ``act`` and
+    ``observe_transition``, the learner's only greedy and absorb paths. Each
+    visited state's blocks are computed once per episode: the greedy pick's
+    row is the regression row and the blocks of the state at step h+1 are
+    step h's next-state blocks.
     """
 
     def __init__(
         self,
         fmap: TaylorFeatureMap,
         schedule: BonusSchedule,
-        state_dim: int,
         action_points_per_axis: int = 21,
         planner: str = "relaxation",
         clip_bounds: tuple[float, float] = (-1.0, 2.0),
@@ -191,7 +191,7 @@ class CinderellaLearner:
         if planner not in ("relaxation", "exact-grid"):
             raise ValueError(f"unknown planner: {planner!r}")
         partition = fmap.partition
-        if not (1 <= state_dim < partition.dim):
+        if partition.dim < 2:  # states are 1-d, as in every env and the grid oracle
             raise ValueError("state dimension must leave at least one action dimension")
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
         if (schedule.n_regions, schedule.d_feat) != (N, d):
@@ -206,8 +206,7 @@ class CinderellaLearner:
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule
-        self.state_dim = state_dim
-        self.action_dim = partition.dim - state_dim
+        self.action_dim = partition.dim - 1
         self.actions = uniform_grid(action_points_per_axis, self.action_dim)
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
@@ -235,20 +234,14 @@ class CinderellaLearner:
     def _blocks(self, states: np.ndarray):
         """Features (n, M, d) and regions (n, M) of (s, a) for every grid action.
 
-        ``states`` is (n, d_S), or one state of shape (d_S,) giving n = 1.
+        ``states`` is (n, 1), or one state of shape (1,) giving n = 1.
         """
-        states = np.asarray(states, dtype=float).reshape(-1, self.state_dim)
+        states = np.asarray(states, dtype=float).reshape(-1, 1)
         n, M = states.shape[0], self.actions.shape[0]
         Z = grid_pairs(states, self.actions)
         regions = assign_regions(self.partition, Z)
         feats = features_at_centers(self.fmap, Z, self.partition.centers[regions])
         return feats.reshape(n, M, self.d), regions.reshape(n, M)
-
-    def _point(self, state: np.ndarray, action: np.ndarray):
-        z = np.concatenate([np.atleast_1d(state), np.atleast_1d(action)])
-        region = int(assign_regions(self.partition, z[None, :])[0])
-        phi = features_at_centers(self.fmap, z[None, :], self.partition.centers[[region]])[0]
-        return phi, region
 
     # -- scoring ------------------------------------------------------------
 
@@ -294,13 +287,6 @@ class CinderellaLearner:
         blocks.seen[:] = self.counts[h]
         blocks.fresh = rows
         return self._scores(h, feats, regions, width)
-
-    def optimistic_q(self, h: int, z: np.ndarray) -> float:
-        """Current optimistic Q at a point, clipped to [0, 1]."""
-        z = np.asarray(z, dtype=float)
-        region = assign_regions(self.partition, z[None, :])
-        feats = features_at_centers(self.fmap, z[None, :], self.partition.centers[region])
-        return float(np.clip(self._scores(h, feats, region)[0], 0.0, 1.0))
 
     def value_estimate(self, state: np.ndarray) -> float:
         """Optimistic initial-state value: clipped max step-1 score over the action grid."""
@@ -397,54 +383,42 @@ class CinderellaLearner:
 
     # -- acting -------------------------------------------------------------
 
-    def _greedy(self, h: int, state: np.ndarray):
-        """Blocks of ``state`` and the index of its greedy grid action at step h."""
+    def act(self, h: int, state: np.ndarray):
+        """Blocks ``(feats, regions)`` of ``state`` and its greedy grid-action index at step h."""
         feats, regions = self._blocks(state)
         return feats, regions, int(np.argmax(self._scores(h, feats, regions)))
 
-    def act(self, h: int, state: np.ndarray) -> np.ndarray:
-        """Greedy action on the grid for the raw optimistic score."""
-        return self.actions[self._greedy(h, state)[2]]
-
-    def _absorb(self, h: int, phi, region: int, reward, next_blocks) -> None:
-        """Add one step-h row to the (h, region) design matrix and the history.
-
-        ``next_blocks`` is the next state's ``(feats, regions)`` from ``_blocks``,
-        required at every step but the last.
-        """
+    def _check_transition(self, h: int, reward, next_blocks) -> None:
+        """Raise unless ``observe_transition`` can absorb this step-h row."""
+        if not 1 <= h <= self.H:
+            raise ValueError(f"step must be in 1..{self.H}, got {h}")
         if self.history[h].size == self.schedule.episodes:
             raise ValueError(f"history full: step {h} holds one transition per episode")
         if h < self.H and next_blocks is None:
             raise ValueError(f"step {h} < {self.H} needs a next state")
         if not math.isfinite(reward):
             raise ValueError("non-finite reward")
+
+    def observe_transition(self, h: int, phi, region: int, reward, next_blocks) -> None:
+        """Add one step-h row to the (h, region) design matrix and the history.
+
+        ``phi`` and ``region`` are the row's features and region, and
+        ``next_blocks`` is the next state's ``(feats, regions)`` from ``_blocks``,
+        required at every step but the last.
+        """
+        self._check_transition(h, reward, next_blocks)
         count = self.counts[h, region] + 1
         ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
         self.counts[h, region] = count
         self.history[h].append(phi, reward, region, next_blocks)
 
-    def observe_transition(self, h, state, action, reward, next_state) -> None:
-        """Absorb one transition from outside the episode loop, any action allowed.
-
-        ``next_state`` is required at every step but the last.
-        ``plan_and_act_episode`` does not come through here: it absorbs the
-        blocks its rollout already computed.
-        """
-        if not 1 <= h <= self.H:
-            raise ValueError(f"step must be in 1..{self.H}, got {h}")
-        phi, region = self._point(state, action)
-        next_blocks = self._blocks(next_state) if h < self.H and next_state is not None else None
-        self._absorb(h, phi, region, reward, next_blocks)
-
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
         """One full episode: plan, act greedily, then absorb the transitions.
 
-        Each visited state's blocks are computed once: the rollout keeps the
-        blocks it scored to pick the greedy action, whose row is the
-        transition's regression row, and the blocks of the state at step h+1
-        are step h's next-state blocks. These are the same floats as
-        ``observe_transition`` computes. Returns (transitions, total_return).
-        The learner touches only the sampling surface of ``env``.
+        Every transition is checked before the first is absorbed, so a failed
+        episode leaves the regressions and the history as they were.
+        Returns (transitions, total_return). The learner touches only the
+        sampling surface of ``env``.
         """
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
         if not np.all(np.abs(s1) <= 1.0):
@@ -453,13 +427,15 @@ class CinderellaLearner:
         visits = []  # (feats, regions, greedy index) per visited state
 
         def policy(h, state):
-            visits.append(self._greedy(h, state))
+            visits.append(self.act(h, state))
             return self.actions[visits[-1][2]]
 
         transitions, total = run_episode(env, policy, rng, s1=s1)
         nexts = [visit[:2] for visit in visits[1:]] + [None]
-        for tr, (feats, regions, i), next_blocks in zip(transitions, visits, nexts):
-            self._absorb(tr.h, feats[0, i], int(regions[0, i]), tr.reward_sample, next_blocks)
+        for tr, nxt in zip(transitions, nexts):
+            self._check_transition(tr.h, tr.reward_sample, nxt)
+        for tr, (feats, regions, i), nxt in zip(transitions, visits, nexts):
+            self.observe_transition(tr.h, feats[0, i], int(regions[0, i]), tr.reward_sample, nxt)
         self.k += 1
         return transitions, total
 

@@ -3,6 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from cinderella.features import taylor_features
+from cinderella.geometry import assign_regions
+
 
 def sin2x(pts):
     return np.sin(2.0 * pts[:, 0])
@@ -11,6 +14,18 @@ def sin2x(pts):
 def sin2x_derivative(alpha, center):
     k = alpha[0]
     return 2.0**k * math.sin(2.0 * center[0] + k * math.pi / 2.0)
+
+
+def naive_row(fmap, s, a):
+    """Regression row ``(phi, region)`` of one (state, action) pair, computed point by point."""
+    z = np.concatenate([s, a])
+    return taylor_features(fmap, z), int(assign_regions(fmap.partition, z[None, :])[0])
+
+
+def clipped_q(learner, h, z):
+    """The learner's optimistic step-h Q at the point ``z``, clipped to [0, 1]."""
+    phi, region = naive_row(learner.fmap, z[:1], z[1:])
+    return float(np.clip(learner._scores(h, phi[None, :], np.array([region]))[0], 0.0, 1.0))
 
 
 @pytest.fixture

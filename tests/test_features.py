@@ -13,7 +13,7 @@ from cinderella.features import (
     nu_star,
     taylor_features,
 )
-from cinderella.geometry import assign_region, build_partition
+from cinderella.geometry import assign_regions, build_partition
 from cinderella.oracle import taylor_remainder_check
 from conftest import sin2x, sin2x_derivative
 
@@ -116,7 +116,7 @@ def test_extension_dot_product_equivalence(rng):
     for _ in range(200):
         z = rng.uniform(-1, 1, size=2)
         lhs = extend_features(fmap, z) @ stacked
-        rhs = taylor_features(fmap, z) @ theta[assign_region(fmap.partition, z)]
+        rhs = taylor_features(fmap, z) @ theta[assign_regions(fmap.partition, z[None, :])[0]]
         assert abs(lhs - rhs) <= 1e-12
 
 

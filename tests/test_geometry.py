@@ -4,7 +4,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cinderella.geometry import (
-    assign_region,
     assign_regions,
     auto_epsilon,
     build_partition,
@@ -40,18 +39,18 @@ def test_cells_per_axis_float_safe(eps, m):
 
 def test_assign_nearest_center():
     part = build_partition(1, 0.5)
-    assert assign_region(part, np.array([0.2])) == 1
+    assert assign_regions(part, np.array([[0.2]]))[0] == 1
 
 
 def test_assign_boundary_tie_goes_to_earlier_cell():
     part = build_partition(1, 0.5)
-    assert assign_region(part, np.array([0.0])) == 0
+    assert assign_regions(part, np.array([[0.0]]))[0] == 0
 
 
 def test_assign_single_region():
     part = build_partition(2, 1.0)
     for z in ([0.0, 0.0], [1.0, -1.0], [-0.3, 0.7]):
-        assert assign_region(part, np.array(z)) == 0
+        assert assign_regions(part, np.array([z]))[0] == 0
 
 
 def test_assign_matches_bruteforce_nearest(rng):
@@ -93,7 +92,7 @@ def test_assignment_deterministic(rng):
 def test_every_point_lands_in_exactly_one_cell(dim, eps, coords):
     part = build_partition(dim, eps)
     z = np.array(coords[:dim])
-    idx = assign_region(part, z)
+    idx = assign_regions(part, z[None, :])[0]
     assert 0 <= idx < part.n_regions
     assert np.max(np.abs(z - part.centers[idx])) <= eps + 1e-12
 
@@ -123,7 +122,7 @@ def test_build_partition_validation():
 def test_assign_rejects_out_of_domain():
     part = build_partition(2, 0.5)
     with pytest.raises(ValueError):
-        assign_region(part, np.array([1.2, 0.0]))
+        assign_regions(part, np.array([[1.2, 0.0]]))
     with pytest.raises(ValueError, match="outside"):
         assign_regions(part, np.array([[np.nan, 0.0]]))
 

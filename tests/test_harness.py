@@ -25,6 +25,7 @@ from cinderella.harness import (
     run_experiment,
     run_sweep,
 )
+from cinderella.learner import CinderellaLearner
 from cinderella.oracle import dp_solve
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -309,6 +310,33 @@ def test_trace_zero_reward_env_zero_regret():
     trace = run_experiment(cfg)
     np.testing.assert_allclose(trace.column("regret"), 0.0, atol=1e-9)
     np.testing.assert_allclose(trace.column("cum_regret"), 0.0, atol=1e-9)
+
+
+def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
+    """Every step of a run goes through ``act`` and ``observe_transition``.
+
+    The benchmark's tracer wraps these methods, and ``plan`` and
+    ``greedy_action_indices``, by name on the class, so a rename or a bypass
+    would break its traced runs or read their spans as 0.
+    """
+    names = ("act", "observe_transition", "plan", "greedy_action_indices")
+    assert all(name in CinderellaLearner.__dict__ for name in names)
+    calls = dict.fromkeys(names, 0)
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in names:
+        orig = CinderellaLearner.__dict__[name]
+        monkeypatch.setattr(CinderellaLearner, name, counting(name, orig))
+    cfg = _small_config(episodes=4, horizon=2)
+    run_experiment(cfg)
+    assert calls["act"] == calls["observe_transition"] == cfg.horizon * cfg.episodes
+    assert calls["plan"] == calls["greedy_action_indices"] == cfg.episodes
 
 
 def test_trace_invariants():

@@ -1,7 +1,9 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from conftest import clipped_q, naive_row
 
 import cinderella.learner as learner_mod
 from cinderella.checks import tiny_exact_linear_setup
@@ -81,7 +83,7 @@ def _fresh_learner(
         delta=0.1,
         l_phi=fmap.norm_bound,
     )
-    learner = CinderellaLearner(fmap, sch, state_dim=1, planner=planner)
+    learner = CinderellaLearner(fmap, sch, planner=planner)
     return learner
 
 
@@ -92,7 +94,7 @@ def test_cold_start_optimism_saturates():
     phi = np.array([1.0, 0.0, 0.5])
     alpha = learner.alpha_all[1, 0]
     assert alpha >= 1.0 / (phi @ phi)
-    assert learner.optimistic_q(1, z) == 1.0
+    assert clipped_q(learner, 1, z) == 1.0
 
 
 def test_optimistic_q_clipped_everywhere(rng):
@@ -100,7 +102,7 @@ def test_optimistic_q_clipped_everywhere(rng):
     env = env_exact_linear(np.array([[0.4, 0.05, 0.2]]), learner.fmap, horizon=1)
     for k in range(1, 30):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, k, 0, 1))
-    qs = [learner.optimistic_q(1, rng.uniform(-1, 1, 2)) for _ in range(2000)]
+    qs = [clipped_q(learner, 1, rng.uniform(-1, 1, 2)) for _ in range(2000)]
     assert max(qs) <= 1.0 and min(qs) >= 0.0
 
 
@@ -125,7 +127,7 @@ def test_horizon_one_acts_like_linucb():
     want = int(np.argmax(mean + bonuses))
     got = np.argmax([learner._scores(1, feats[i : i + 1], regions[i : i + 1])[0] for i in range(len(feats))])
     assert want == got
-    np.testing.assert_allclose(learner.act(1, s), learner.actions[want])
+    assert learner.act(1, s)[2] == want
 
 
 def test_actions_deterministic_across_reruns():
@@ -147,7 +149,7 @@ def test_bonus_monotone_under_region_updates():
     learner = _fresh_learner(bonus_scale=1.0)
     env = env_exact_linear(np.array([[0.4, 0.05, 0.2]]), learner.fmap, horizon=1)
     z = np.array([0.0, 0.7])
-    phi, region = learner._point(np.zeros(1), np.array([0.7]))
+    phi, region = naive_row(learner.fmap, np.zeros(1), np.array([0.7]))
     k_frozen = 1
     bonuses = []
     for k in range(1, 40):
@@ -164,11 +166,11 @@ def test_argmax_invariant_under_positive_scaling():
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(2, k, 0, 1))
     learner.plan()
     s = np.array([0.3])
-    base = learner.act(1, s)
+    base = learner.act(1, s)[2]
     for scale in (0.25, 4.0, 117.0):
         learner.theta_all *= scale
         learner.alpha_all *= scale
-        np.testing.assert_array_equal(learner.act(1, s), base)
+        assert learner.act(1, s)[2] == base
         learner.theta_all /= scale
         learner.alpha_all /= scale
 
@@ -193,7 +195,8 @@ def test_greedy_baseline_matches_dp_q_after_coverage(rng):
         s = rng.uniform(-1, 1, size=1)
         a = rng.uniform(-1, 1, size=1)
         z = np.concatenate([s, a])
-        learner.observe_transition(1, s, a, env.sample_reward(1, z, env_rng), None)
+        reward = env.sample_reward(1, z, env_rng)
+        learner.observe_transition(1, *naive_row(learner.fmap, s, a), reward, None)
     learner.k = 600
     learner.plan()
     dp = dp_solve(env, 65, 33)
@@ -202,7 +205,7 @@ def test_greedy_baseline_matches_dp_q_after_coverage(rng):
         for j in range(0, 33, 4):
             z = np.concatenate([dp.state_points[i], dp.action_points[j]])
             q_star = dp.q[1, i, j]
-            worst = max(worst, abs(learner.optimistic_q(1, z) - q_star))
+            worst = max(worst, abs(clipped_q(learner, 1, z) - q_star))
     assert worst <= 0.05
 
 
@@ -303,7 +306,7 @@ def test_exact_grid_reads_only_theta_at_d3():
         for i, state in enumerate(states):
             scores = by_hand(h, state)
             assert greedy[h, i] == np.argmax(scores)
-            np.testing.assert_array_equal(learner.act(h, state), learner.actions[np.argmax(scores)])
+            assert learner.act(h, state)[2] == np.argmax(scores)
     for state in states:
         want = float(np.clip(by_hand(1, state).max(), 0.0, 1.0))
         assert learner.value_estimate(state) == pytest.approx(want, abs=1e-12)
@@ -317,7 +320,7 @@ def test_schedule_must_match_feature_map(overrides):
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     sizes = {"n_regions": part.n_regions, "d_feat": fmap.dim_features, **overrides}
     with pytest.raises(ValueError, match="schedule sized for"):
-        CinderellaLearner(fmap, _schedule(**sizes), state_dim=1)
+        CinderellaLearner(fmap, _schedule(**sizes))
 
 
 def test_schedule_validation():
@@ -340,8 +343,9 @@ def test_alpha_radius_vectorizes_over_counts():
 
 def test_observe_rejects_non_finite_reward():
     learner = _fresh_learner()
+    row = naive_row(learner.fmap, np.zeros(1), np.zeros(1))
     with pytest.raises(ValueError, match="non-finite"):
-        learner.observe_transition(1, np.zeros(1), np.zeros(1), math.nan, None)
+        learner.observe_transition(1, *row, math.nan, None)
     assert learner.counts.sum() == 0 and learner.history[1].size == 0
 
 
@@ -353,17 +357,18 @@ def test_observe_rejects_non_finite_reward():
         (1, None, 0, "step 1 < 2 needs a next state"),
         (1, np.zeros(1), 3, "history full: step 1"),
         (2, None, 3, "history full: step 2"),
-        (1, np.array([math.nan]), 0, "outside"),
     ],
 )
 def test_observe_transition_fails_fast(h, next_state, prior, match):
-    """Bad steps, a missing or NaN next state and a full history raise and change nothing."""
+    """Bad steps, a missing next state and a full history raise and change nothing."""
     learner = _fresh_learner(episodes=3, horizon=2)
+    phi, region = naive_row(learner.fmap, np.zeros(1), np.zeros(1))
+    next_blocks = None if next_state is None else learner._blocks(next_state)
     for _ in range(prior):
-        learner.observe_transition(h, np.zeros(1), np.zeros(1), 0.5, next_state)
+        learner.observe_transition(h, phi, region, 0.5, next_blocks)
     counts, sizes = learner.counts.copy(), [hist.size for hist in learner.history]
     with pytest.raises(ValueError, match=match):
-        learner.observe_transition(h, np.zeros(1), np.zeros(1), 0.5, next_state)
+        learner.observe_transition(h, phi, region, 0.5, next_blocks)
     np.testing.assert_array_equal(learner.counts, counts)
     assert [hist.size for hist in learner.history] == sizes
 
@@ -372,7 +377,7 @@ def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
-    learner = CinderellaLearner(fmap, schedule, state_dim=1, action_points_per_axis=5)
+    learner = CinderellaLearner(fmap, schedule, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
     feats, regions = learner._probe[1].feats, learner._probe[1].regions
     for arr in (part.centers, feats, regions):
@@ -387,7 +392,7 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
     env, learner = build_env(cfg), build_learner(cfg)
     learner.register_probe(np.linspace(-1.0, 1.0, 5)[:, None])
     learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
-    calls = {"assign_regions": 0, "features_at_centers": 0, "_point": 0}
+    calls = {"assign_regions": 0, "features_at_centers": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -398,7 +403,45 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
 
     for name in ("assign_regions", "features_at_centers"):
         monkeypatch.setattr(learner_mod, name, counting(name, getattr(learner_mod, name)))
-    monkeypatch.setattr(CinderellaLearner, "_point", counting("_point", CinderellaLearner._point))
     learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, 2, 0, 1))
-    assert calls == {"assign_regions": horizon, "features_at_centers": horizon, "_point": 0}
+    assert calls == {"assign_regions": horizon, "features_at_centers": horizon}
     assert [hist.size for hist in learner.history[1:]] == [2] * horizon
+
+
+def _nan_reward_at_step_2(env):
+    def reward_mean(h, Z):
+        return env.reward_mean(h, Z) if h < 2 else np.full(Z.shape[0], math.nan)
+
+    return dataclasses.replace(env, reward_mean=reward_mean)
+
+
+def _nan_next_state(env):
+    def transition_sample(h, Z, rng):
+        return np.full((Z.shape[0], env.state_dim), math.nan)
+
+    return dataclasses.replace(env, transition_sample=transition_sample)
+
+
+@pytest.mark.parametrize(
+    "episodes, make_env, match",
+    [
+        (8, _nan_reward_at_step_2, "non-finite reward"),
+        (2, lambda env: env, "history full: step 1"),  # the episode after the last
+        (8, _nan_next_state, "outside"),
+    ],
+    ids=["nan-reward-step-2", "full-history", "nan-next-state"],
+)
+def test_failed_episode_changes_nothing(episodes, make_env, match):
+    """An episode that fails in its rollout or at any step's absorb leaves the learner as it was."""
+    cfg = RunConfig(env_name="uniform_shift", episodes=episodes, horizon=2, nu=2.0, epsilon=0.5)
+    env, learner = build_env(cfg), build_learner(cfg)
+    for k in range(1, 3):
+        learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, k, 0, 1))
+    before = {name: getattr(learner, name).copy() for name in ("counts", "lam_all", "lam_inv_all")}
+    sizes = [hist.size for hist in learner.history]
+    with pytest.raises(ValueError, match=match):
+        learner.plan_and_act_episode(make_env(env), np.full(1, 0.3), make_rng(0, 3, 0, 1))
+    for name, value in before.items():
+        np.testing.assert_array_equal(getattr(learner, name), value)
+    assert [hist.size for hist in learner.history] == sizes == [0, 2, 2]
+    assert learner.k == 2

@@ -7,21 +7,23 @@ loops. The learner keeps Sherman-Morrison inverses, re-fits from its cached
 history blocks and scores whole blocks at once; both must plan the same
 tables and pick the same actions. A second pin holds the learner's cached
 bonus widths to a fresh computation over many plans, and a third holds the
-oracle probe's greedy indices to the actions ``act`` plays. A fourth holds
+oracle probe's greedy indices to the actions ``act`` picks. A fourth holds
 the degree-0 path, which gathers per-region scores, to the general per-entry
 scoring path bit for bit. A fifth holds ``plan_and_act_episode``, which
-absorbs the blocks its rollout scored, to the public loop of ``plan``,
-``act`` and ``observe_transition`` bit for bit.
+absorbs the blocks its rollout scored, bit for bit to a loop of ``plan``,
+``run_episode`` and ``observe_transition`` fed with rows computed point by
+point and next-state blocks computed afresh.
 """
 
 import math
 
 import numpy as np
 import pytest
+from conftest import clipped_q, naive_row
 
 from cinderella.envs import run_episode
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
-from cinderella.geometry import assign_region, build_partition
+from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
+from cinderella.geometry import build_partition
 from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import BonusSchedule, CinderellaLearner, beta_radius
 from cinderella.regression import REINVERT_EVERY
@@ -45,9 +47,7 @@ def _learner(degree, horizon, epsilon=0.5, planner="relaxation"):
         inherent_bound=0.01,
         bonus_scale=0.3,
     )
-    return CinderellaLearner(
-        fmap, schedule, state_dim=1, action_points_per_axis=9, planner=planner
-    )
+    return CinderellaLearner(fmap, schedule, action_points_per_axis=9, planner=planner)
 
 
 def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
@@ -62,7 +62,8 @@ def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
             s, a = rng.uniform(-1.0, hi, size=1), rng.uniform(-1.0, hi, size=1)
             r = float(rng.uniform(-1.5, 1.5))  # wide enough to hit both target clips
             s_next = rng.uniform(-1.0, 1.0, size=1) if h < learner.H else None
-            learner.observe_transition(h, s, a, r, s_next)
+            next_blocks = None if s_next is None else learner._blocks(s_next)
+            learner.observe_transition(h, *naive_row(learner.fmap, s, a), r, next_blocks)
             records.append((h, s, a, r, s_next))
     return records
 
@@ -71,7 +72,7 @@ class _Reference:
     """Per-(h, n) linear solves and loop-based scoring over the raw records."""
 
     def __init__(self, learner, records, k):
-        self.fmap, self.part = learner.fmap, learner.partition
+        self.fmap = learner.fmap
         self.actions = list(learner.actions)
         sch = learner.schedule
         H, N, d = learner.H, learner.N, learner.d
@@ -80,7 +81,7 @@ class _Reference:
         self.lam[1:] = np.eye(d) * sch.lam_reg
         counts = np.zeros((H + 1, N), dtype=int)
         for h, s, a, _, _ in records:
-            phi, n = self._point(s, a)
+            phi, n = naive_row(self.fmap, s, a)
             self.lam[h, n] += np.outer(phi, phi)
             counts[h, n] += 1
         self.counts = counts
@@ -103,17 +104,13 @@ class _Reference:
                     v_next = max(
                         min(max(self.score(h + 1, s_next, b), 0.0), 1.0) for b in self.actions
                     )
-                phi, n = self._point(s, a)
+                phi, n = naive_row(self.fmap, s, a)
                 rhs[n] += phi * min(max(r + v_next, lo), hi)
             for n in range(N):
                 self.theta[h, n] = np.linalg.solve(self.lam[h, n], rhs[n])
 
-    def _point(self, s, a):
-        z = np.concatenate([s, a])
-        return taylor_features(self.fmap, z), assign_region(self.part, z)
-
     def score(self, h, s, a):
-        phi, n = self._point(s, a)
+        phi, n = naive_row(self.fmap, s, a)
         quad = phi @ np.linalg.solve(self.lam[h, n], phi)
         return phi @ self.theta[h, n] + self.alpha[h, n] * math.sqrt(max(quad, 0.0))
 
@@ -144,7 +141,7 @@ def test_learner_matches_naive_reference(degree, horizon):
     np.testing.assert_allclose(learner.theta_all, ref.theta, rtol=0, atol=1e-9)
     for h in range(1, horizon + 1):
         for s in rng.uniform(-1.0, 1.0, size=(6, 1)):
-            np.testing.assert_array_equal(learner.act(h, s), ref.act(h, s))
+            np.testing.assert_array_equal(learner.actions[learner.act(h, s)[2]], ref.act(h, s))
 
 
 def _uncached_plan(learner):
@@ -227,7 +224,7 @@ def test_probe_greedy_indices_match_act(degree, cache):
         np.testing.assert_array_equal(learner.last_policy_actions, greedy)
         for h in range(1, learner.H + 1):
             for i, s in enumerate(states):
-                np.testing.assert_array_equal(learner.act(h, s), learner.actions[greedy[h, i]])
+                assert learner.act(h, s)[2] == greedy[h, i]
 
 
 @pytest.mark.parametrize(
@@ -260,10 +257,10 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for s in rng.uniform(-1.0, 1.0, size=(5, 1)):
             assert region.value_estimate(s) == general.value_estimate(s)
             for h in range(1, horizon + 1):
-                np.testing.assert_array_equal(region.act(h, s), general.act(h, s))
+                assert region.act(h, s)[2] == general.act(h, s)[2]
         for z in rng.uniform(-1.0, 1.0, size=(5, 2)):
             for h in range(1, horizon + 1):
-                assert region.optimistic_q(h, z) == general.optimistic_q(h, z)
+                assert clipped_q(region, h, z) == clipped_q(general, h, z)
     assert region.counts[1:, 0].min() > REINVERT_EVERY
 
 
@@ -277,7 +274,7 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
     ],
 )
 def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planner):
-    """The episode path's reused rollout blocks give the public path's floats exactly."""
+    """The episode path's reused rollout blocks give the floats of rows computed afresh."""
     cfg = RunConfig(
         env_name=env_name, episodes=40, horizon=horizon, nu=nu, epsilon=epsilon, planner=planner
     )
@@ -290,9 +287,13 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
         s1 = make_rng(7, k, 0, 0).uniform(-1.0, 1.0, 1)
         got, got_total = episode.plan_and_act_episode(env, s1, make_rng(7, k, 0, 1))
         public.plan(s1)
-        want, want_total = run_episode(env, public.act, make_rng(7, k, 0, 1), s1=s1)
+        want, want_total = run_episode(
+            env, lambda h, s: public.actions[public.act(h, s)[2]], make_rng(7, k, 0, 1), s1=s1
+        )
         for tr in want:
-            public.observe_transition(tr.h, tr.state, tr.action, tr.reward_sample, tr.next_state)
+            row = naive_row(public.fmap, tr.state, tr.action)
+            nxt = None if tr.next_state is None else public._blocks(tr.next_state)
+            public.observe_transition(tr.h, *row, tr.reward_sample, nxt)
         public.k += 1
 
         assert got_total == want_total and len(got) == len(want) == horizon

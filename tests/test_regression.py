@@ -31,7 +31,7 @@ def _fresh_learner(degree, lam_reg):
         episodes=4,
         horizon=2,
     )
-    return CinderellaLearner(fmap, schedule, state_dim=1)
+    return CinderellaLearner(fmap, schedule)
 
 
 def test_init_identity():

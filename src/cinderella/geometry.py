@@ -56,17 +56,27 @@ def build_partition(dim: int, epsilon: float) -> Partition:
     return Partition(dim=dim, epsilon=float(epsilon), cells_per_axis=m, centers=centers)
 
 
+def axis_cells(coords: np.ndarray, m: int) -> np.ndarray:
+    """Cell index along one axis of each coordinate, for ``m`` cells per axis.
+
+    Cell j covers (-1 + 2j/m, -1 + 2(j+1)/m]; boundary points fall to cell j,
+    and -1 to cell 0. Every axis of ``assign_regions`` uses this rule.
+    """
+    coords = np.asarray(coords, dtype=float)
+    if not (np.abs(coords) <= 1.0).all():  # also catches NaN
+        raise ValueError("point outside [-1, 1]^d")
+    idx = np.ceil((coords + 1.0) * (m / 2.0)).astype(np.int64) - 1
+    # Clamps as np.clip does; np.clip's Python wrapper costs more than this on one state.
+    return np.minimum(np.maximum(idx, 0, out=idx), m - 1, out=idx)
+
+
 def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
     """Index of the infinity-nearest center of each row of an (n, dim) array of points."""
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != partition.dim:
         raise ValueError(f"expected points of shape (n, {partition.dim}), got {pts.shape}")
-    if not np.all(np.abs(pts) <= 1.0):  # also catches NaN
-        raise ValueError("point outside [-1, 1]^d")
     m = partition.cells_per_axis
-    # Cell j covers (-1 + 2j/m, -1 + 2(j+1)/m]; boundary points fall to cell j.
-    axis_idx = np.ceil((pts + 1.0) * (m / 2.0)).astype(np.int64) - 1
-    np.clip(axis_idx, 0, m - 1, out=axis_idx)
+    axis_idx = axis_cells(pts, m)
     flat = axis_idx[:, 0]
     for a in range(1, partition.dim):
         flat = flat * m + axis_idx[:, a]

@@ -28,7 +28,7 @@ from .envs import EnvironmentModel, env_exact_linear, env_smooth_drift, env_unif
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import GridDP, dp_solve, policy_eval_tables, policy_value
+from .oracle import GridDP, dp_solve, policy_eval_tables, policy_value, policy_values
 
 log = logging.getLogger(__name__)
 
@@ -313,15 +313,17 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
 
 # Bound under these names because the benchmark traces them here as oracle.policy_eval.
 _policy_eval_tables = policy_eval_tables
-_played_policy_value = policy_value
+_played_policy_value = policy_values
 
 
 def run_experiment(config: RunConfig) -> RegretTrace:
     """Execute one run: build everything from the config, measure regret.
 
-    Per episode: plan and act, then evaluate the episode's greedy policy with
-    the grid oracle; the regret increment is V*(s1) - V^pi(s1). Deterministic
-    given (config, seed).
+    Per episode: plan and act, then value the episode's greedy policy with
+    the grid oracle; the regret increment is V*(s1) - V^pi(s1). A policy is
+    evaluated when it differs from the last episode's; its step-1 values on
+    the oracle grid serve each following episode that plays it again.
+    Deterministic given (config, seed).
     """
     env = build_env(config)
     learner = build_learner(config)
@@ -332,6 +334,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
 
     rows = np.empty((config.episodes, 7))
     cum = 0.0
+    played, v_played = None, None  # the last evaluated policy and its step-1 values
     for k in range(1, config.episodes + 1):
         t0 = time.perf_counter()
         if config.init_mode == "uniform":
@@ -340,9 +343,11 @@ def run_experiment(config: RunConfig) -> RegretTrace:
             s1 = np.full(env.state_dim, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
         _, ret = learner.plan_and_act_episode(env, s1, env_rng)
-        action_idx = learner.last_policy_actions
+        if not np.array_equal(learner.last_policy_actions, played):
+            played = learner.last_policy_actions
+            v_played = _played_policy_value(rewards_pi, kernels_pi, played[:, :, None])
         vstar = dp.value_at(s1)
-        vpi = _played_policy_value(rewards_pi, kernels_pi, action_idx[:, :, None], state_axis, s1)
+        vpi = float(np.interp(s1[0], state_axis, v_played))
         regret = vstar - vpi
         cum += regret
         # The row is written inside the episode's ms window, so per-episode

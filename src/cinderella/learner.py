@@ -14,9 +14,14 @@ parameter ``theta`` and a radius ``alpha``, and every score is
   on a small grid, and ``alpha`` is 0 because the optimism is inside
   ``theta``; feasible only for tiny instances, used to study optimism.
 
-At degree 0 (``nu <= 1``) the one feature is the constant 1, so every score
-depends only on its region: the N region scores are computed once per call
-and gathered by region, which gives the same floats as the general rule.
+At degree 0 (``nu <= 1``) the one feature is the constant 1, so a score
+depends only on its region, and as the partition is a product grid assigned
+axis by axis, only on (state cell, grid action). Each plan gathers the N
+region scores into one (state cell x grid action) table per step, which
+gives the re-fit targets and every cell's greedy index; ``act`` and the
+probe look that up, and history rows keep their next state's cell, so
+acting, absorbing and re-fitting compute no features. The floats are those
+of the general rule.
 
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
@@ -34,7 +39,7 @@ import numpy as np
 
 from .envs import run_episode
 from .features import TaylorFeatureMap, features_at_centers
-from .geometry import assign_regions, grid_pairs, uniform_grid
+from .geometry import assign_regions, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
 
 # Below this feature dimension the bonus quadratic form is as cheap as
@@ -114,6 +119,7 @@ class _Blocks:
     """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) to score.
 
     ``width`` caches the blocks' bonus widths under one step's inverses.
+    ``blocks[i] = (feats, regions)`` writes one row.
     ``counts[h, n]`` is the version of region n's step-h inverse: it is bumped
     with every ``ridge_update``, the only writer of ``lam_inv_all``. Rows
     below ``fresh`` hold widths computed when the step's counts were
@@ -127,32 +133,32 @@ class _Blocks:
         self.seen = np.zeros(n_regions, dtype=np.int64)
         self.fresh = 0
 
+    def __setitem__(self, i: int, blocks) -> None:
+        self.feats[i], self.regions[i] = blocks
+
 
 class _StepHistory:
-    """Per-step visit record, one row per episode; ``next`` holds the next-state blocks."""
+    """Per-step visit record, one row per episode.
 
-    def __init__(
-        self, capacity: int, d_feat: int, n_actions: int, n_regions: int, has_next: bool
-    ):
+    ``next`` holds each row's next-state key: its blocks in a ``_Blocks``,
+    or at degree 0 its state cell in an int array; steps without a next
+    state have ``next = None``.
+    """
+
+    def __init__(self, capacity: int, d_feat: int, next_keys):
         self.feats = np.zeros((capacity, d_feat))
         self.rewards = np.zeros(capacity)
         self.regions = np.zeros(capacity, dtype=np.int64)
-        self.next = None
-        if has_next:
-            self.next = _Blocks(
-                np.zeros((capacity, n_actions, d_feat)),
-                np.zeros((capacity, n_actions), dtype=np.int64),
-                n_regions,
-            )
+        self.next = next_keys
         self.size = 0
 
-    def append(self, phi, reward, region, next_blocks=None):
+    def append(self, phi, reward, region, next_key=None):
         i = self.size
         self.feats[i] = phi
         self.rewards[i] = reward
         self.regions[i] = region
         if self.next is not None:
-            self.next.feats[i], self.next.regions[i] = next_blocks
+            self.next[i] = next_key
         self.size += 1
 
 
@@ -170,14 +176,18 @@ class CinderellaLearner:
     caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at
     ``d_feat >= WIDTH_CACHE_MIN_DIM`` (see ``_Blocks`` for when a cached width
     is valid). ``alpha`` stays outside the cache because it changes with ``k``.
-    At degree 0 ``_scores`` instead computes the N region scores
-    ``theta + alpha * sqrt(Lambda^-1)`` and gathers them by region.
+
+    At degree 0 a state is its state cell: ``_cell_regions`` (C, M) holds
+    the regions of every state cell x grid action, ``_cell_scores(h)`` gathers
+    the N region scores ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M)
+    step-h table, and ``plan`` keeps its argmax per cell in ``_greedy``
+    (H+1, C). The history stores next cells and the probe its states' cells.
 
     ``plan_and_act_episode`` plans, then runs the episode through ``act`` and
     ``observe_transition``, the learner's only greedy and absorb paths. Each
-    visited state's blocks are computed once per episode: the greedy pick's
-    row is the regression row and the blocks of the state at step h+1 are
-    step h's next-state blocks.
+    visited state is located once per episode: ``act`` returns the greedy
+    pick's regression row and the state's key, its blocks or at degree 0 its
+    cell, which is the next-state key of the step before.
     """
 
     def __init__(
@@ -216,17 +226,34 @@ class CinderellaLearner:
         self.lam_all = np.tile(np.eye(d) * lam0, (H + 1, N, 1, 1))
         self.lam_inv_all = np.tile(np.eye(d) / lam0, (H + 1, N, 1, 1))
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
-        M = self.actions.shape[0]
+        M, K = self.actions.shape[0], schedule.episodes
+        self._cells = fmap.index_set.degree == 0
+        if self._cells:
+            # The first center of each state cell: its action coordinates lie
+            # in the first action cell, which repeats every m^d_A centers.
+            m = partition.cells_per_axis
+            cell_centers = partition.centers[:: m**self.action_dim, :1]
+            regions = assign_regions(partition, grid_pairs(cell_centers, self.actions))
+            self._cell_regions = regions.reshape(-1, M)
+            self._greedy = np.zeros((H + 1, cell_centers.shape[0]), dtype=np.int64)
+            self._one = np.ones(1)  # the one feature, the same for every row
+            self._one.flags.writeable = False
+
+        def next_keys():  # the history's record of next states, at steps that have one
+            if self._cells:
+                return np.zeros(K, dtype=np.int64)
+            return _Blocks(np.zeros((K, M, d)), np.zeros((K, M), dtype=np.int64), N)
+
         self.history = [
-            _StepHistory(schedule.episodes, d, M, N, has_next=(1 <= h < H))
-            for h in range(H + 1)
+            _StepHistory(K, d, next_keys() if 1 <= h < H else None) for h in range(H + 1)
         ]
         self._width_cache = d >= WIDTH_CACHE_MIN_DIM
-        self._region_scores = fmap.index_set.degree == 0
         self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
-        self._probe = None  # one _Blocks per step h >= 1, sharing feats and regions
+        # One _Blocks per step h >= 1, sharing feats and regions; at degree 0
+        # the probe states' cells.
+        self._probe = None
         self.last_policy_actions = None
 
     # -- feature plumbing ---------------------------------------------------
@@ -243,6 +270,10 @@ class CinderellaLearner:
         feats = features_at_centers(self.fmap, Z, self.partition.centers[regions])
         return feats.reshape(n, M, self.d), regions.reshape(n, M)
 
+    def _state_cells(self, states: np.ndarray) -> np.ndarray:
+        """State cell (n,) of ``states`` (n, 1), or of one state of shape (1,)."""
+        return axis_cells(np.reshape(states, -1), self.partition.cells_per_axis)
+
     # -- scoring ------------------------------------------------------------
 
     def _width(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
@@ -255,12 +286,7 @@ class CinderellaLearner:
         """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape.
 
         ``width`` is the blocks' cached bonus width; it is computed when None.
-        At degree 0 the N region scores are gathered by ``regions`` instead:
-        ``1.0 * theta`` and ``1.0 * Lambda^-1 * 1.0`` are exact, so the floats agree.
         """
-        if self._region_scores:
-            width = np.sqrt(np.maximum(self.lam_inv_all[h][:, 0, 0], 0.0))
-            return (self.theta_all[h][:, 0] + self.alpha_all[h] * width)[regions]
         th = self.theta_all[h][regions]
         mean = np.einsum("...d,...d->...", feats, th)
         if width is None:
@@ -288,6 +314,15 @@ class CinderellaLearner:
         blocks.fresh = rows
         return self._scores(h, feats, regions, width)
 
+    def _cell_scores(self, h: int) -> np.ndarray:
+        """Raw optimistic step-h scores (C, M) of every state cell x grid action, at degree 0.
+
+        The N region scores gathered by ``_cell_regions``: ``1.0 * theta`` and
+        ``1.0 * Lambda^-1 * 1.0`` are exact, so the floats are ``_scores``'.
+        """
+        width = np.sqrt(np.maximum(self.lam_inv_all[h][:, 0, 0], 0.0))
+        return (self.theta_all[h][:, 0] + self.alpha_all[h] * width)[self._cell_regions]
+
     def value_estimate(self, state: np.ndarray) -> float:
         """Optimistic initial-state value: clipped max step-1 score over the action grid."""
         feats, regions = self._blocks(state)
@@ -295,20 +330,25 @@ class CinderellaLearner:
 
     # -- planning -----------------------------------------------------------
 
-    def _refit(self, h: int, q_next) -> np.ndarray:
+    def _next_values(self, h: int, next_keys, rows: int) -> np.ndarray:
+        """``max_a clip(score, 0, 1)`` under the step-h tables of the first ``rows`` next states."""
+        if self._cells:
+            return np.clip(self._cell_scores(h), 0.0, 1.0).max(axis=1)[next_keys[:rows]]
+        return np.clip(self._block_scores(h, next_keys, rows), 0.0, 1.0).max(axis=1)
+
+    def _refit(self, h: int, v_next) -> np.ndarray:
         """Ridge estimates (N, d) at step h from the whole step-h history.
 
-        Targets are ``reward + max_a clip(q, 0, 1)``, clipped to the target
-        bounds, where ``q_next(blocks, rows)`` scores the first ``rows`` cached
-        next-state blocks with the step-(h+1) tables; the last step has no
-        continuation.
+        Targets are ``reward + v_next(next_keys, rows)``, clipped to the target
+        bounds, where ``v_next`` values the first ``rows`` next-state keys of
+        the step-h history as ``_next_values(h + 1, ...)`` does; the last step
+        has no continuation.
         """
         hist = self.history[h]
         p = hist.size
         targets = hist.rewards[:p]
         if h < self.H:
-            q = q_next(hist.next, p)
-            targets = targets + np.clip(q, 0.0, 1.0).max(axis=1)
+            targets = targets + v_next(hist.next, p)
         targets = np.clip(targets, self.clip_lo, self.clip_hi)
         bsum = np.zeros((self.N, self.d))
         np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
@@ -321,7 +361,7 @@ class CinderellaLearner:
         """
         for h in range(self.H, 0, -1):
             self.theta_all[h] = self._refit(
-                h, lambda blocks, rows: self._block_scores(h + 1, blocks, rows)
+                h, lambda keys, rows: self._next_values(h + 1, keys, rows)
             )
             if xi is not None:
                 self.theta_all[h] += xi[h]
@@ -378,39 +418,53 @@ class CinderellaLearner:
             self._plan_exact_grid(s1)
         else:
             self._plan_relaxation()
+        if self._cells:
+            for h in range(1, self.H + 1):
+                self._greedy[h] = np.argmax(self._cell_scores(h), axis=1)
         if self._probe is not None:
             self.last_policy_actions = self.greedy_action_indices()
 
     # -- acting -------------------------------------------------------------
 
     def act(self, h: int, state: np.ndarray):
-        """Blocks ``(feats, regions)`` of ``state`` and its greedy grid-action index at step h."""
-        feats, regions = self._blocks(state)
-        return feats, regions, int(np.argmax(self._scores(h, feats, regions)))
+        """Greedy step-h pick at ``state``: ``(phi, region, index, key)``.
 
-    def _check_transition(self, h: int, reward, next_blocks) -> None:
+        ``(phi, region)`` is the regression row of grid action ``index`` and
+        ``key`` what a history row keeps of ``state`` as its next state: its
+        blocks ``(feats, regions)``, or at degree 0 its state cell, whose
+        greedy index the last plan stored.
+        """
+        if self._cells:
+            cell = int(self._state_cells(state)[0])
+            i = int(self._greedy[h, cell])
+            return self._one, int(self._cell_regions[cell, i]), i, cell
+        feats, regions = self._blocks(state)
+        i = int(np.argmax(self._scores(h, feats, regions)))
+        return feats[0, i], int(regions[0, i]), i, (feats, regions)
+
+    def _check_transition(self, h: int, reward, next_key) -> None:
         """Raise unless ``observe_transition`` can absorb this step-h row."""
         if not 1 <= h <= self.H:
             raise ValueError(f"step must be in 1..{self.H}, got {h}")
         if self.history[h].size == self.schedule.episodes:
             raise ValueError(f"history full: step {h} holds one transition per episode")
-        if h < self.H and next_blocks is None:
+        if h < self.H and next_key is None:
             raise ValueError(f"step {h} < {self.H} needs a next state")
         if not math.isfinite(reward):
             raise ValueError("non-finite reward")
 
-    def observe_transition(self, h: int, phi, region: int, reward, next_blocks) -> None:
+    def observe_transition(self, h: int, phi, region: int, reward, next_key) -> None:
         """Add one step-h row to the (h, region) design matrix and the history.
 
         ``phi`` and ``region`` are the row's features and region, and
-        ``next_blocks`` is the next state's ``(feats, regions)`` from ``_blocks``,
-        required at every step but the last.
+        ``next_key`` is the next state's key as ``act`` returns it, required
+        at every step but the last.
         """
-        self._check_transition(h, reward, next_blocks)
+        self._check_transition(h, reward, next_key)
         count = self.counts[h, region] + 1
         ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
         self.counts[h, region] = count
-        self.history[h].append(phi, reward, region, next_blocks)
+        self.history[h].append(phi, reward, region, next_key)
 
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
         """One full episode: plan, act greedily, then absorb the transitions.
@@ -424,25 +478,28 @@ class CinderellaLearner:
         if not np.all(np.abs(s1) <= 1.0):
             raise ValueError("initial state outside [-1, 1]^d_S")
         self.plan(s1)
-        visits = []  # (feats, regions, greedy index) per visited state
+        visits = []  # act's (phi, region, index, key) per visited state
 
         def policy(h, state):
             visits.append(self.act(h, state))
             return self.actions[visits[-1][2]]
 
         transitions, total = run_episode(env, policy, rng, s1=s1)
-        nexts = [visit[:2] for visit in visits[1:]] + [None]
+        nexts = [visit[3] for visit in visits[1:]] + [None]
         for tr, nxt in zip(transitions, nexts):
             self._check_transition(tr.h, tr.reward_sample, nxt)
-        for tr, (feats, regions, i), nxt in zip(transitions, visits, nexts):
-            self.observe_transition(tr.h, feats[0, i], int(regions[0, i]), tr.reward_sample, nxt)
+        for tr, (phi, region, _, _), nxt in zip(transitions, visits, nexts):
+            self.observe_transition(tr.h, phi, region, tr.reward_sample, nxt)
         self.k += 1
         return transitions, total
 
     # -- policy probe (for oracle evaluation) --------------------------------
 
     def register_probe(self, states: np.ndarray) -> None:
-        """Precompute feature blocks of a fixed state grid for fast greedy reads."""
+        """Precompute the blocks, or at degree 0 the cells, of a fixed state grid for greedy reads."""
+        if self._cells:
+            self._probe = self._state_cells(states)
+            return
         feats, regions = self._blocks(states)
         feats.flags.writeable = False
         regions.flags.writeable = False
@@ -452,6 +509,8 @@ class CinderellaLearner:
         """Greedy grid-action index at every probe state, per step: (H+1, n)."""
         if self._probe is None:
             raise ValueError("no probe registered")
+        if self._cells:
+            return self._greedy[:, self._probe]
         n = self._probe[1].regions.shape[0]
         out = np.zeros((self.H + 1, n), dtype=np.int64)
         for h in range(1, self.H + 1):

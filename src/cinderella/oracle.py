@@ -118,8 +118,8 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     return rewards, kernels
 
 
-def policy_value(rewards, kernels, action_idx, state_axis, s1) -> float:
-    """V^pi_1(s1) by backward induction over ``policy_eval_tables``.
+def policy_values(rewards, kernels, action_idx) -> np.ndarray:
+    """V^pi_1 at every grid state, (n_s,), by backward induction over ``policy_eval_tables``.
 
     ``action_idx[h]`` is (n_s, J): at each grid state the policy plays one of
     those J table actions uniformly at random, so J = 1 is a deterministic
@@ -135,7 +135,12 @@ def policy_value(rewards, kernels, action_idx, state_axis, s1) -> float:
         if kernels[h] is not None:
             backup = backup + np.einsum("ijk,k->ij", kernels[h][rows, a], v_next)
         v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
-    return float(np.interp(s1[0], state_axis, v_next))
+    return v_next
+
+
+def policy_value(rewards, kernels, action_idx, state_axis, s1) -> float:
+    """V^pi_1(s1): ``policy_values`` linearly interpolated on ``state_axis``."""
+    return float(np.interp(s1[0], state_axis, policy_values(rewards, kernels, action_idx)))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cinderella.geometry import (
     assign_regions,
     auto_epsilon,
+    axis_cells,
     build_partition,
     grid_pairs,
 )
@@ -125,6 +126,26 @@ def test_assign_rejects_out_of_domain():
         assign_regions(part, np.array([[1.2, 0.0]]))
     with pytest.raises(ValueError, match="outside"):
         assign_regions(part, np.array([[np.nan, 0.0]]))
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.4, 0.25, 0.2])
+def test_axis_cells_are_assign_regions_in_one_dimension(eps):
+    """-1, every cell boundary -1 + 2j/m and +1 get the cell of a 1-d partition."""
+    part = build_partition(1, eps)
+    m = part.cells_per_axis
+    coords = np.concatenate([[-1.0], -1.0 + 2.0 * np.arange(1, m) / m, [1.0]])
+    cells = axis_cells(coords, m)
+    np.testing.assert_array_equal(cells, assign_regions(part, coords[:, None]))
+    # The boundary between cells j and j + 1 falls to cell j.
+    np.testing.assert_array_equal(cells, [0, *range(m - 1), m - 1])
+
+
+@pytest.mark.parametrize("coord", [np.nan, 1.0 + 1e-9, -1.5, np.inf])
+def test_axis_cells_reject_what_assign_regions_rejects(coord):
+    with pytest.raises(ValueError, match=r"point outside \[-1, 1\]\^d"):
+        axis_cells(np.array([0.0, coord]), 4)
+    with pytest.raises(ValueError, match=r"point outside \[-1, 1\]\^d"):
+        assign_regions(build_partition(1, 0.25), np.array([[0.0], [coord]]))
 
 
 def test_grid_pairs_states_slowest_actions_fastest():

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cinderella
+from cinderella import harness
 from cinderella.checks import check_suite
 from cinderella.cli import main as cli_main
 from cinderella.envs import env_uniform_shift
@@ -19,6 +20,8 @@ from cinderella.harness import (
     CSV_HEADER,
     RunConfig,
     _policy_eval_tables,
+    build_env,
+    build_learner,
     derive_seed,
     load_config,
     make_rng,
@@ -26,7 +29,7 @@ from cinderella.harness import (
     run_sweep,
 )
 from cinderella.learner import CinderellaLearner
-from cinderella.oracle import dp_solve
+from cinderella.oracle import dp_solve, policy_eval_tables, policy_value, policy_values
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -337,6 +340,41 @@ def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
     run_experiment(cfg)
     assert calls["act"] == calls["observe_transition"] == cfg.horizon * cfg.episodes
     assert calls["plan"] == calls["greedy_action_indices"] == cfg.episodes
+
+
+def test_each_played_policy_is_evaluated_once(monkeypatch):
+    """The played policy is evaluated when it changes, and every vpi is its direct value."""
+    policies, evaluations = [], []
+
+    def recording(fn, log):
+        def wrapper(*args, **kwargs):
+            out = fn(*args, **kwargs)
+            log.append(out)
+            return out
+
+        return wrapper
+
+    monkeypatch.setattr(
+        CinderellaLearner,
+        "greedy_action_indices",
+        recording(CinderellaLearner.__dict__["greedy_action_indices"], policies),
+    )
+    monkeypatch.setattr(harness, "_played_policy_value", recording(policy_values, evaluations))
+    cfg = _small_config(episodes=40)
+    trace = run_experiment(cfg)
+
+    assert len(policies) == cfg.episodes
+    changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(policies, policies[1:]))
+    assert len(evaluations) == changes < cfg.episodes
+    env, learner = build_env(cfg), build_learner(cfg)
+    dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
+    rewards, kernels = policy_eval_tables(env, dp, learner.actions)
+    s1 = np.full(1, cfg.init_value)
+    want = [
+        policy_value(rewards, kernels, actions[:, :, None], dp.state_points[:, 0], s1)
+        for actions in policies
+    ]
+    np.testing.assert_array_equal(trace.column("vpi"), want)
 
 
 def test_trace_invariants():

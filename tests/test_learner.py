@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from conftest import clipped_q, naive_row
 import cinderella.learner as learner_mod
 from cinderella.checks import tiny_exact_linear_setup
 from cinderella.envs import LearnerView, env_exact_linear
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
-from cinderella.geometry import build_partition
+from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
+from cinderella.geometry import assign_regions, build_partition, grid_pairs
 from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import (
     WIDTH_CACHE_MIN_DIM,
@@ -387,7 +388,10 @@ def test_partition_centers_and_probe_blocks_are_read_only():
 
 @pytest.mark.parametrize("nu, horizon", [(1.0, 2), (2.0, 3)])
 def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horizon):
-    """One relaxation episode evaluates regions and features once per visited state."""
+    """One relaxation episode evaluates regions and features once per visited state.
+
+    At degree 0 (nu = 1) it evaluates neither: a state's cell gives its regions.
+    """
     cfg = RunConfig(env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5)
     env, learner = build_env(cfg), build_learner(cfg)
     learner.register_probe(np.linspace(-1.0, 1.0, 5)[:, None])
@@ -404,8 +408,40 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
     for name in ("assign_regions", "features_at_centers"):
         monkeypatch.setattr(learner_mod, name, counting(name, getattr(learner_mod, name)))
     learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, 2, 0, 1))
-    assert calls == {"assign_regions": horizon, "features_at_centers": horizon}
+    assert learner._cells == (nu == 1.0)
+    want = 0 if learner._cells else horizon
+    assert calls == {"assign_regions": want, "features_at_centers": want}
     assert [hist.size for hist in learner.history[1:]] == [2] * horizon
+
+
+@pytest.mark.parametrize("eps", [1.0, 0.5, 0.4, 0.25, 0.2])
+def test_state_cells_follow_assign_regions_on_boundaries(eps):
+    """-1, every cell boundary -1 + 2j/m and +1 land in the cells ``assign_regions`` gives."""
+    learner = _fresh_learner(degree=0, eps=eps, horizon=2)
+    m = learner.partition.cells_per_axis
+    states = np.concatenate([[-1.0], -1.0 + 2.0 * np.arange(1, m) / m, [1.0], [0.1, -0.7]])
+    pairs = grid_pairs(states[:, None], learner.actions)
+    regions = assign_regions(learner.partition, pairs).reshape(len(states), -1)
+    cells = learner._state_cells(states[:, None])
+    np.testing.assert_array_equal(regions // m, np.repeat(cells[:, None], regions.shape[1], axis=1))
+    np.testing.assert_array_equal(learner._cell_regions[cells], regions)
+    for s, cell, row in zip(states, cells, regions):
+        for h in (1, 2):
+            phi, region, i, key = learner.act(h, np.array([s]))
+            assert key == cell and region == row[i]
+            np.testing.assert_array_equal(phi, taylor_features(learner.fmap, pairs[0]))
+
+
+@pytest.mark.parametrize("state", [math.nan, 1.0 + 1e-9, -1.5, math.inf])
+def test_state_cells_reject_what_assign_regions_rejects(state):
+    learner = _fresh_learner(degree=0, eps=0.5)
+    match = re.escape("point outside [-1, 1]^d")
+    with pytest.raises(ValueError, match=match):
+        assign_regions(learner.partition, np.array([[state, 0.0]]))
+    with pytest.raises(ValueError, match=match):
+        learner.act(1, np.array([state]))
+    with pytest.raises(ValueError, match=match):
+        learner.register_probe(np.array([[0.0], [state]]))
 
 
 def _nan_reward_at_step_2(env):
@@ -423,17 +459,18 @@ def _nan_next_state(env):
 
 
 @pytest.mark.parametrize(
-    "episodes, make_env, match",
+    "episodes, make_env, nu, match",
     [
-        (8, _nan_reward_at_step_2, "non-finite reward"),
-        (2, lambda env: env, "history full: step 1"),  # the episode after the last
-        (8, _nan_next_state, "outside"),
+        (8, _nan_reward_at_step_2, 2.0, "non-finite reward"),
+        (2, lambda env: env, 2.0, "history full: step 1"),  # the episode after the last
+        (8, _nan_next_state, 2.0, "outside"),
+        (8, _nan_next_state, 1.0, "outside"),  # degree 0: the state-cell lookup rejects it
     ],
-    ids=["nan-reward-step-2", "full-history", "nan-next-state"],
+    ids=["nan-reward-step-2", "full-history", "nan-next-state", "nan-next-state-degree-0"],
 )
-def test_failed_episode_changes_nothing(episodes, make_env, match):
+def test_failed_episode_changes_nothing(episodes, make_env, nu, match):
     """An episode that fails in its rollout or at any step's absorb leaves the learner as it was."""
-    cfg = RunConfig(env_name="uniform_shift", episodes=episodes, horizon=2, nu=2.0, epsilon=0.5)
+    cfg = RunConfig(env_name="uniform_shift", episodes=episodes, horizon=2, nu=nu, epsilon=0.5)
     env, learner = build_env(cfg), build_learner(cfg)
     for k in range(1, 3):
         learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, k, 0, 1))

@@ -8,13 +8,15 @@ history blocks and scores whole blocks at once; both must plan the same
 tables and pick the same actions. A second pin holds the learner's cached
 bonus widths to a fresh computation over many plans, and a third holds the
 oracle probe's greedy indices to the actions ``act`` picks. A fourth holds
-the degree-0 path, which gathers per-region scores, to the general per-entry
-scoring path bit for bit. A fifth holds ``plan_and_act_episode``, which
-absorbs the blocks its rollout scored, bit for bit to a loop of ``plan``,
-``run_episode`` and ``observe_transition`` fed with rows computed point by
-point and next-state blocks computed afresh.
+the degree-0 cell path, which plans, acts and probes from one (state cell x
+grid action) table per step, to the general per-entry scoring path bit for
+bit. A fifth holds ``plan_and_act_episode``, which absorbs the keys its
+rollout located, bit for bit to a loop of ``plan``, ``run_episode`` and
+``observe_transition`` fed with rows computed point by point and next-state
+keys computed afresh.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -32,9 +34,17 @@ HOT_VISITS = REINVERT_EVERY + 8  # region 0 crosses one re-inversion at every st
 SPREAD_VISITS = 40
 
 
-def _learner(degree, horizon, epsilon=0.5, planner="relaxation"):
+def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=False):
+    """A learner on a 2-d partition; ``general_path`` keeps a degree-0 learner off the cell path.
+
+    The cell path is chosen when the learner is built, from the index set's
+    degree; with that label cleared the same one constant feature runs
+    through the general blocks, history and scoring rule.
+    """
     part = build_partition(2, epsilon)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
+    if general_path:
+        fmap = dataclasses.replace(fmap, index_set=dataclasses.replace(fmap.index_set, degree=None))
     schedule = BonusSchedule(
         delta=0.1,
         lam_reg=1.0,
@@ -62,8 +72,8 @@ def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
             s, a = rng.uniform(-1.0, hi, size=1), rng.uniform(-1.0, hi, size=1)
             r = float(rng.uniform(-1.5, 1.5))  # wide enough to hit both target clips
             s_next = rng.uniform(-1.0, 1.0, size=1) if h < learner.H else None
-            next_blocks = None if s_next is None else learner._blocks(s_next)
-            learner.observe_transition(h, *naive_row(learner.fmap, s, a), r, next_blocks)
+            next_key = None if s_next is None else learner.act(h + 1, s_next)[3]
+            learner.observe_transition(h, *naive_row(learner.fmap, s, a), r, next_key)
             records.append((h, s, a, r, s_next))
     return records
 
@@ -144,16 +154,27 @@ def test_learner_matches_naive_reference(degree, horizon):
             np.testing.assert_array_equal(learner.actions[learner.act(h, s)[2]], ref.act(h, s))
 
 
-def _uncached_plan(learner):
-    """theta_all and greedy probe actions re-planned with widths computed afresh."""
+def _uncached_plan(learner, probe_states):
+    """theta_all and greedy probe actions re-planned by the general rule, widths computed afresh.
+
+    At degree 0 a history row keeps its next state's cell; the blocks of the
+    cell's center are those of every state in the cell.
+    """
+
+    def next_values(h, keys, p):
+        if learner._cells:
+            m = learner.partition.cells_per_axis
+            blocks = learner._blocks(learner.partition.centers[keys[:p] * m, :1])
+        else:
+            blocks = keys.feats[:p], keys.regions[:p]
+        return np.clip(learner._scores(h, *blocks), 0.0, 1.0).max(axis=1)
+
     cached = learner.theta_all
     theta = learner.theta_all = np.zeros_like(cached)
     try:
         for h in range(learner.H, 0, -1):
-            theta[h] = learner._refit(
-                h, lambda b, p: learner._scores(h + 1, b.feats[:p], b.regions[:p])
-            )
-        feats, regions = learner._probe[1].feats, learner._probe[1].regions
+            theta[h] = learner._refit(h, lambda keys, p: next_values(h + 1, keys, p))
+        feats, regions = learner._blocks(probe_states)
         greedy = np.zeros((learner.H + 1, feats.shape[0]), dtype=np.int64)
         for h in range(1, learner.H + 1):
             greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
@@ -174,8 +195,8 @@ ROUNDS = [(REINVERT_EVERY - 12, 0), (20, 0), (0, 30), (0, 0)]
 def test_cached_widths_match_uncached_scores(degree, horizon):
     rng = np.random.default_rng(2000 + 10 * degree + horizon)
     learner = _learner(degree, horizon)
-    learner._width_cache = True  # plan() leaves it off at d = 1; pin it there too
-    learner.register_probe(rng.uniform(-1.0, 1.0, size=(23, 1)))
+    probe_states = rng.uniform(-1.0, 1.0, size=(23, 1))
+    learner.register_probe(probe_states)
     for i, (hot, spread) in enumerate(ROUNDS):
         before = learner.counts[1:, 0].copy()
         _feed(learner, rng, hot, spread)
@@ -185,10 +206,12 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
         learner.k = 11 * i  # alpha changes between plans
         learner.plan()
 
-        theta, greedy = _uncached_plan(learner)
+        theta, greedy = _uncached_plan(learner, probe_states)
         np.testing.assert_array_equal(learner.theta_all, theta)
         np.testing.assert_array_equal(learner.last_policy_actions, greedy)
         np.testing.assert_array_equal(learner.greedy_action_indices(), greedy)
+        if learner._cells:
+            continue  # degree-0 histories and probes keep cells, with no widths to cache
         for h in range(1, horizon + 1):
             probe = learner._probe[h]
             np.testing.assert_array_equal(
@@ -211,11 +234,13 @@ def test_probe_greedy_indices_match_act(degree, cache):
     learner._width_cache = cache
     states = rng.uniform(-1.0, 1.0, size=(17, 1))
     learner.register_probe(states)
-    probe = learner._probe[1]
     for i, s in enumerate(states):
-        feats, regions = learner._blocks(s)
-        np.testing.assert_array_equal(probe.feats[i], feats[0])
-        np.testing.assert_array_equal(probe.regions[i], regions[0])
+        key = learner.act(1, s)[3]
+        if learner._cells:
+            assert learner._probe[i] == key
+        else:
+            np.testing.assert_array_equal(learner._probe[1].feats[i], key[0][0])
+            np.testing.assert_array_equal(learner._probe[1].regions[i], key[1][0])
     for hot, spread in [(30, 10), (0, 20)]:
         _feed(learner, rng, hot, spread)
         learner.k += 7
@@ -229,15 +254,28 @@ def test_probe_greedy_indices_match_act(degree, cache):
 
 @pytest.mark.parametrize(
     "horizon, epsilon, planner",
-    [(1, 0.5, "relaxation"), (2, 0.5, "relaxation"), (3, 0.5, "relaxation"), (2, 1.0, "exact-grid")],
+    [
+        (1, 0.5, "relaxation"),
+        (2, 0.5, "relaxation"),
+        (3, 0.5, "relaxation"),
+        (2, 1.0, "exact-grid"),
+        (1, 1.0, "exact-grid"),
+        (3, 1.0, "exact-grid"),
+    ],
 )
 def test_region_scores_match_general_path(horizon, epsilon, planner):
-    """At degree 0 the per-region scores gathered by region equal the per-entry einsums exactly."""
+    """At degree 0 the cell path gives the general path's floats and picks, bit for bit.
+
+    Both learners absorb the same random rows, then each runs episodes of its
+    own; the cell path's history keeps next cells where the general path keeps
+    next-state blocks, and those must agree through the cell regions.
+    """
     seed = 4000 + 10 * horizon + (planner == "exact-grid")
-    learners = [_learner(0, horizon, epsilon, planner) for _ in range(2)]
-    region, general = learners
-    assert region._region_scores and region.d == 1
-    general._region_scores = False  # force the general path
+    cell = _learner(0, horizon, epsilon, planner)
+    general = _learner(0, horizon, epsilon, planner, general_path=True)
+    learners = (cell, general)
+    assert cell._cells and not general._cells and cell.d == general.d == 1
+    env = build_env(RunConfig(env_name="uniform_shift", horizon=horizon))
     rng = np.random.default_rng(seed)
     probe_states = rng.uniform(-1.0, 1.0, size=(19, 1))
     for learner in learners:
@@ -250,18 +288,38 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for learner in learners:
             learner.plan(s1)
 
-        np.testing.assert_array_equal(region.counts, general.counts)
-        np.testing.assert_array_equal(region.theta_all, general.theta_all)
-        np.testing.assert_array_equal(region.alpha_all, general.alpha_all)
-        np.testing.assert_array_equal(region.last_policy_actions, general.last_policy_actions)
+        for name in ("counts", "lam_all", "lam_inv_all", "theta_all", "alpha_all"):
+            np.testing.assert_array_equal(getattr(cell, name), getattr(general, name))
+        np.testing.assert_array_equal(cell.last_policy_actions, general.last_policy_actions)
         for s in rng.uniform(-1.0, 1.0, size=(5, 1)):
-            assert region.value_estimate(s) == general.value_estimate(s)
+            assert cell.value_estimate(s) == general.value_estimate(s)
             for h in range(1, horizon + 1):
-                assert region.act(h, s)[2] == general.act(h, s)[2]
+                (phi, region, index, _), want = cell.act(h, s), general.act(h, s)
+                np.testing.assert_array_equal(phi, want[0])
+                assert (region, index) == want[1:3]
         for z in rng.uniform(-1.0, 1.0, size=(5, 2)):
             for h in range(1, horizon + 1):
-                assert clipped_q(region, h, z) == clipped_q(general, h, z)
-    assert region.counts[1:, 0].min() > REINVERT_EVERY
+                assert clipped_q(cell, h, z) == clipped_q(general, h, z)
+
+        s1 = rng.uniform(-1.0, 1.0, size=1)
+        got, want = [
+            learner.plan_and_act_episode(env, s1, make_rng(seed, i, 0, 1)) for learner in learners
+        ]
+        assert got[1] == want[1]
+        for a, b in zip(got[0], want[0]):
+            np.testing.assert_array_equal(a.action, b.action)
+            assert a.reward_sample == b.reward_sample
+        for name in ("counts", "lam_all", "lam_inv_all", "theta_all", "alpha_all"):
+            np.testing.assert_array_equal(getattr(cell, name), getattr(general, name))
+    assert cell.counts[1:, 0].min() > REINVERT_EVERY
+    for a, b in zip(cell.history[1:], general.history[1:]):
+        p = a.size
+        assert p == b.size == sum(map(sum, ROUNDS)) + len(ROUNDS)  # fed rows, then episodes
+        for name in ("feats", "rewards", "regions"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+        if a.next is not None:
+            np.testing.assert_array_equal(b.next.feats[:p], 1.0)
+            np.testing.assert_array_equal(cell._cell_regions[a.next[:p]], b.next.regions[:p])
 
 
 @pytest.mark.parametrize(
@@ -274,7 +332,7 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
     ],
 )
 def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planner):
-    """The episode path's reused rollout blocks give the floats of rows computed afresh."""
+    """The episode path's reused rollout keys give the floats of rows computed afresh."""
     cfg = RunConfig(
         env_name=env_name, episodes=40, horizon=horizon, nu=nu, epsilon=epsilon, planner=planner
     )
@@ -292,7 +350,7 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
         )
         for tr in want:
             row = naive_row(public.fmap, tr.state, tr.action)
-            nxt = None if tr.next_state is None else public._blocks(tr.next_state)
+            nxt = None if tr.next_state is None else public.act(tr.h + 1, tr.next_state)[3]
             public.observe_transition(tr.h, *row, tr.reward_sample, nxt)
         public.k += 1
 
@@ -313,7 +371,9 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
         for name in ("feats", "rewards", "regions"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         assert (a.next is None) == (b.next is None)
-        if a.next is not None:
+        if a.next is not None and episode._cells:
+            np.testing.assert_array_equal(a.next, b.next)  # next cells
+        elif a.next is not None:
             np.testing.assert_array_equal(a.next.feats, b.next.feats)
             np.testing.assert_array_equal(a.next.regions, b.next.regions)
     assert sum(hist.size for hist in episode.history) == horizon * cfg.episodes

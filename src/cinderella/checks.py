@@ -15,7 +15,7 @@ import time
 import numpy as np
 
 from .envs import env_uniform_shift
-from .features import TaylorFeatureMap, enumerate_multi_indices
+from .features import TaylorFeatureMap, enumerate_multi_indices, extend_features, taylor_features
 from .geometry import assign_regions, build_partition
 from .harness import STREAM_ENV, RunConfig, build_env, build_learner, make_rng
 from .oracle import dp_solve, inherent_error_estimate, taylor_remainder_check
@@ -84,9 +84,6 @@ def _check_ridge(dim: int, n_updates: int):
 
 
 def _check_extension(n_queries: int):
-    from .features import extend_features, taylor_features
-    from .geometry import assign_regions
-
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 2))
     rng = np.random.default_rng(11)

@@ -21,13 +21,12 @@ from .geometry import uniform_grid
 REWARD_NOISE_TRUNCATION = 4.0  # reward noise support is +-4 sigma
 
 
-def _truncated_gaussian(rng: np.random.Generator, sigma: float, size=None) -> np.ndarray:
-    """Zero-mean Gaussian(sigma) truncated at +-4 sigma, via inverse CDF."""
+def _truncated_gaussian(rng: np.random.Generator, sigma: float) -> float:
+    """One zero-mean Gaussian(sigma) draw truncated at +-4 sigma, via inverse CDF."""
     if sigma == 0.0:
-        return np.zeros(size) if size is not None else 0.0
+        return 0.0
     lo, hi = ndtr(-REWARD_NOISE_TRUNCATION), ndtr(REWARD_NOISE_TRUNCATION)
-    u = rng.uniform(lo, hi, size=size)
-    return sigma * ndtri(u)
+    return float(sigma * ndtri(rng.uniform(lo, hi)))
 
 
 @dataclass(frozen=True)
@@ -65,7 +64,7 @@ class EnvironmentModel:
 
     def sample_reward(self, h: int, z: np.ndarray, rng: np.random.Generator) -> float:
         mean = float(self.reward_mean(h, np.asarray(z, dtype=float)[None, :])[0])
-        return mean + float(_truncated_gaussian(rng, self.reward_noise_sigma))
+        return mean + _truncated_gaussian(rng, self.reward_noise_sigma)
 
 
 @dataclass(frozen=True)
@@ -169,7 +168,7 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
         return
     rng = np.random.default_rng(0)
     Z = rng.uniform(-1, 1, size=(8, env.dim))
-    grid = np.linspace(-1, 1, n_quad)[:, None]
+    grid = uniform_grid(n_quad, 1)
     w = 2.0 / (n_quad - 1)
     dens = env.transition_density(1, Z, grid)
     totals = dens.sum(axis=1) * w

@@ -42,9 +42,6 @@ from .features import TaylorFeatureMap, features_at_centers
 from .geometry import assign_regions, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
 
-# Below this feature dimension the bonus quadratic form is as cheap as
-# finding the stale entries of a width cache, so widths are not cached.
-WIDTH_CACHE_MIN_DIM = 2
 # Grid points per uncertainty coordinate in the exact-grid planner.
 _EXACT_GRID_RESOLUTION = 5
 
@@ -173,9 +170,9 @@ class CinderellaLearner:
     ``alpha_all`` (H+1, N), indexed by h starting at 1, and ``_scores`` is
     the one scoring rule that reads them. Both planners score the history's
     next-state blocks and the probe's blocks through ``_block_scores``, which
-    caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` at
-    ``d_feat >= WIDTH_CACHE_MIN_DIM`` (see ``_Blocks`` for when a cached width
-    is valid). ``alpha`` stays outside the cache because it changes with ``k``.
+    caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see
+    ``_Blocks`` for when a cached width is valid). ``alpha`` stays outside
+    the cache because it changes with ``k``.
 
     At degree 0 a state is its state cell: ``_cell_regions`` (C, M) holds
     the regions of every state cell x grid action, ``_cell_scores(h)`` gathers
@@ -247,7 +244,6 @@ class CinderellaLearner:
         self.history = [
             _StepHistory(K, d, next_keys() if 1 <= h < H else None) for h in range(H + 1)
         ]
-        self._width_cache = d >= WIDTH_CACHE_MIN_DIM
         self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
@@ -296,13 +292,11 @@ class CinderellaLearner:
     def _block_scores(self, h: int, blocks: _Blocks, rows: int) -> np.ndarray:
         """Raw optimistic step-h scores (rows, M) of the first ``rows`` block rows.
 
-        With the width cache on, rows from ``blocks.fresh`` on are computed in
-        full and older entries only where their region's step-h count differs
-        from ``blocks.seen``; the cache is then current for ``rows`` rows.
+        Widths of rows from ``blocks.fresh`` on are computed in full and older
+        ones only where their region's step-h count differs from
+        ``blocks.seen``; the cache is then current for ``rows`` rows.
         """
         feats, regions = blocks.feats[:rows], blocks.regions[:rows]
-        if not self._width_cache:
-            return self._scores(h, feats, regions)
         width, fresh = blocks.width[:rows], blocks.fresh
         stale = self.counts[h] != blocks.seen
         if fresh and stale.any():

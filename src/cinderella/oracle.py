@@ -38,10 +38,10 @@ class GridDP:
     v: np.ndarray  # (H + 2, n_s)
     q: np.ndarray  # (H + 1, n_s, n_a)
 
-    def value_at(self, s: np.ndarray, h: int = 1) -> float:
-        """Linearly interpolated V_h at an arbitrary state."""
+    def value_at(self, s: np.ndarray) -> float:
+        """Linearly interpolated V_1 at an arbitrary state."""
         s = np.atleast_1d(np.asarray(s, dtype=float))
-        return float(np.interp(s[0], self.state_points[:, 0], self.v[h]))
+        return float(np.interp(s[0], self.state_points[:, 0], self.v[1]))
 
     def report(self, s1: np.ndarray) -> dict:
         return {
@@ -203,9 +203,11 @@ def inherent_error_estimate(
     """Sampled sup-inf estimate of the inherent Bellman error.
 
     For each sampled next-step parameter the Bellman image is computed by
-    quadrature on a state-action grid; the best per-region Chebyshev fit under
-    the box constraint then gives the step's residual. Regions are fitted
-    independently, mirroring the product structure of the class. Candidate
+    quadrature on a state-action grid with ``dp_solve``'s row-normalized
+    kernel, so constant images are fitted exactly; the best per-region
+    Chebyshev fit under the box constraint then gives the step's residual.
+    Regions are fitted independently, mirroring the product structure of the
+    class. Candidate
     value functions are clipped to [0, 1] before the backup, keeping the
     sampled class inside the normalized range the box family presumes.
     """
@@ -220,7 +222,6 @@ def inherent_error_estimate(
     Z = grid_pairs(sp, ap)
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])
-    quad_w = (2.0 / (m_state - 1)) ** env.state_dim
     H = env.horizon
     N, d_feat = partition.n_regions, fmap.dim_features
 
@@ -233,14 +234,14 @@ def inherent_error_estimate(
         else:
             candidates = _candidate_thetas(N, d_feat, theta_box_radius, rng)
         n_cands = max(n_cands, len(candidates))
-        dens = env.transition_density(h, Z, sp) * quad_w if h < H else None
+        kernel = _discretized_kernel(env, h, Z, sp, m_state) if h < H else None
         worst = 0.0
         for theta_next in candidates:
             target = env.reward_mean(h, Z)
             if h < H:
                 q_next = np.einsum("zf,zf->z", z_feats, theta_next[z_regions])
                 w_vals = np.clip(q_next.reshape(n_s, n_a), 0.0, 1.0).max(axis=1)
-                target = target + dens @ w_vals
+                target = target + kernel @ w_vals
             for n in range(N):
                 mask = z_regions == n
                 if not np.any(mask):

@@ -13,7 +13,6 @@ from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylo
 from cinderella.geometry import assign_regions, build_partition, grid_pairs
 from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import (
-    WIDTH_CACHE_MIN_DIM,
     BonusSchedule,
     CinderellaLearner,
     alpha_radius,
@@ -282,15 +281,15 @@ def test_exact_grid_guard_rejects_large_instances():
 def test_exact_grid_reads_only_theta_at_d3():
     """act, value_estimate and the probe equal the max of phi . theta_bar, by hand.
 
-    At d_feat = 3 the width cache is on, so the history and probe scores of
-    the search go through it while the zero radii keep it out of the scores.
+    At d_feat = 3 the history and probe scores of the search go through the
+    width cache while the zero radii keep it out of the scores.
     """
     config = RunConfig(
         env_name="uniform_shift", episodes=6, horizon=2, nu=2.0, epsilon=1.0,
         planner="exact-grid", bonus_scale=1.0,
     )
     env, learner = build_env(config), build_learner(config)
-    assert learner.d >= WIDTH_CACHE_MIN_DIM and learner.H * learner.N * learner.d == 6
+    assert learner.H * learner.N * learner.d == 6
     states = np.linspace(-1.0, 1.0, 9)[:, None]
     learner.register_probe(states)
     for k in range(1, 6):

@@ -222,6 +222,38 @@ def test_inherent_error_zero_class_saturates():
     assert rep.estimate <= 1.0 + 1e-9
 
 
+@pytest.mark.parametrize("m_state", [17, 33])
+@pytest.mark.parametrize(
+    "make_env",
+    [
+        lambda: env_uniform_shift(0.5, reward="zero", horizon=2),
+        lambda: env_smooth_drift(0.5, 0.3, reward="zero", horizon=2),
+    ],
+    ids=["uniform_shift", "smooth_drift"],
+)
+def test_inherent_error_zero_for_constant_images(make_env, m_state):
+    # Zero reward and one constant feature on one region: every Bellman image
+    # of a clipped constant is that constant, which the class holds exactly,
+    # provided the audit's kernel rows sum to one.
+    part = build_partition(2, 1.0)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
+    rep = inherent_error_estimate(
+        make_env(), part, fmap, theta_box_radius=1.0, m_state=m_state, m_action=9
+    )
+    assert rep.estimate == pytest.approx(0.0, abs=1e-9)
+
+
+def test_inherent_error_rejects_vanishing_density():
+    env = env_uniform_shift(beta=0.5, horizon=2)
+    dead = dataclasses.replace(
+        env, transition_density=lambda h, Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+    )
+    part = build_partition(2, 1.0)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
+    with pytest.raises(ValueError, match="vanished"):
+        inherent_error_estimate(dead, part, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
+
+
 def test_inherent_error_shrinks_with_finer_partition():
     env = env_uniform_shift(0.5, horizon=2)
     estimates = {}

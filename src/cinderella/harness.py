@@ -315,15 +315,18 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
 _policy_eval_tables = policy_eval_tables
 _played_policy_value = policy_values
 
+# Played policies whose step-1 values run_experiment keeps, oldest evicted first.
+_POLICY_VALUES_KEPT = 32
+
 
 def run_experiment(config: RunConfig) -> RegretTrace:
     """Execute one run: build everything from the config, measure regret.
 
     Per episode: plan and act, then value the episode's greedy policy with
     the grid oracle; the regret increment is V*(s1) - V^pi(s1). A policy is
-    evaluated when it differs from the last episode's; its step-1 values on
-    the oracle grid serve each following episode that plays it again.
-    Deterministic given (config, seed).
+    evaluated when it is not among the last ``_POLICY_VALUES_KEPT`` policies
+    evaluated; their step-1 values on the oracle grid serve every episode
+    that plays one of them again. Deterministic given (config, seed).
     """
     env = build_env(config)
     learner = build_learner(config)
@@ -334,7 +337,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
 
     rows = np.empty((config.episodes, 7))
     cum = 0.0
-    played, v_played = None, None  # the last evaluated policy and its step-1 values
+    values = {}  # step-1 values by played policy bytes, oldest first
     for k in range(1, config.episodes + 1):
         t0 = time.perf_counter()
         if config.init_mode == "uniform":
@@ -343,9 +346,14 @@ def run_experiment(config: RunConfig) -> RegretTrace:
             s1 = np.full(env.state_dim, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
         _, ret = learner.plan_and_act_episode(env, s1, env_rng)
-        if not np.array_equal(learner.last_policy_actions, played):
-            played = learner.last_policy_actions
+        played = learner.last_policy_actions
+        key = played.tobytes()
+        v_played = values.get(key)
+        if v_played is None:
+            if len(values) == _POLICY_VALUES_KEPT:
+                del values[next(iter(values))]
             v_played = _played_policy_value(rewards_pi, kernels_pi, played[:, :, None])
+            values[key] = v_played
         vstar = dp.value_at(s1)
         vpi = float(np.interp(s1[0], state_axis, v_played))
         regret = vstar - vpi

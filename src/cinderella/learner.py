@@ -14,14 +14,21 @@ parameter ``theta`` and a radius ``alpha``, and every score is
   on a small grid, and ``alpha`` is 0 because the optimism is inside
   ``theta``; feasible only for tiny instances, used to study optimism.
 
+The partition is a product grid assigned axis by axis, so a state's
+regions follow from its state cell, one (state cell x grid action) table
+built at set-up, and its features are separable: ``(s - c_s)^i`` times
+per-grid-action powers ``(a - c_a)^j`` precomputed at set-up, multiplied in
+the order of the general monomial rule, so the floats are the same.
+
 At degree 0 (``nu <= 1``) the one feature is the constant 1, so a score
-depends only on its region, and as the partition is a product grid assigned
-axis by axis, only on (state cell, grid action). Each plan gathers the N
-region scores into one (state cell x grid action) table per step, which
-gives the re-fit targets and every cell's greedy index; ``act`` and the
-probe look that up, and history rows keep their next state's cell, so
-acting, absorbing and re-fitting compute no features. The floats are those
-of the general rule.
+depends only on (state cell, grid action). Each plan gathers the N region
+scores into one (state cell x grid action) table per step, which gives the
+re-fit targets and every cell's greedy index; ``act`` and the probe look
+that up, and history rows keep their next state's cell, so acting,
+absorbing and re-fitting compute no features. At degree >= 1 the history's
+next-state blocks and the probe's blocks cache each entry's mean and bonus
+width, and a plan recomputes only the entries whose inputs moved. The
+floats are those of the general rule.
 
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
@@ -38,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .envs import run_episode
-from .features import TaylorFeatureMap, features_at_centers
+from .features import TaylorFeatureMap
 from .geometry import assign_regions, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
 
@@ -113,25 +120,47 @@ def alpha_radius(schedule: BonusSchedule, k: int, counts):
 
 
 class _Blocks:
-    """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) to score.
+    """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) of one step's scores.
 
-    ``width`` caches the blocks' bonus widths under one step's inverses.
-    ``blocks[i] = (feats, regions)`` writes one row.
-    ``counts[h, n]`` is the version of region n's step-h inverse: it is bumped
-    with every ``ridge_update``, the only writer of ``lam_inv_all``. Rows
-    below ``fresh`` hold widths computed when the step's counts were
-    ``seen``; such a width is valid iff its region's count is unchanged.
+    ``mean`` and ``width`` cache each entry's ``phi . theta`` and bonus width
+    for the rows below ``fresh``. A cached mean is valid iff its region's
+    theta row has the bits of that row in ``theta``, the step's table when
+    the blocks were last scored; a cached width iff its region's count equals
+    ``seen``. ``counts[h, n]`` is the version of region n's step-h inverse:
+    it is bumped with every ``ridge_update``, the only writer of
+    ``lam_inv_all``. ``blocks[i] = (feats, regions)`` writes one row.
     """
 
     def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int):
         self.feats = feats
         self.regions = regions
+        self.mean = np.zeros(regions.shape)
         self.width = np.zeros(regions.shape)
+        self.theta = np.zeros((n_regions, feats.shape[-1]))
         self.seen = np.zeros(n_regions, dtype=np.int64)
         self.fresh = 0
 
     def __setitem__(self, i: int, blocks) -> None:
         self.feats[i], self.regions[i] = blocks
+
+    def refresh(self, cache: np.ndarray, stale: np.ndarray, rows: int, entries) -> None:
+        """Make ``cache`` current for ``rows`` rows, given the (N,) mask of ``stale`` regions.
+
+        Rows below ``fresh`` are recomputed only at entries of stale regions,
+        gathered by flat index, and later rows in full; when every region is
+        stale all rows are recomputed at once. ``entries(feats, regions)``
+        gives the cached value of blocks of any leading shape.
+        """
+        fresh, n_stale = self.fresh, np.count_nonzero(stale)
+        if n_stale == stale.size:
+            cache[:rows] = entries(self.feats[:rows], self.regions[:rows])
+            return
+        if fresh and n_stale:
+            flat = np.flatnonzero(stale.take(self.regions[:fresh]))
+            feats = self.feats.reshape(-1, self.feats.shape[-1]).take(flat, 0)
+            cache.put(flat, entries(feats, self.regions.take(flat)))
+        if rows > fresh:
+            cache[fresh:rows] = entries(self.feats[fresh:rows], self.regions[fresh:rows])
 
 
 class _StepHistory:
@@ -170,15 +199,17 @@ class CinderellaLearner:
     ``alpha_all`` (H+1, N), indexed by h starting at 1, and ``_scores`` is
     the one scoring rule that reads them. Both planners score the history's
     next-state blocks and the probe's blocks through ``_block_scores``, which
-    caches their bonus widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see
-    ``_Blocks`` for when a cached width is valid). ``alpha`` stays outside
-    the cache because it changes with ``k``.
+    caches their means ``phi . theta`` and bonus widths
+    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see ``_Blocks`` for when a cached
+    entry is valid). ``alpha`` stays outside the cache because it changes
+    with ``k``.
 
-    At degree 0 a state is its state cell: ``_cell_regions`` (C, M) holds
-    the regions of every state cell x grid action, ``_cell_scores(h)`` gathers
-    the N region scores ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M)
-    step-h table, and ``plan`` keeps its argmax per cell in ``_greedy``
-    (H+1, C). The history stores next cells and the probe its states' cells.
+    ``_cell_regions`` (C, M) holds the regions of every state cell x grid
+    action, and ``_blocks`` reads a state's regions from it. At degree 0 a
+    state is its state cell: ``_cell_scores(h)`` gathers the N region scores
+    ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M) step-h table, and
+    ``plan`` keeps its argmax per cell in ``_greedy`` (H+1, C). The history
+    stores next cells and the probe its states' cells.
 
     ``plan_and_act_episode`` plans, then runs the episode through ``act`` and
     ``observe_transition``, the learner's only greedy and absorb paths. Each
@@ -224,15 +255,25 @@ class CinderellaLearner:
         self.lam_inv_all = np.tile(np.eye(d) / lam0, (H + 1, N, 1, 1))
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
         M, K = self.actions.shape[0], schedule.episodes
+        # The first center of each state cell: its action coordinates lie in
+        # the first action cell, which repeats every m^d_A centers.
+        m = partition.cells_per_axis
+        cell_centers = partition.centers[:: m**self.action_dim, :1]
+        regions = assign_regions(partition, grid_pairs(cell_centers, self.actions))
+        self._cell_regions = regions.reshape(-1, M)
+        self._cell_centers = cell_centers[:, 0]
+        # Features are (s - c_s)^i * (a_1 - c_1)^j_1 * ..., the order in which
+        # features_at_centers' product runs; each grid action's offsets from
+        # its cell center are the same in every state cell.
+        exps = fmap.index_set.indices
+        offsets = self.actions - partition.centers[self._cell_regions[0], 1:]
+        self._state_exps = exps[:, 0]
+        self._action_powers = [
+            offsets[:, j, None] ** exps[:, j + 1] for j in range(self.action_dim)
+        ]
         self._cells = fmap.index_set.degree == 0
         if self._cells:
-            # The first center of each state cell: its action coordinates lie
-            # in the first action cell, which repeats every m^d_A centers.
-            m = partition.cells_per_axis
-            cell_centers = partition.centers[:: m**self.action_dim, :1]
-            regions = assign_regions(partition, grid_pairs(cell_centers, self.actions))
-            self._cell_regions = regions.reshape(-1, M)
-            self._greedy = np.zeros((H + 1, cell_centers.shape[0]), dtype=np.int64)
+            self._greedy = np.zeros((H + 1, m), dtype=np.int64)
             self._one = np.ones(1)  # the one feature, the same for every row
             self._one.flags.writeable = False
 
@@ -257,14 +298,15 @@ class CinderellaLearner:
     def _blocks(self, states: np.ndarray):
         """Features (n, M, d) and regions (n, M) of (s, a) for every grid action.
 
-        ``states`` is (n, 1), or one state of shape (1,) giving n = 1.
+        ``states`` is (n, 1), or one state of shape (1,) giving n = 1. The
+        floats are those of ``features_at_centers`` on ``assign_regions``.
         """
-        states = np.asarray(states, dtype=float).reshape(-1, 1)
-        n, M = states.shape[0], self.actions.shape[0]
-        Z = grid_pairs(states, self.actions)
-        regions = assign_regions(self.partition, Z)
-        feats = features_at_centers(self.fmap, Z, self.partition.centers[regions])
-        return feats.reshape(n, M, self.d), regions.reshape(n, M)
+        cells = self._state_cells(states)
+        offsets = np.reshape(states, -1) - self._cell_centers[cells]
+        feats = (offsets[:, None] ** self._state_exps)[:, None, :] * self._action_powers[0]
+        for powers in self._action_powers[1:]:
+            feats *= powers
+        return feats, self._cell_regions[cells]
 
     def _state_cells(self, states: np.ndarray) -> np.ndarray:
         """State cell (n,) of ``states`` (n, 1), or of one state of shape (1,)."""
@@ -274,17 +316,22 @@ class CinderellaLearner:
 
     def _width(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the step-h inverses."""
-        li = self.lam_inv_all[h][regions]
+        li = self.lam_inv_all[h].take(regions, 0)  # as [regions], faster on large blocks
         quad = np.einsum("...d,...de,...e->...", feats, li, feats)
         return np.sqrt(np.maximum(quad, 0.0))
 
-    def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray, width=None) -> np.ndarray:
+    def _mean(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
+        """Mean ``phi . theta`` under the step-h table."""
+        return np.einsum("...d,...d->...", feats, self.theta_all[h].take(regions, 0))
+
+    def _scores(self, h: int, feats, regions: np.ndarray, width=None, mean=None) -> np.ndarray:
         """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape.
 
-        ``width`` is the blocks' cached bonus width; it is computed when None.
+        ``width`` and ``mean`` are the blocks' cached values; each is computed
+        from ``feats`` when None.
         """
-        th = self.theta_all[h][regions]
-        mean = np.einsum("...d,...d->...", feats, th)
+        if mean is None:
+            mean = self._mean(h, feats, regions)
         if width is None:
             width = self._width(h, feats, regions)
         return mean + self.alpha_all[h][regions] * width
@@ -292,21 +339,21 @@ class CinderellaLearner:
     def _block_scores(self, h: int, blocks: _Blocks, rows: int) -> np.ndarray:
         """Raw optimistic step-h scores (rows, M) of the first ``rows`` block rows.
 
-        Widths of rows from ``blocks.fresh`` on are computed in full and older
-        ones only where their region's step-h count differs from
-        ``blocks.seen``; the cache is then current for ``rows`` rows.
+        Rows from ``blocks.fresh`` on are computed in full. Of older rows, a
+        mean is recomputed only where its region's step-h theta row differs
+        in bits from ``blocks.theta`` (so -0.0 against 0.0 counts as moved),
+        and a width only where its region's step-h count differs from
+        ``blocks.seen``. The caches are then current for ``rows`` rows.
         """
-        feats, regions = blocks.feats[:rows], blocks.regions[:rows]
-        width, fresh = blocks.width[:rows], blocks.fresh
+        theta = self.theta_all[h]
+        moved = (theta.view(np.int64) != blocks.theta.view(np.int64)).any(axis=1)
+        blocks.refresh(blocks.mean, moved, rows, lambda f, r: self._mean(h, f, r))
         stale = self.counts[h] != blocks.seen
-        if fresh and stale.any():
-            r, c = np.nonzero(stale[regions[:fresh]])
-            width[r, c] = self._width(h, feats[r, c], regions[r, c])
-        if rows > fresh:
-            width[fresh:] = self._width(h, feats[fresh:], regions[fresh:])
+        blocks.refresh(blocks.width, stale, rows, lambda f, r: self._width(h, f, r))
+        blocks.theta[:] = theta
         blocks.seen[:] = self.counts[h]
         blocks.fresh = rows
-        return self._scores(h, feats, regions, width)
+        return self._scores(h, None, blocks.regions[:rows], blocks.width[:rows], blocks.mean[:rows])
 
     def _cell_scores(self, h: int) -> np.ndarray:
         """Raw optimistic step-h scores (C, M) of every state cell x grid action, at degree 0.

@@ -52,14 +52,15 @@ class GridDP:
         }
 
 
-def _discretized_kernel(
-    env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.ndarray, m_state: int
-):
-    """Row-normalized quadrature weights for E[f(s') | z] on the state grid."""
+def _discretized_kernel(env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.ndarray):
+    """Row-normalized quadrature weights for E[f(s') | z] on the state grid.
+
+    The uniform grid's quadrature weight is the same for every point, so it
+    cancels in the normalization.
+    """
     dens = env.transition_density(h, Z, sp)
-    # Scaled and normalized in place: a kernel is the largest array of a solve,
-    # so same-size temporaries would set the peak memory.
-    dens *= 2.0 / (m_state - 1)
+    # Normalized in place: a kernel is the largest array of a solve, so a
+    # same-size temporary would set the peak memory.
     totals = dens.sum(axis=1, keepdims=True)
     if np.any(totals <= 0):
         raise ValueError("transition density vanished on the whole state grid")
@@ -91,7 +92,7 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     for h in range(H, 0, -1):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            kernel = _discretized_kernel(env, h, Z, sp, m_state)
+            kernel = _discretized_kernel(env, h, Z, sp)
             backup = backup + (kernel @ v[h + 1]).reshape(n_s, n_a)
             del kernel  # free it before the next step builds its own
         q[h] = np.clip(backup, 0.0, 1.0)
@@ -114,7 +115,7 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
         if h < H:
-            kernels[h] = _discretized_kernel(env, h, Z, sp, dp.m_state).reshape(n_s, M, n_s)
+            kernels[h] = _discretized_kernel(env, h, Z, sp).reshape(n_s, M, n_s)
     return rewards, kernels
 
 
@@ -234,7 +235,7 @@ def inherent_error_estimate(
         else:
             candidates = _candidate_thetas(N, d_feat, theta_box_radius, rng)
         n_cands = max(n_cands, len(candidates))
-        kernel = _discretized_kernel(env, h, Z, sp, m_state) if h < H else None
+        kernel = _discretized_kernel(env, h, Z, sp) if h < H else None
         worst = 0.0
         for theta_next in candidates:
             target = env.reward_mean(h, Z)

@@ -90,3 +90,20 @@ def test_exact_grid_csv_hash_d1(horizon, epsilon, expected):
         oracle_m_action=33,
     )
     assert _hash(cfg) == expected
+
+
+def test_relaxation_csv_hash_h3_nu3():
+    """H=3 at degree 2 (d_feat=6, N=4): cached means and widths at two next-state steps."""
+    cfg = RunConfig(
+        env_name="smooth_drift",
+        env_params={"drift_gain": 0.5, "noise_sigma": 0.3},
+        episodes=32,
+        horizon=3,
+        nu=3.0,
+        epsilon=0.5,
+        seed=5,
+        oracle_m_state=65,
+        oracle_m_action=33,
+        init_mode="uniform",
+    )
+    assert _hash(cfg) == "bc78fd9236a4bb0a97c32d9d7657b6b2a1cc407dd68ebd94ab0c380a0e56e4d6"

@@ -342,8 +342,11 @@ def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
     assert calls["plan"] == calls["greedy_action_indices"] == cfg.episodes
 
 
-def test_each_played_policy_is_evaluated_once(monkeypatch):
-    """The played policy is evaluated when it changes, and every vpi is its direct value."""
+def _recorded_run(monkeypatch, kept):
+    """One run keeping ``kept`` policies' values: its played policies and its evaluation count.
+
+    Every vpi is checked against the played policy's direct value.
+    """
     policies, evaluations = [], []
 
     def recording(fn, log):
@@ -360,12 +363,11 @@ def test_each_played_policy_is_evaluated_once(monkeypatch):
         recording(CinderellaLearner.__dict__["greedy_action_indices"], policies),
     )
     monkeypatch.setattr(harness, "_played_policy_value", recording(policy_values, evaluations))
+    monkeypatch.setattr(harness, "_POLICY_VALUES_KEPT", kept)
     cfg = _small_config(episodes=40)
     trace = run_experiment(cfg)
 
     assert len(policies) == cfg.episodes
-    changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(policies, policies[1:]))
-    assert len(evaluations) == changes < cfg.episodes
     env, learner = build_env(cfg), build_learner(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
     rewards, kernels = policy_eval_tables(env, dp, learner.actions)
@@ -375,6 +377,27 @@ def test_each_played_policy_is_evaluated_once(monkeypatch):
         for actions in policies
     ]
     np.testing.assert_array_equal(trace.column("vpi"), want)
+    return policies, len(evaluations)
+
+
+def test_each_played_policy_is_evaluated_once(monkeypatch):
+    """Each distinct played policy is evaluated once, and every vpi is its direct value."""
+    policies, evaluations = _recorded_run(monkeypatch, harness._POLICY_VALUES_KEPT)
+    changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(policies, policies[1:]))
+    distinct = len({actions.tobytes() for actions in policies})
+    assert evaluations == distinct < changes  # policies recur, and not only back to back
+
+
+@pytest.mark.parametrize("kept", [1, 2, 3])
+def test_kept_policy_values_are_evicted_oldest_first(monkeypatch, kept):
+    """A policy is evaluated again once ``kept`` newer ones have been evaluated since."""
+    policies, evaluations = _recorded_run(monkeypatch, kept)
+    queue, want = [], 0
+    for key in (actions.tobytes() for actions in policies):
+        if key not in queue:
+            want += 1
+            queue = [*queue, key][-kept:]
+    assert evaluations == want
 
 
 def test_trace_invariants():

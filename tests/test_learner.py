@@ -387,15 +387,15 @@ def test_partition_centers_and_probe_blocks_are_read_only():
 
 @pytest.mark.parametrize("nu, horizon", [(1.0, 2), (2.0, 3)])
 def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horizon):
-    """One relaxation episode evaluates regions and features once per visited state.
+    """One relaxation episode computes blocks once per visited state, and no region by point.
 
-    At degree 0 (nu = 1) it evaluates neither: a state's cell gives its regions.
+    At degree 0 (nu = 1) it computes none: a state's cell gives its regions.
     """
     cfg = RunConfig(env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5)
     env, learner = build_env(cfg), build_learner(cfg)
     learner.register_probe(np.linspace(-1.0, 1.0, 5)[:, None])
     learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
-    calls = {"assign_regions": 0, "features_at_centers": 0}
+    calls = {"_blocks": 0, "assign_regions": 0}
 
     def counting(name, fn):
         def wrapper(*args, **kwargs):
@@ -404,12 +404,13 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
 
         return wrapper
 
-    for name in ("assign_regions", "features_at_centers"):
-        monkeypatch.setattr(learner_mod, name, counting(name, getattr(learner_mod, name)))
+    monkeypatch.setattr(learner, "_blocks", counting("_blocks", learner._blocks))
+    monkeypatch.setattr(
+        learner_mod, "assign_regions", counting("assign_regions", learner_mod.assign_regions)
+    )
     learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, 2, 0, 1))
     assert learner._cells == (nu == 1.0)
-    want = 0 if learner._cells else horizon
-    assert calls == {"assign_regions": want, "features_at_centers": want}
+    assert calls == {"_blocks": 0 if learner._cells else horizon, "assign_regions": 0}
     assert [hist.size for hist in learner.history[1:]] == [2] * horizon
 
 

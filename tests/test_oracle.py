@@ -104,16 +104,16 @@ def _value(env, dp, actions, action_idx, s1):
     ],
     ids=["uniform_shift", "smooth_drift", "exact_linear"],
 )
-@pytest.mark.parametrize("m_state", [7, 19, 26])  # quadrature weights not powers of 2
+@pytest.mark.parametrize("m_state", [7, 19, 26])  # odd and even grids
 def test_discretized_kernel_matches_out_of_place(make_env, m_state):
     env = make_env()
     sp = np.linspace(-1.0, 1.0, m_state)[:, None]
     ap = np.linspace(-1.0, 1.0, 9)[:, None]
     Z = np.concatenate([np.repeat(sp, 9, axis=0), np.tile(ap, (m_state, 1))], axis=1)
-    dens = env.transition_density(1, Z, sp) * (2.0 / (m_state - 1))
+    dens = env.transition_density(1, Z, sp)
     want = dens / dens.sum(axis=1, keepdims=True)
-    first = _discretized_kernel(env, 1, Z, sp, m_state)
-    second = _discretized_kernel(env, 1, Z, sp, m_state)
+    first = _discretized_kernel(env, 1, Z, sp)
+    second = _discretized_kernel(env, 1, Z, sp)
     np.testing.assert_array_equal(first, want)
     np.testing.assert_array_equal(second, want)
     assert not np.shares_memory(first, second)

@@ -13,7 +13,10 @@ grid action) table per step, to the general per-entry scoring path bit for
 bit. A fifth holds ``plan_and_act_episode``, which absorbs the keys its
 rollout located, bit for bit to a loop of ``plan``, ``run_episode`` and
 ``observe_transition`` fed with rows computed point by point and next-state
-keys computed afresh.
+keys computed afresh. A sixth holds the separable blocks of ``_blocks`` to
+``assign_regions`` and ``features_at_centers`` bit for bit, and a seventh
+every cached block score to the uncached scoring rule, whether a plan moved
+the table in no region, in some or in all.
 """
 
 import dataclasses
@@ -24,8 +27,8 @@ import pytest
 from conftest import clipped_q, naive_row
 
 from cinderella.envs import run_episode
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
-from cinderella.geometry import build_partition
+from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
+from cinderella.geometry import assign_regions, build_partition, grid_pairs
 from cinderella.harness import RunConfig, build_env, build_learner, make_rng
 from cinderella.learner import BonusSchedule, CinderellaLearner, beta_radius
 from cinderella.regression import REINVERT_EVERY
@@ -34,15 +37,18 @@ HOT_VISITS = REINVERT_EVERY + 8  # region 0 crosses one re-inversion at every st
 SPREAD_VISITS = 40
 
 
-def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=False):
-    """A learner on a 2-d partition; ``general_path`` keeps a degree-0 learner off the cell path.
+def _learner(
+    degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, dim=2, points=9
+):
+    """A learner on a ``dim``-d partition with ``points`` grid actions per axis.
 
-    The cell path is chosen when the learner is built, from the index set's
-    degree; with that label cleared the same one constant feature runs
-    through the general blocks, history and scoring rule.
+    ``general_path`` keeps a degree-0 learner off the cell path. The cell
+    path is chosen when the learner is built, from the index set's degree;
+    with that label cleared the same one constant feature runs through the
+    general blocks, history and scoring rule.
     """
-    part = build_partition(2, epsilon)
-    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
+    part = build_partition(dim, epsilon)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, degree))
     if general_path:
         fmap = dataclasses.replace(fmap, index_set=dataclasses.replace(fmap.index_set, degree=None))
     schedule = BonusSchedule(
@@ -57,7 +63,7 @@ def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=Fa
         inherent_bound=0.01,
         bonus_scale=0.3,
     )
-    return CinderellaLearner(fmap, schedule, action_points_per_axis=9, planner=planner)
+    return CinderellaLearner(fmap, schedule, action_points_per_axis=points, planner=planner)
 
 
 def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
@@ -375,3 +381,90 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
             np.testing.assert_array_equal(a.next.feats, b.next.feats)
             np.testing.assert_array_equal(a.next.regions, b.next.regions)
     assert sum(hist.size for hist in episode.history) == horizon * cfg.episodes
+
+
+@pytest.mark.parametrize("epsilon, points", [(0.5, 9), (0.4, 7)])  # 3 cells: inexact offsets
+@pytest.mark.parametrize("action_dim", [1, 2])  # two factors per monomial, or three
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])
+def test_blocks_match_assign_regions_and_features_at_centers(degree, action_dim, epsilon, points):
+    """Separable blocks, cell by cell, are the general rule's floats bit for bit.
+
+    States cover -1, every cell edge, 0, +1 and random points; both action
+    grids put actions on action-cell edges too. With 3 cells per axis the
+    offsets from cell centers are inexact, so the product order shows.
+    """
+    learner = _learner(degree, 1, epsilon, dim=1 + action_dim, points=points)
+    m = learner.partition.cells_per_axis
+    rng = np.random.default_rng(5000 + 10 * degree + action_dim)
+    edges = -1.0 + 2.0 * np.arange(m + 1) / m
+    states = np.concatenate([edges, [0.0, 1.0], rng.uniform(-1.0, 1.0, 400)])[:, None]
+    feats, regions = learner._blocks(states)
+
+    pairs = grid_pairs(states, learner.actions)
+    want_regions = assign_regions(learner.partition, pairs)
+    want = features_at_centers(learner.fmap, pairs, learner.partition.centers[want_regions])
+    M = learner.actions.shape[0]
+    assert feats.shape == (len(states), M, learner.d) and regions.shape == (len(states), M)
+    np.testing.assert_array_equal(regions.reshape(-1), want_regions)
+    # Compared as bits, so a zero of the other sign counts as a difference.
+    np.testing.assert_array_equal(feats.reshape(want.shape).view(np.int64), want.view(np.int64))
+    one, one_regions = learner._blocks(states[3])  # one state of shape (1,)
+    np.testing.assert_array_equal(one.view(np.int64), feats[3:4].view(np.int64))
+    np.testing.assert_array_equal(one_regions, regions[3:4])
+
+
+def _checked_block_scores(learner, moves):
+    """Wrap ``learner._block_scores`` to hold every call to the uncached rule, bit for bit.
+
+    Each call on blocks scored before records in ``moves`` whether the
+    step's table moved, since that scoring, in no region, some or all.
+    """
+    cached = learner._block_scores
+
+    def checked(h, blocks, rows):
+        if blocks.fresh:
+            moved = [not np.array_equal(a, b) for a, b in zip(learner.theta_all[h], blocks.theta)]
+            moves.add("all" if all(moved) else "some" if any(moved) else "none")
+        got = cached(h, blocks, rows)
+        feats, regions = blocks.feats[:rows], blocks.regions[:rows]
+        for name, fresh in [("mean", learner._mean), ("width", learner._width)]:
+            np.testing.assert_array_equal(
+                getattr(blocks, name)[:rows].view(np.int64),
+                fresh(h, feats, regions).view(np.int64),
+            )
+        np.testing.assert_array_equal(got, learner._scores(h, feats, regions))
+        return got
+
+    return checked
+
+
+@pytest.mark.parametrize(
+    "degree, horizon, epsilon, planner, general_path",
+    [
+        (1, 2, 0.5, "relaxation", False),  # d = 3, N = 4: history and probe blocks
+        (2, 3, 0.5, "relaxation", False),  # d = 6
+        (1, 2, 1.0, "exact-grid", False),  # d = 3, N = 1: each candidate moves the one region
+        (0, 1, 0.5, "exact-grid", True),  # one feature off the cell path, N = 4
+    ],
+)
+def test_cached_block_scores_match_uncached_scores(
+    monkeypatch, degree, horizon, epsilon, planner, general_path
+):
+    """Cached means and widths give the uncached scores over plans moving the table anywhere.
+
+    Rounds alternate: new rows everywhere and a new ``k`` (the table moves in
+    every region), a plan of unchanged data (in none), and rows in region 0
+    alone at the same ``k`` (in some, where there are several regions).
+    """
+    learner = _learner(degree, horizon, epsilon, planner, general_path)
+    assert not learner._cells
+    rng = np.random.default_rng(6000 + 10 * degree + horizon)
+    learner.register_probe(rng.uniform(-1.0, 1.0, size=(13, 1)))
+    moves = set()
+    monkeypatch.setattr(learner, "_block_scores", _checked_block_scores(learner, moves))
+    s1 = rng.uniform(-1.0, 1.0, size=1)
+    for hot, spread, k_step in [(0, 6, 5), (0, 0, 0), (8, 0, 0)] * 3:
+        _feed(learner, rng, hot, spread)
+        learner.k += k_step
+        learner.plan(s1)
+    assert moves == ({"all", "none"} if learner.N == 1 else {"all", "some", "none"})

@@ -19,14 +19,16 @@ from .features import TaylorFeatureMap, feature_matrix
 from .geometry import uniform_grid
 
 REWARD_NOISE_TRUNCATION = 4.0  # reward noise support is +-4 sigma
+# The standard normal CDF at the truncation points, computed once.
+_NOISE_CDF_LO = ndtr(-REWARD_NOISE_TRUNCATION)
+_NOISE_CDF_HI = ndtr(REWARD_NOISE_TRUNCATION)
 
 
 def _truncated_gaussian(rng: np.random.Generator, sigma: float) -> float:
     """One zero-mean Gaussian(sigma) draw truncated at +-4 sigma, via inverse CDF."""
     if sigma == 0.0:
         return 0.0
-    lo, hi = ndtr(-REWARD_NOISE_TRUNCATION), ndtr(REWARD_NOISE_TRUNCATION)
-    return float(sigma * ndtri(rng.uniform(lo, hi)))
+    return float(sigma * ndtri(rng.uniform(_NOISE_CDF_LO, _NOISE_CDF_HI)))
 
 
 @dataclass(frozen=True)

@@ -70,6 +70,17 @@ def axis_cells(coords: np.ndarray, m: int) -> np.ndarray:
     return np.minimum(np.maximum(idx, 0, out=idx), m - 1, out=idx)
 
 
+def axis_cell(coord: float, m: int) -> int:
+    """``axis_cells`` of one coordinate: the same rule, clamp and error, in Python floats.
+
+    Python floats are numpy's float64, so the cell is the same; ``axis_cells``
+    makes about eight numpy calls for one coordinate, several times this cost.
+    """
+    if not abs(coord) <= 1.0:  # also catches NaN
+        raise ValueError("point outside [-1, 1]^d")
+    return min(max(math.ceil((coord + 1.0) * (m / 2.0)) - 1, 0), m - 1)
+
+
 def assign_regions(partition: Partition, points: np.ndarray) -> np.ndarray:
     """Index of the infinity-nearest center of each row of an (n, dim) array of points."""
     pts = np.asarray(points, dtype=float)

@@ -46,7 +46,7 @@ import numpy as np
 
 from .envs import run_episode
 from .features import TaylorFeatureMap
-from .geometry import assign_regions, axis_cells, grid_pairs, uniform_grid
+from .geometry import assign_regions, axis_cell, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
 
 # Grid points per uncertainty coordinate in the exact-grid planner.
@@ -308,8 +308,10 @@ class CinderellaLearner:
             feats *= powers
         return feats, self._cell_regions[cells]
 
-    def _state_cells(self, states: np.ndarray) -> np.ndarray:
-        """State cell (n,) of ``states`` (n, 1), or of one state of shape (1,)."""
+    def _state_cells(self, states: np.ndarray):
+        """State cell (n,) of ``states`` (n, 1), or ``[cell]`` of one state of shape (1,)."""
+        if np.ndim(states) == 1:  # one state, as act passes it
+            return [axis_cell(float(states[0]), self.partition.cells_per_axis)]
         return axis_cells(np.reshape(states, -1), self.partition.cells_per_axis)
 
     # -- scoring ------------------------------------------------------------
@@ -391,8 +393,11 @@ class CinderellaLearner:
         if h < self.H:
             targets = targets + v_next(hist.next, p)
         targets = np.clip(targets, self.clip_lo, self.clip_hi)
-        bsum = np.zeros((self.N, self.d))
-        np.add.at(bsum, hist.regions[:p], hist.feats[:p] * targets[:, None])
+        # Summed per flat (region, feature) id in row order, as np.add.at would;
+        # at degree 0 the weights are the targets, times the exact feature 1.0.
+        ids = (hist.regions[:p, None] * self.d + np.arange(self.d)).ravel()
+        weights = (hist.feats[:p] * targets[:, None]).ravel()
+        bsum = np.bincount(ids, weights, minlength=self.N * self.d).reshape(self.N, self.d)
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
     def _backward(self, xi=None) -> None:
@@ -476,7 +481,7 @@ class CinderellaLearner:
         greedy index the last plan stored.
         """
         if self._cells:
-            cell = int(self._state_cells(state)[0])
+            cell = axis_cell(float(state[0]), self.partition.cells_per_axis)
             i = int(self._greedy[h, cell])
             return self._one, int(self._cell_regions[cell, i]), i, cell
         feats, regions = self._blocks(state)

@@ -3,8 +3,11 @@
 Values are computed by backward induction on uniform grids. Expectations use
 midpoint-style Riemann sums of ``density * value``; the discretized kernel
 rows are renormalized to sum to one so that constant functions propagate
-exactly through the backup. Every oracle output is reported together with the
-grid resolution that produced it.
+exactly through the backup. The DP builds each step's kernel in blocks of
+rows and uses each block for one product, so it never holds a whole kernel;
+the policy evaluator and the audit build whole kernels, which they reuse.
+Every oracle output is reported together with the grid resolution that
+produced it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,11 @@ from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
 from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
 
-MAX_KERNEL_ENTRIES = 80_000_000  # refuse DP instances whose kernel tensors explode
+# Refuse DP instances past this many density evaluations per step; dp_solve
+# streams them in row blocks, so it bounds work, not a held array.
+MAX_KERNEL_ENTRIES = 80_000_000
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
+_BLOCK_ROWS = 1024  # (state, action) rows per kernel block in dp_solve; see there
 
 
 @dataclass
@@ -68,11 +74,32 @@ def _discretized_kernel(env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.nda
     return dens
 
 
+def _row_blocks(n: int):
+    """``(start, stop)`` of ``_BLOCK_ROWS``-row blocks covering ``range(n)``.
+
+    A last block of one row joins the block before it: numpy multiplies a
+    one-row matrix by another BLAS path, which changes its bits.
+    """
+    stops = list(range(_BLOCK_ROWS, n, _BLOCK_ROWS)) + [n]
+    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
+        del stops[-2]
+    return zip([0] + stops[:-1], stops)
+
+
 def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     """Optimal value tables by backward induction on a uniform grid.
 
     Q and V tables are clipped to [0, 1], matching the normalization the
-    environments guarantee. Each step's kernel is used once and dropped.
+    environments guarantee.
+
+    Each step's expectation ``E[v_{h+1} | z]`` is computed over blocks of
+    1024 (state, action) rows (``_row_blocks``), so no step's
+    (n_s * n_a, n_s) kernel is built whole; a block is 2 MB at 257 states.
+    OpenBLAS's dgemv groups rows by 4 from a block's first row, so blocks of
+    a multiple of 4 rows give every row the bits of the single-threaded
+    whole-kernel product (129-row blocks changed them). A whole kernel's
+    product changed bits at 2 BLAS threads on some grids; the blocks give
+    the same tables at 1 and 2 threads.
     """
     if env.transition_density is None:
         raise ValueError("environment does not expose a transition density")
@@ -89,12 +116,13 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
+    expect = np.empty(n_s * n_a)
     for h in range(H, 0, -1):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            kernel = _discretized_kernel(env, h, Z, sp)
-            backup = backup + (kernel @ v[h + 1]).reshape(n_s, n_a)
-            del kernel  # free it before the next step builds its own
+            for i, j in _row_blocks(Z.shape[0]):
+                expect[i:j] = _discretized_kernel(env, h, Z[i:j], sp) @ v[h + 1]
+            backup = backup + expect.reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
     return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)

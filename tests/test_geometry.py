@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from cinderella.geometry import (
     assign_regions,
     auto_epsilon,
+    axis_cell,
     axis_cells,
     build_partition,
     grid_pairs,
@@ -136,6 +137,7 @@ def test_axis_cells_are_assign_regions_in_one_dimension(eps):
     coords = np.concatenate([[-1.0], -1.0 + 2.0 * np.arange(1, m) / m, [1.0]])
     cells = axis_cells(coords, m)
     np.testing.assert_array_equal(cells, assign_regions(part, coords[:, None]))
+    assert [axis_cell(float(x), m) for x in coords] == cells.tolist()  # one coordinate
     # The boundary between cells j and j + 1 falls to cell j.
     np.testing.assert_array_equal(cells, [0, *range(m - 1), m - 1])
 
@@ -144,6 +146,8 @@ def test_axis_cells_are_assign_regions_in_one_dimension(eps):
 def test_axis_cells_reject_what_assign_regions_rejects(coord):
     with pytest.raises(ValueError, match=r"point outside \[-1, 1\]\^d"):
         axis_cells(np.array([0.0, coord]), 4)
+    with pytest.raises(ValueError, match=r"point outside \[-1, 1\]\^d"):
+        axis_cell(float(coord), 4)
     with pytest.raises(ValueError, match=r"point outside \[-1, 1\]\^d"):
         assign_regions(build_partition(1, 0.25), np.array([[0.0], [coord]]))
 

@@ -426,10 +426,16 @@ def test_state_cells_follow_assign_regions_on_boundaries(eps):
     np.testing.assert_array_equal(regions // m, np.repeat(cells[:, None], regions.shape[1], axis=1))
     np.testing.assert_array_equal(learner._cell_regions[cells], regions)
     for s, cell, row in zip(states, cells, regions):
+        assert learner._state_cells(np.array([s])) == [cell]  # the one-state path of act
         for h in (1, 2):
             phi, region, i, key = learner.act(h, np.array([s]))
             assert key == cell and region == row[i]
             np.testing.assert_array_equal(phi, taylor_features(learner.fmap, pairs[0]))
+    # At degree >= 1, act reads a state's regions through the same one-state path.
+    general = _fresh_learner(degree=1, eps=eps, horizon=2)
+    for s, row in zip(states, regions):
+        _, one_state_regions = general._blocks(np.array([s]))
+        np.testing.assert_array_equal(one_state_regions, row[None, :])
 
 
 @pytest.mark.parametrize("state", [math.nan, 1.0 + 1e-9, -1.5, math.inf])
@@ -442,6 +448,8 @@ def test_state_cells_reject_what_assign_regions_rejects(state):
         learner.act(1, np.array([state]))
     with pytest.raises(ValueError, match=match):
         learner.register_probe(np.array([[0.0], [state]]))
+    with pytest.raises(ValueError, match=match):  # degree >= 1: the one-state path of _blocks
+        _fresh_learner(degree=1, eps=0.5).act(1, np.array([state]))
 
 
 def _nan_reward_at_step_2(env):

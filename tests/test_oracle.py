@@ -1,11 +1,16 @@
 import dataclasses
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
-from cinderella.geometry import build_partition
+from cinderella.geometry import build_partition, grid_pairs, uniform_grid
 from cinderella.harness import random_policy_gap
 from cinderella.oracle import (
     _discretized_kernel,
@@ -82,6 +87,96 @@ def test_dp_rejects_two_dimensional_states():
     env = dataclasses.replace(env_uniform_shift(0.5, horizon=2), state_dim=2)
     with pytest.raises(ValueError, match="1-d states"):
         dp_solve(env, 17, 9)
+
+
+TESTS = Path(__file__).resolve().parent
+ENVS_H3 = {
+    "smooth_drift": lambda: env_smooth_drift(horizon=3),
+    "uniform_shift": lambda: env_uniform_shift(0.5, horizon=3),
+}
+
+
+def _whole_kernel_dp(env, m_state, m_action):
+    """``dp.v`` and ``dp.q`` with each step's kernel built whole and used in one product."""
+    sp, ap = uniform_grid(m_state, 1), uniform_grid(m_action, env.action_dim)
+    Z = grid_pairs(sp, ap)
+    n_s, n_a, H = m_state, ap.shape[0], env.horizon
+    v, q = np.zeros((H + 2, n_s)), np.zeros((H + 1, n_s, n_a))
+    for h in range(H, 0, -1):
+        backup = env.reward_mean(h, Z).reshape(n_s, n_a)
+        if h < H:
+            backup = backup + (_discretized_kernel(env, h, Z, sp) @ v[h + 1]).reshape(n_s, n_a)
+        q[h] = np.clip(backup, 0.0, 1.0)
+        v[h] = q[h].max(axis=1)
+    return v, q
+
+
+def check_streamed_dp_matches_whole_kernel(env_name):
+    """Raise unless ``dp_solve`` gives the whole-kernel tables bit for bit.
+
+    The grids have 8385, 33153 and 2145 (state, action) rows, 1025 (a last
+    block of one row) and 153 (one block).
+    """
+    env = ENVS_H3[env_name]()
+    for m_state, m_action in [(129, 65), (257, 129), (65, 33), (41, 25), (17, 9)]:
+        dp = dp_solve(env, m_state, m_action)
+        v, q = _whole_kernel_dp(env, m_state, m_action)
+        np.testing.assert_array_equal(dp.v.view(np.int64), v.view(np.int64))
+        np.testing.assert_array_equal(dp.q.view(np.int64), q.view(np.int64))
+
+
+def _at_blas_threads(threads, code):
+    """Stdout of ``code`` run in a fresh interpreter with BLAS capped at ``threads`` threads.
+
+    BLAS reads its thread count once, when numpy loads, so each count needs
+    its own process. ``src/`` and ``tests/`` come first on the import path.
+    """
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads), OMP_NUM_THREADS=str(threads))
+    paths = [str(TESTS.parent / "src"), str(TESTS)]
+    if env.get("PYTHONPATH"):
+        paths.append(env["PYTHONPATH"])
+    env["PYTHONPATH"] = os.pathsep.join(paths)
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize("env_name", sorted(ENVS_H3))
+def test_streamed_dp_matches_whole_kernel_bit_for_bit(env_name):
+    """The row-block backup is the single-threaded whole-kernel backup, bit for bit, at H = 3."""
+    _at_blas_threads(
+        1, f"import test_oracle; test_oracle.check_streamed_dp_matches_whole_kernel({env_name!r})"
+    )
+
+
+def test_dp_bits_do_not_depend_on_blas_threads():
+    """Whole-kernel products gave other bits at 2 BLAS threads on some of these grids."""
+    code = (
+        "import hashlib\n"
+        "from test_oracle import ENVS_H3\n"
+        "from cinderella.oracle import dp_solve\n"
+        "for name, grid in [('smooth_drift', (129, 129)), ('smooth_drift', (129, 65)),\n"
+        "                   ('uniform_shift', (129, 129))]:\n"
+        "    dp = dp_solve(ENVS_H3[name](), *grid)\n"
+        "    print(name, grid, hashlib.sha256(dp.v.tobytes() + dp.q.tobytes()).hexdigest())\n"
+    )
+    one = _at_blas_threads(1, code)
+    assert one.count("\n") == 3
+    assert _at_blas_threads(2, code) == one
+
+
+def test_dp_never_holds_a_whole_kernel():
+    """At 257 x 129 a step's whole kernel is 68 MB; the streamed solve peaks near 4 MB."""
+    env = env_smooth_drift(horizon=3)
+    tracemalloc.start()
+    try:
+        dp_solve(env, 257, 129)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 def _value(env, dp, actions, action_idx, s1):

@@ -16,7 +16,8 @@ rollout located, bit for bit to a loop of ``plan``, ``run_episode`` and
 keys computed afresh. A sixth holds the separable blocks of ``_blocks`` to
 ``assign_regions`` and ``features_at_centers`` bit for bit, and a seventh
 every cached block score to the uncached scoring rule, whether a plan moved
-the table in no region, in some or in all.
+the table in no region, in some or in all. An eighth holds the re-fit's
+per-region sums to a loop that adds the history rows in order, bit for bit.
 """
 
 import dataclasses
@@ -383,6 +384,26 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
     assert sum(hist.size for hist in episode.history) == horizon * cfg.episodes
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2])
+def test_refit_sums_rows_in_order_bit_for_bit(degree):
+    """``_refit``'s per-(region, feature) sums add the history rows in row order, bit for bit."""
+    learner = _learner(degree, 2)
+    rng = np.random.default_rng(7000 + degree)
+    _feed(learner, rng)
+    for h in (1, 2):
+        hist = learner.history[h]
+        p = hist.size
+        v_next = rng.uniform(-0.5, 1.5, p)  # with the rewards, past both target clips
+        got = learner._refit(h, lambda keys, rows: v_next[:rows])
+        targets = hist.rewards[:p] + (v_next if h < learner.H else 0.0)
+        targets = np.clip(targets, learner.clip_lo, learner.clip_hi)
+        bsum = np.zeros((learner.N, learner.d))
+        for phi, region, target in zip(hist.feats[:p], hist.regions[:p], targets):
+            bsum[region] += phi * target
+        want = np.einsum("nde,ne->nd", learner.lam_inv_all[h], bsum)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
 @pytest.mark.parametrize("epsilon, points", [(0.5, 9), (0.4, 7)])  # 3 cells: inexact offsets
 @pytest.mark.parametrize("action_dim", [1, 2])  # two factors per monomial, or three
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
@@ -408,9 +429,13 @@ def test_blocks_match_assign_regions_and_features_at_centers(degree, action_dim,
     np.testing.assert_array_equal(regions.reshape(-1), want_regions)
     # Compared as bits, so a zero of the other sign counts as a difference.
     np.testing.assert_array_equal(feats.reshape(want.shape).view(np.int64), want.view(np.int64))
-    one, one_regions = learner._blocks(states[3])  # one state of shape (1,)
-    np.testing.assert_array_equal(one.view(np.int64), feats[3:4].view(np.int64))
-    np.testing.assert_array_equal(one_regions, regions[3:4])
+    # One state of shape (1,), as act passes it: -1, every edge, 0, +1 and one random point.
+    for i in range(m + 4):
+        one, one_regions = learner._blocks(states[i])
+        np.testing.assert_array_equal(one.view(np.int64), feats[i : i + 1].view(np.int64))
+        np.testing.assert_array_equal(one_regions, regions[i : i + 1])
+    with pytest.raises(ValueError, match="outside"):
+        learner._blocks(np.array([np.nan]))
 
 
 def _checked_block_scores(learner, moves):

@@ -27,9 +27,9 @@ for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizo
     dp = dp_solve(env, m_state=129, m_action=65)
     vstar = dp.value_at(s1)
     v_rand = vstar - random_policy_gap(env, dp, s1)
-    rewards, kernels = policy_eval_tables(env, dp, dp.action_points)
+    rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     greedy = dp.q.argmax(axis=2)[:, :, None]  # one action index per (step, grid state)
-    v_greedy = policy_value(rewards, kernels, greedy, dp.state_points[:, 0], s1)
+    v_greedy = policy_value(rewards, kernel, greedy, dp.state_points[:, 0], s1)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
           f"greedy-from-oracle {v_greedy:.4f}")
 

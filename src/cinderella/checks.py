@@ -3,7 +3,7 @@
 Each check is a small self-contained experiment returning (passed, detail).
 The quick level finishes within a minute on desk hardware; the full level
 re-runs the heavier audits at their reference sizes. One check is a negative
-control: it tampers with the bonus scale and passes only if optimism breaks.
+control: it sets bonus_scale and r_max to 0 and passes only if optimism breaks.
 """
 
 from __future__ import annotations
@@ -99,18 +99,19 @@ def _check_extension(n_queries: int):
 
 
 def tiny_exact_linear_setup(
-    episodes: int, bonus_scale: float = 1.0, delta: float = 0.1, noise: float = 0.2
+    episodes: int, bonus_scale: float = 1.0, delta: float = 0.1, r_max: float = 1.0
 ):
     """One-step, one-region, constant-feature instance for optimism studies."""
     config = RunConfig(
         env_name="exact_linear",
-        env_params={"theta": [[0.5]], "reward_noise_sigma": noise},
+        env_params={"theta": [[0.5]], "reward_noise_sigma": 0.2},
         episodes=episodes,
         horizon=1,
         nu=1.0,
         epsilon=1.0,
         delta=delta,
         bonus_scale=bonus_scale,
+        r_max=r_max,
         planner="exact-grid",
         oracle_m_state=65,
         oracle_m_action=21,
@@ -125,22 +126,21 @@ def optimism_rate(
     bonus_scale: float = 1.0,
     delta: float = 0.1,
     tol: float = 1e-6,
-    tamper_negative: bool = False,
+    r_max: float = 1.0,
 ) -> float:
     """Fraction of episode-seed pairs with optimistic initial value >= V*.
 
     Uses the exact-grid planner on the tiny linear instance, so the episode's
-    claimed value is the solved program objective.
+    claimed value is the solved program objective. ``bonus_scale = 0`` and
+    ``r_max = 0`` make every radius zero, so the plan is the bare ridge fit.
     """
     s1 = np.zeros(1)
     hits = 0
     total = 0
     for seed in range(n_seeds):
         env, learner, dp = tiny_exact_linear_setup(
-            episodes_per_seed, bonus_scale=bonus_scale, delta=delta
+            episodes_per_seed, bonus_scale=bonus_scale, delta=delta, r_max=r_max
         )
-        if tamper_negative:
-            learner.schedule.bonus_scale = -abs(bonus_scale)
         vstar = dp.value_at(s1)
         for k in range(1, episodes_per_seed + 1):
             learner.plan_and_act_episode(env, s1, make_rng(seed, k, 0, STREAM_ENV))
@@ -156,9 +156,9 @@ def _check_optimism(n_seeds: int, episodes: int):
 
 
 def _check_optimism_negative_control(n_seeds: int, episodes: int):
-    rate = optimism_rate(n_seeds, episodes, tamper_negative=True)
-    # Control passes only if tampering visibly breaks optimism.
-    return rate < 0.9, f"tampered bonus optimism rate {rate:.3f} (expected low)"
+    rate = optimism_rate(n_seeds, episodes, bonus_scale=0.0, r_max=0.0)
+    # Control passes only if zero radii visibly break optimism.
+    return rate < 0.9, f"zero-radius optimism rate {rate:.3f} (expected low)"
 
 
 def _check_inherent_monotone():

@@ -36,12 +36,12 @@ class EnvironmentModel:
     """A finite-horizon MDP with state-action space [-1, 1]^(d_S + d_A).
 
     Vectorized callables:
-      transition_sample(h, Z, rng) -> next states, Z of shape (n, d)
-      transition_density(h, Z, S') -> (n, m) densities over states S' (m, d_S),
+      transition_sample(Z, rng) -> next states, Z of shape (n, d)
+      transition_density(Z, S') -> (n, m) densities over states S' (m, d_S),
         a new float array that the caller may overwrite
       reward_mean(h, Z) -> (n,) mean rewards in [0, 1/H]
 
-    Transitions exist for steps h = 1..H-1; rewards for h = 1..H.
+    Transitions take no step: one kernel serves h = 1..H-1. Rewards take h = 1..H.
     Stateless given an rng, so instances can be shared across runs.
     """
 
@@ -49,8 +49,8 @@ class EnvironmentModel:
     state_dim: int
     action_dim: int
     horizon: int
-    transition_sample: Callable[[int, np.ndarray, np.random.Generator], np.ndarray]
-    transition_density: Callable[[int, np.ndarray, np.ndarray], np.ndarray]
+    transition_sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    transition_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reward_mean: Callable[[int, np.ndarray], np.ndarray]
     reward_noise_sigma: float
     c_t: float | None = None  # rough bound on the Bellman smoothing constant
@@ -93,8 +93,8 @@ class LearnerView:
         self.action_dim = env.action_dim
         self.horizon = env.horizon
 
-    def sample_transition(self, h, z, rng):
-        return self._env.transition_sample(h, np.asarray(z, dtype=float)[None, :], rng)[0]
+    def sample_transition(self, z, rng):
+        return self._env.transition_sample(np.asarray(z, dtype=float)[None, :], rng)[0]
 
     def sample_reward(self, h, z, rng):
         return self._env.sample_reward(h, z, rng)
@@ -117,7 +117,7 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
             raise ValueError(f"policy action out of [-1, 1]^{view.action_dim}: {action}")
         z = np.concatenate([state, action])
         reward = view.sample_reward(h, z, rng)
-        next_state = view.sample_transition(h, z, rng) if h < view.horizon else None
+        next_state = view.sample_transition(z, rng) if h < view.horizon else None
         transitions.append(Transition(h, state.copy(), action, float(reward), next_state))
         total += reward
         if next_state is not None:
@@ -172,7 +172,7 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
     Z = rng.uniform(-1, 1, size=(8, env.dim))
     grid = uniform_grid(n_quad, 1)
     w = 2.0 / (n_quad - 1)
-    dens = env.transition_density(1, Z, grid)
+    dens = env.transition_density(Z, grid)
     totals = dens.sum(axis=1) * w
     if np.any(np.abs(totals - 1.0) > tol):
         raise ValueError(f"transition density integral off by more than {tol}: {totals}")
@@ -200,11 +200,11 @@ def env_uniform_shift(
     mean_reward, reward_slope = _resolve_reward(reward, horizon)
     width = 1.0 - beta
 
-    def sample(h, Z, rng):
+    def sample(Z, rng):
         lo = beta * Z[:, 0]
         return (lo + rng.uniform(0.0, width, size=Z.shape[0]))[:, None]
 
-    def density(h, Z, Sp):
+    def density(Z, Sp):
         lo = beta * Z[:, 0]
         s = Sp[:, 0]
         inside = (s[None, :] >= lo[:, None]) & (s[None, :] <= (lo + width)[:, None])
@@ -260,13 +260,13 @@ def env_smooth_drift(
         hi = ndtr((1.0 - mu) / noise_sigma)
         return mu, lo, hi
 
-    def sample(h, Z, rng):
+    def sample(Z, rng):
         mu, lo, hi = _bounds(Z)
         u = rng.uniform(lo, hi)
         out = mu + noise_sigma * ndtri(u)
         return np.clip(out, -1.0, 1.0)[:, None]
 
-    def density(h, Z, Sp):
+    def density(Z, Sp):
         mu, lo, hi = _bounds(Z)
         # exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass), all in the one (n, m)
         # array, which is as large as an oracle kernel; scaling by -0.5 is
@@ -324,10 +324,10 @@ def env_exact_linear(
     def mean_reward(h, Z):
         return feature_matrix(fmap, Z) @ theta[h - 1]
 
-    def sample(h, Z, rng):
+    def sample(Z, rng):
         return rng.uniform(-1.0, 1.0, size=(Z.shape[0], d_state))
 
-    def density(h, Z, Sp):
+    def density(Z, Sp):
         return np.full((Z.shape[0], Sp.shape[0]), 0.5**d_state)
 
     env = EnvironmentModel(

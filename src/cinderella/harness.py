@@ -332,7 +332,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     learner = build_learner(config)
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
     learner.register_probe(dp.state_points)
-    rewards_pi, kernels_pi = _policy_eval_tables(env, dp, learner.actions)
+    rewards_pi, kernel_pi = _policy_eval_tables(env, dp, learner.actions)
     state_axis = dp.state_points[:, 0]
 
     rows = np.empty((config.episodes, 7))
@@ -352,7 +352,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         if v_played is None:
             if len(values) == _POLICY_VALUES_KEPT:
                 del values[next(iter(values))]
-            v_played = _played_policy_value(rewards_pi, kernels_pi, played[:, :, None])
+            v_played = _played_policy_value(rewards_pi, kernel_pi, played[:, :, None])
             values[key] = v_played
         vstar = dp.value_at(s1)
         vpi = float(np.interp(s1[0], state_axis, v_played))
@@ -432,7 +432,7 @@ def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
 def random_policy_gap(env: EnvironmentModel, dp: GridDP, s1) -> float:
     """V*(s1) minus the uniform-random policy's value, via the oracle."""
     s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-    rewards, kernels = policy_eval_tables(env, dp, dp.action_points)
+    rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     every_action = np.broadcast_to(np.arange(dp.action_points.shape[0]), rewards.shape[1:])
-    v_rand = policy_value(rewards, kernels, [every_action] * len(rewards), dp.state_points[:, 0], s1)
+    v_rand = policy_value(rewards, kernel, [every_action] * len(rewards), dp.state_points[:, 0], s1)
     return dp.value_at(s1) - v_rand

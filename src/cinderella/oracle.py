@@ -3,9 +3,9 @@
 Values are computed by backward induction on uniform grids. Expectations use
 midpoint-style Riemann sums of ``density * value``; the discretized kernel
 rows are renormalized to sum to one so that constant functions propagate
-exactly through the backup. The DP builds each step's kernel in blocks of
-rows and uses each block for one product, so it never holds a whole kernel;
-the policy evaluator and the audit build whole kernels, which they reuse.
+exactly through the backup. One kernel serves every step h < H: the policy
+evaluator and the audit build it whole once per grid, and the DP streams it
+in blocks of rows at each step, so it never holds a whole kernel.
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -58,13 +58,13 @@ class GridDP:
         }
 
 
-def _discretized_kernel(env: EnvironmentModel, h: int, Z: np.ndarray, sp: np.ndarray):
+def _discretized_kernel(env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray):
     """Row-normalized quadrature weights for E[f(s') | z] on the state grid.
 
     The uniform grid's quadrature weight is the same for every point, so it
     cancels in the normalization.
     """
-    dens = env.transition_density(h, Z, sp)
+    dens = env.transition_density(Z, sp)
     # Normalized in place: a kernel is the largest array of a solve, so a
     # same-size temporary would set the peak memory.
     totals = dens.sum(axis=1, keepdims=True)
@@ -99,7 +99,8 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     a multiple of 4 rows give every row the bits of the single-threaded
     whole-kernel product (129-row blocks changed them). A whole kernel's
     product changed bits at 2 BLAS threads on some grids; the blocks give
-    the same tables at 1 and 2 threads.
+    the same tables at 1 and 2 threads. The blocks are rebuilt at every step
+    h < H: holding them across steps would hold the whole kernel again.
     """
     if env.transition_density is None:
         raise ValueError("environment does not expose a transition density")
@@ -121,7 +122,7 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
             for i, j in _row_blocks(Z.shape[0]):
-                expect[i:j] = _discretized_kernel(env, h, Z[i:j], sp) @ v[h + 1]
+                expect[i:j] = _discretized_kernel(env, Z[i:j], sp) @ v[h + 1]
             backup = backup + expect.reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
@@ -131,45 +132,43 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
 def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     """Reward/kernel tables on (oracle states x the given actions).
 
-    ``rewards[h]`` is (n_s, M) and ``kernels[h]`` is (n_s, M, n_s) for
-    h = 1..H-1; ``kernels[0]`` and ``kernels[H]`` are None.
+    ``rewards[h]`` is (n_s, M) for h = 1..H. ``kernel`` is the one
+    (n_s, M, n_s) kernel of every step h < H, or None when H = 1.
     """
     sp = dp.state_points
     n_s, M = sp.shape[0], actions.shape[0]
     Z = grid_pairs(sp, actions)
     H = env.horizon
     rewards = np.zeros((H + 1, n_s, M))
-    kernels = [None] * (H + 1)
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
-        if h < H:
-            kernels[h] = _discretized_kernel(env, h, Z, sp).reshape(n_s, M, n_s)
-    return rewards, kernels
+    kernel = _discretized_kernel(env, Z, sp).reshape(n_s, M, n_s) if H > 1 else None
+    return rewards, kernel
 
 
-def policy_values(rewards, kernels, action_idx) -> np.ndarray:
+def policy_values(rewards, kernel, action_idx) -> np.ndarray:
     """V^pi_1 at every grid state, (n_s,), by backward induction over ``policy_eval_tables``.
 
     ``action_idx[h]`` is (n_s, J): at each grid state the policy plays one of
     those J table actions uniformly at random, so J = 1 is a deterministic
     policy and ``arange(M)`` at every state the uniform-random one. The
-    horizon is ``len(rewards) - 1``.
+    horizon H is ``len(rewards) - 1``; ``kernel`` serves every step h < H.
     """
-    n_s = rewards.shape[1]
+    H, n_s = len(rewards) - 1, rewards.shape[1]
     rows = np.arange(n_s)[:, None]
     v_next = np.zeros(n_s)
-    for h in range(len(rewards) - 1, 0, -1):
+    for h in range(H, 0, -1):
         a = action_idx[h]
         backup = rewards[h, rows, a]
-        if kernels[h] is not None:
-            backup = backup + np.einsum("ijk,k->ij", kernels[h][rows, a], v_next)
+        if h < H:
+            backup = backup + np.einsum("ijk,k->ij", kernel[rows, a], v_next)
         v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
     return v_next
 
 
-def policy_value(rewards, kernels, action_idx, state_axis, s1) -> float:
+def policy_value(rewards, kernel, action_idx, state_axis, s1) -> float:
     """V^pi_1(s1): ``policy_values`` linearly interpolated on ``state_axis``."""
-    return float(np.interp(s1[0], state_axis, policy_values(rewards, kernels, action_idx)))
+    return float(np.interp(s1[0], state_axis, policy_values(rewards, kernel, action_idx)))
 
 
 # ---------------------------------------------------------------------------
@@ -233,12 +232,12 @@ def inherent_error_estimate(
 
     For each sampled next-step parameter the Bellman image is computed by
     quadrature on a state-action grid with ``dp_solve``'s row-normalized
-    kernel, so constant images are fitted exactly; the best per-region
-    Chebyshev fit under the box constraint then gives the step's residual.
-    Regions are fitted independently, mirroring the product structure of the
-    class. Candidate
-    value functions are clipped to [0, 1] before the backup, keeping the
-    sampled class inside the normalized range the box family presumes.
+    kernel, built once for every step, so constant images are fitted exactly;
+    the best per-region Chebyshev fit under the box constraint then gives the
+    step's residual. Regions are fitted independently, mirroring the product
+    structure of the class. Candidate value functions are clipped to [0, 1]
+    before the backup, keeping the sampled class inside the normalized range
+    the box family presumes.
     """
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
@@ -254,6 +253,7 @@ def inherent_error_estimate(
     H = env.horizon
     N, d_feat = partition.n_regions, fmap.dim_features
 
+    kernel = _discretized_kernel(env, Z, sp) if H > 1 else None  # every step h < H
     per_step = np.zeros(H + 1)
     best = (0.0, 1, Z[0])
     n_cands = 0
@@ -263,14 +263,14 @@ def inherent_error_estimate(
         else:
             candidates = _candidate_thetas(N, d_feat, theta_box_radius, rng)
         n_cands = max(n_cands, len(candidates))
-        kernel = _discretized_kernel(env, h, Z, sp) if h < H else None
+        reward = env.reward_mean(h, Z)
         worst = 0.0
         for theta_next in candidates:
-            target = env.reward_mean(h, Z)
+            target = reward
             if h < H:
                 q_next = np.einsum("zf,zf->z", z_feats, theta_next[z_regions])
                 w_vals = np.clip(q_next.reshape(n_s, n_a), 0.0, 1.0).max(axis=1)
-                target = target + kernel @ w_vals
+                target = reward + kernel @ w_vals
             for n in range(N):
                 mask = z_regions == n
                 if not np.any(mask):

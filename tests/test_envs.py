@@ -23,7 +23,7 @@ def test_uniform_shift_support(rng):
     env = env_uniform_shift(0.5, horizon=2)
     for s in (-1.0, 0.0, 1.0):
         Z = np.array([[s, 0.3]] * 2000)
-        nxt = env.transition_sample(1, Z, rng)
+        nxt = env.transition_sample(Z, rng)
         lo, hi = 0.5 * s, 0.5 * s + 0.5
         assert nxt.min() >= lo and nxt.max() <= hi
         assert np.all(np.abs(nxt) <= 1.0)
@@ -52,7 +52,7 @@ def test_smooth_drift_density_integrates(rng):
     env = env_smooth_drift(0.5, 0.3, horizon=2)
     sp = np.linspace(-1, 1, 512)[:, None]
     Z = rng.uniform(-1, 1, size=(32, 2))
-    dens = env.transition_density(1, Z, sp)
+    dens = env.transition_density(Z, sp)
     assert np.all(dens >= 0.0)
     totals = dens.sum(axis=1) * (2.0 / 511)
     np.testing.assert_allclose(totals, 1.0, atol=1e-2)
@@ -66,7 +66,7 @@ def test_smooth_drift_density_matches_closed_form():
     mass = ndtr((1.0 - mu) / 0.3) - ndtr((-1.0 - mu) / 0.3)
     x = (sp[:, 0][None, :] - mu[:, None]) / 0.3
     want = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) / (0.3 * mass)[:, None]
-    np.testing.assert_array_equal(env.transition_density(1, Z, sp), want)
+    np.testing.assert_array_equal(env.transition_density(Z, sp), want)
 
 
 def test_smooth_drift_reward_normalized():
@@ -84,14 +84,14 @@ def test_smooth_drift_rejects_degenerate_kernel():
 def test_smooth_drift_concentrates_without_drift(rng):
     env = env_smooth_drift(0.0, 0.02, horizon=2)
     Z = np.array([[0.3, -0.8]] * 500)
-    nxt = env.transition_sample(1, Z, rng)
+    nxt = env.transition_sample(Z, rng)
     assert np.max(np.abs(nxt - 0.3)) < 0.12
 
 
 def test_sampled_states_stay_in_cube(rng):
     for env in (env_uniform_shift(0.7, horizon=2), env_smooth_drift(0.9, 0.4, horizon=2)):
         Z = rng.uniform(-1, 1, size=(100_000, 2))
-        nxt = env.transition_sample(1, Z, rng)
+        nxt = env.transition_sample(Z, rng)
         assert np.all(np.abs(nxt) <= 1.0)
 
 

@@ -370,10 +370,10 @@ def _recorded_run(monkeypatch, kept):
     assert len(policies) == cfg.episodes
     env, learner = build_env(cfg), build_learner(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
-    rewards, kernels = policy_eval_tables(env, dp, learner.actions)
+    rewards, kernel = policy_eval_tables(env, dp, learner.actions)
     s1 = np.full(1, cfg.init_value)
     want = [
-        policy_value(rewards, kernels, actions[:, :, None], dp.state_points[:, 0], s1)
+        policy_value(rewards, kernel, actions[:, :, None], dp.state_points[:, 0], s1)
         for actions in policies
     ]
     np.testing.assert_array_equal(trace.column("vpi"), want)
@@ -607,7 +607,7 @@ def test_policy_eval_tables_reject_vanishing_density():
     env = env_uniform_shift(beta=0.5, horizon=2)
     dp = dp_solve(env, 17, 9)
     dead = dataclasses.replace(
-        env, transition_density=lambda h, Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+        env, transition_density=lambda Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
     )
     with pytest.raises(ValueError, match="vanished"):
         _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])

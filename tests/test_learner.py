@@ -11,13 +11,14 @@ from cinderella.checks import tiny_exact_linear_setup
 from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
 from cinderella.geometry import assign_regions, build_partition, grid_pairs
-from cinderella.harness import RunConfig, build_env, build_learner, make_rng
+from cinderella.harness import RunConfig, build_env, build_learner, make_rng, run_experiment
 from cinderella.learner import (
     BonusSchedule,
     CinderellaLearner,
     alpha_radius,
     beta_radius,
 )
+from cinderella.oracle import dp_solve
 from cinderella.regression import mahalanobis_inv_norm
 
 
@@ -95,6 +96,52 @@ def test_cold_start_optimism_saturates():
     alpha = learner.alpha_all[1, 0]
     assert alpha >= 1.0 / (phi @ phi)
     assert clipped_q(learner, 1, z) == 1.0
+
+
+OPTIMISM_CONFIGS = {
+    "uniform_shift": dict(env_name="uniform_shift", epsilon=0.25, episodes=128),
+    "smooth_drift": dict(
+        env_name="smooth_drift",
+        nu=2.0,
+        epsilon=0.5,
+        horizon=3,
+        init_mode="uniform",
+        oracle_m_state=65,
+        oracle_m_action=33,
+        episodes=64,
+    ),
+}
+
+
+def _s1_optimism_rate(monkeypatch, config):
+    """Share of a run's plans whose unclipped step-1 score at s1 is >= V*(s1) - 1e-6."""
+    dp = dp_solve(build_env(config), config.oracle_m_state, config.oracle_m_action)
+    plan = CinderellaLearner.plan
+    margins = []
+
+    def recording_plan(self, s1=None):
+        plan(self, s1)
+        margins.append(self._scores(1, *self._blocks(s1)).max() - dp.value_at(s1))
+
+    with monkeypatch.context() as patch:
+        patch.setattr(CinderellaLearner, "plan", recording_plan)
+        run_experiment(config)
+    assert len(margins) == config.episodes
+    return np.mean(np.array(margins) >= -1e-6)
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMISM_CONFIGS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relaxation_planner_is_optimistic_at_s1(monkeypatch, name, seed):
+    """Criterion 06's threshold on the planner every run uses; alpha = 0 is the control.
+
+    ``bonus_scale = 0`` alone keeps the ``r_max / lambda`` term of alpha, so
+    the control zeroes ``r_max`` as well.
+    """
+    config = RunConfig(**OPTIMISM_CONFIGS[name], seed=seed)
+    assert _s1_optimism_rate(monkeypatch, config) >= 0.9
+    control = dataclasses.replace(config, bonus_scale=0.0, r_max=0.0)
+    assert _s1_optimism_rate(monkeypatch, control) < 0.9
 
 
 def test_optimistic_q_clipped_everywhere(rng):
@@ -460,7 +507,7 @@ def _nan_reward_at_step_2(env):
 
 
 def _nan_next_state(env):
-    def transition_sample(h, Z, rng):
+    def transition_sample(Z, rng):
         return np.full((Z.shape[0], env.state_dim), math.nan)
 
     return dataclasses.replace(env, transition_sample=transition_sample)

@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
-from cinderella.geometry import build_partition, grid_pairs, uniform_grid
+from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
+from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
 from cinderella.harness import random_policy_gap
 from cinderella.oracle import (
+    _candidate_thetas,
+    _chebyshev_fit_residual,
     _discretized_kernel,
     dp_solve,
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
+    policy_values,
     taylor_remainder_check,
 )
 from conftest import sin2x, sin2x_derivative
@@ -105,7 +108,7 @@ def _whole_kernel_dp(env, m_state, m_action):
     for h in range(H, 0, -1):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            backup = backup + (_discretized_kernel(env, h, Z, sp) @ v[h + 1]).reshape(n_s, n_a)
+            backup = backup + (_discretized_kernel(env, Z, sp) @ v[h + 1]).reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
     return v, q
@@ -180,8 +183,8 @@ def test_dp_never_holds_a_whole_kernel():
 
 
 def _value(env, dp, actions, action_idx, s1):
-    rewards, kernels = policy_eval_tables(env, dp, actions)
-    return policy_value(rewards, kernels, action_idx, dp.state_points[:, 0], s1)
+    rewards, kernel = policy_eval_tables(env, dp, actions)
+    return policy_value(rewards, kernel, action_idx, dp.state_points[:, 0], s1)
 
 
 @pytest.mark.parametrize(
@@ -205,10 +208,10 @@ def test_discretized_kernel_matches_out_of_place(make_env, m_state):
     sp = np.linspace(-1.0, 1.0, m_state)[:, None]
     ap = np.linspace(-1.0, 1.0, 9)[:, None]
     Z = np.concatenate([np.repeat(sp, 9, axis=0), np.tile(ap, (m_state, 1))], axis=1)
-    dens = env.transition_density(1, Z, sp)
+    dens = env.transition_density(Z, sp)
     want = dens / dens.sum(axis=1, keepdims=True)
-    first = _discretized_kernel(env, 1, Z, sp)
-    second = _discretized_kernel(env, 1, Z, sp)
+    first = _discretized_kernel(env, Z, sp)
+    second = _discretized_kernel(env, Z, sp)
     np.testing.assert_array_equal(first, want)
     np.testing.assert_array_equal(second, want)
     assert not np.shares_memory(first, second)
@@ -263,7 +266,7 @@ def _naive_policy_value(env, dp, actions, action_idx, s1):
                 z = np.concatenate([s, actions[j]])[None, :]
                 backup = env.reward_mean(h, z)[0]
                 if h < env.horizon:
-                    dens = env.transition_density(h, z, sp)[0] * w
+                    dens = env.transition_density(z, sp)[0] * w
                     backup += (dens / dens.sum()) @ v_next
                 values.append(min(max(backup, 0.0), 1.0))
             v[i] = np.mean(values)
@@ -292,6 +295,67 @@ def test_policy_value_matches_naive_reference(make_env, horizon):
     for idx in tables:
         fast = _value(env, dp, actions, idx, s1)
         assert fast == pytest.approx(_naive_policy_value(env, dp, actions, idx, s1), abs=1e-12)
+
+
+def _per_step_tables(env, dp, actions):
+    """Rewards and one separately built kernel per step h < H (None at 0 and H)."""
+    sp = dp.state_points
+    n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
+    Z = grid_pairs(sp, actions)
+    rewards = np.stack([np.zeros(n_s * M)] + [env.reward_mean(h, Z) for h in range(1, H + 1)])
+    kernels = [None] * (H + 1)
+    for h in range(1, H):
+        kernels[h] = _discretized_kernel(env, Z, sp).reshape(n_s, M, n_s)
+    return rewards.reshape(H + 1, n_s, M), kernels
+
+
+def _per_step_policy_values(rewards, kernels, action_idx):
+    """``policy_values`` with step h's own kernel at every h < H."""
+    rows = np.arange(rewards.shape[1])[:, None]
+    v_next = np.zeros(rewards.shape[1])
+    for h in range(len(rewards) - 1, 0, -1):
+        a = action_idx[h]
+        backup = rewards[h, rows, a]
+        if kernels[h] is not None:
+            backup = backup + np.einsum("ijk,k->ij", kernels[h][rows, a], v_next)
+        v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
+    return v_next
+
+
+@pytest.mark.parametrize("env_name", sorted(ENVS_H3))
+def test_one_kernel_policy_values_match_per_step_kernels(env_name):
+    env = ENVS_H3[env_name]()
+    dp = dp_solve(env, 33, 17)
+    rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
+    ref_rewards, ref_kernels = _per_step_tables(env, dp, dp.action_points)
+    np.testing.assert_array_equal(rewards.view(np.int64), ref_rewards.view(np.int64))
+    greedy = dp.q.argmax(axis=2)[:, :, None]
+    uniform = np.broadcast_to(np.arange(rewards.shape[2]), rewards.shape)
+    for idx in (greedy, uniform):
+        got = policy_values(rewards, kernel, idx)
+        want = _per_step_policy_values(ref_rewards, ref_kernels, idx)
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def _counting_density(env):
+    """``env`` with a transition density that records each call's row count."""
+    calls = []
+
+    def density(Z, sp):
+        calls.append(Z.shape[0])
+        return env.transition_density(Z, sp)
+
+    return dataclasses.replace(env, transition_density=density), calls
+
+
+@pytest.mark.parametrize("horizon, want_calls", [(1, 0), (3, 1)])
+def test_policy_eval_tables_build_one_kernel(horizon, want_calls):
+    env, calls = _counting_density(env_smooth_drift(horizon=horizon))
+    dp = dp_solve(env, 17, 9)
+    calls.clear()
+    _, kernel = policy_eval_tables(env, dp, dp.action_points)
+    assert len(calls) == want_calls
+    assert (kernel is None) == (horizon == 1)
 
 
 # -- inherent error ----------------------------------------------------------
@@ -341,12 +405,50 @@ def test_inherent_error_zero_for_constant_images(make_env, m_state):
 def test_inherent_error_rejects_vanishing_density():
     env = env_uniform_shift(beta=0.5, horizon=2)
     dead = dataclasses.replace(
-        env, transition_density=lambda h, Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+        env, transition_density=lambda Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
     )
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     with pytest.raises(ValueError, match="vanished"):
         inherent_error_estimate(dead, part, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
+
+
+def _per_step_audit(env, partition, fmap, radius, m_state, m_action, seed):
+    """``inherent_error_estimate``'s ``per_step`` with a kernel built at each step h < H
+    and the reward recomputed for every candidate."""
+    rng = np.random.default_rng(seed)
+    sp, ap = uniform_grid(m_state, 1), uniform_grid(m_action, 1)
+    Z = grid_pairs(sp, ap)
+    regions = assign_regions(partition, Z)
+    feats = features_at_centers(fmap, Z, partition.centers[regions])
+    H, N, d_feat = env.horizon, partition.n_regions, fmap.dim_features
+    per_step = np.zeros(H)
+    for h in range(1, H + 1):
+        last = h == H
+        cands = [np.zeros((N, d_feat))] if last else _candidate_thetas(N, d_feat, radius, rng)
+        kernel = None if last else _discretized_kernel(env, Z, sp)
+        for theta_next in cands:
+            target = env.reward_mean(h, Z)
+            if not last:
+                q_next = np.einsum("zf,zf->z", feats, theta_next[regions])
+                w_vals = np.clip(q_next.reshape(m_state, -1), 0.0, 1.0).max(axis=1)
+                target = target + kernel @ w_vals
+            for n in np.unique(regions):
+                mask = regions == n
+                resid = _chebyshev_fit_residual(feats[mask], target[mask], radius)
+                per_step[h - 1] = max(per_step[h - 1], resid)
+    return per_step
+
+
+@pytest.mark.parametrize("env_name", sorted(ENVS_H3))
+def test_one_kernel_audit_matches_per_step_kernels(env_name):
+    env, calls = _counting_density(ENVS_H3[env_name]())
+    part = build_partition(2, 0.5)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
+    rep = inherent_error_estimate(env, part, fmap, 2.0, m_state=17, m_action=9, seed=4)
+    assert len(calls) == 1
+    want = _per_step_audit(env, part, fmap, 2.0, 17, 9, seed=4)
+    np.testing.assert_array_equal(rep.per_step.view(np.int64), want.view(np.int64))
 
 
 def test_inherent_error_shrinks_with_finer_partition():

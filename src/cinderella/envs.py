@@ -37,8 +37,11 @@ class EnvironmentModel:
 
     Vectorized callables:
       transition_sample(Z, rng) -> next states, Z of shape (n, d)
-      transition_density(Z, S') -> (n, m) densities over states S' (m, d_S),
-        a new float array that the caller may overwrite
+      transition_key(Z) -> (n,) the one statistic of z that the transition
+        law depends on (float64), so equal keys mean equal kernel rows
+      transition_density(keys, S') -> (n, m) densities over states S' (m, d_S)
+        at the keys of ``transition_key``, a new float array that the caller
+        may overwrite
       reward_mean(h, Z) -> (n,) mean rewards in [0, 1/H]
 
     Transitions take no step: one kernel serves h = 1..H-1. Rewards take h = 1..H.
@@ -50,6 +53,7 @@ class EnvironmentModel:
     action_dim: int
     horizon: int
     transition_sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
+    transition_key: Callable[[np.ndarray], np.ndarray]
     transition_density: Callable[[np.ndarray, np.ndarray], np.ndarray]
     reward_mean: Callable[[int, np.ndarray], np.ndarray]
     reward_noise_sigma: float
@@ -83,8 +87,8 @@ class Transition:
 class LearnerView:
     """Sampling-only surface of an environment.
 
-    Deliberately omits ``transition_density`` and ``reward_mean`` so learner
-    code cannot peek at ground truth.
+    Deliberately omits ``transition_key``, ``transition_density`` and
+    ``reward_mean`` so learner code cannot peek at ground truth.
     """
 
     def __init__(self, env: EnvironmentModel):
@@ -172,7 +176,7 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
     Z = rng.uniform(-1, 1, size=(8, env.dim))
     grid = uniform_grid(n_quad, 1)
     w = 2.0 / (n_quad - 1)
-    dens = env.transition_density(Z, grid)
+    dens = env.transition_density(env.transition_key(Z), grid)
     totals = dens.sum(axis=1) * w
     if np.any(np.abs(totals - 1.0) > tol):
         raise ValueError(f"transition density integral off by more than {tol}: {totals}")
@@ -200,12 +204,13 @@ def env_uniform_shift(
     mean_reward, reward_slope = _resolve_reward(reward, horizon)
     width = 1.0 - beta
 
-    def sample(Z, rng):
-        lo = beta * Z[:, 0]
-        return (lo + rng.uniform(0.0, width, size=Z.shape[0]))[:, None]
+    def key(Z):  # the support's lower end
+        return beta * Z[:, 0]
 
-    def density(Z, Sp):
-        lo = beta * Z[:, 0]
+    def sample(Z, rng):
+        return (key(Z) + rng.uniform(0.0, width, size=Z.shape[0]))[:, None]
+
+    def density(lo, Sp):
         s = Sp[:, 0]
         inside = (s[None, :] >= lo[:, None]) & (s[None, :] <= (lo + width)[:, None])
         return inside / width
@@ -218,6 +223,7 @@ def env_uniform_shift(
         action_dim=1,
         horizon=horizon,
         transition_sample=sample,
+        transition_key=key,
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,
@@ -254,20 +260,23 @@ def env_smooth_drift(
         )
     mean_reward, _ = _resolve_reward(reward, horizon)
 
-    def _bounds(Z):
-        mu = Z[:, 0] + drift_gain * Z[:, 1]
+    def key(Z):  # the Gaussian's mean
+        return Z[:, 0] + drift_gain * Z[:, 1]
+
+    def _bounds(mu):
         lo = ndtr((-1.0 - mu) / noise_sigma)
         hi = ndtr((1.0 - mu) / noise_sigma)
-        return mu, lo, hi
+        return lo, hi
 
     def sample(Z, rng):
-        mu, lo, hi = _bounds(Z)
+        mu = key(Z)
+        lo, hi = _bounds(mu)
         u = rng.uniform(lo, hi)
         out = mu + noise_sigma * ndtri(u)
         return np.clip(out, -1.0, 1.0)[:, None]
 
-    def density(Z, Sp):
-        mu, lo, hi = _bounds(Z)
+    def density(mu, Sp):
+        lo, hi = _bounds(mu)
         # exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass), all in the one (n, m)
         # array, which is as large as an oracle kernel; scaling by -0.5 is
         # exact, so (x * x) * -0.5 equals (-0.5 * x) * x bit for bit.
@@ -287,6 +296,7 @@ def env_smooth_drift(
         action_dim=1,
         horizon=horizon,
         transition_sample=sample,
+        transition_key=key,
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,
@@ -327,8 +337,11 @@ def env_exact_linear(
     def sample(Z, rng):
         return rng.uniform(-1.0, 1.0, size=(Z.shape[0], d_state))
 
-    def density(Z, Sp):
-        return np.full((Z.shape[0], Sp.shape[0]), 0.5**d_state)
+    def key(Z):  # the kernel ignores z
+        return np.zeros(Z.shape[0])
+
+    def density(keys, Sp):
+        return np.full((keys.shape[0], Sp.shape[0]), 0.5**d_state)
 
     env = EnvironmentModel(
         name="exact_linear",
@@ -336,6 +349,7 @@ def env_exact_linear(
         action_dim=d - d_state,
         horizon=horizon,
         transition_sample=sample,
+        transition_key=key,
         transition_density=density,
         reward_mean=mean_reward,
         reward_noise_sigma=reward_noise_sigma,

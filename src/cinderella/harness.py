@@ -328,6 +328,10 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     evaluated; their step-1 values on the oracle grid serve every episode
     that plays one of them again. Deterministic given (config, seed).
     """
+    # The rows outlive the run in its trace. Allocated after the oracle's
+    # kernel, they could land above it on the heap and keep its freed pages
+    # from being reused by the next large allocation.
+    rows = np.empty((config.episodes, 7))
     env = build_env(config)
     learner = build_learner(config)
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
@@ -335,7 +339,6 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     rewards_pi, kernel_pi = _policy_eval_tables(env, dp, learner.actions)
     state_axis = dp.state_points[:, 0]
 
-    rows = np.empty((config.episodes, 7))
     cum = 0.0
     values = {}  # step-1 values by played policy bytes, oldest first
     for k in range(1, config.episodes + 1):

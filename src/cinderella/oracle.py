@@ -3,9 +3,10 @@
 Values are computed by backward induction on uniform grids. Expectations use
 midpoint-style Riemann sums of ``density * value``; the discretized kernel
 rows are renormalized to sum to one so that constant functions propagate
-exactly through the backup. One kernel serves every step h < H: the policy
-evaluator and the audit build it whole once per grid, and the DP streams it
-in blocks of rows at each step, so it never holds a whole kernel.
+exactly through the backup. One kernel serves every step h < H, and its
+rows are built from the env's ``transition_key``: the policy evaluator and
+the audit build it whole once per grid, and the DP computes each distinct
+key's row once per step, in blocks, so it never holds a whole kernel.
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -22,11 +23,11 @@ from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
 from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
 
-# Refuse DP instances past this many density evaluations per step; dp_solve
-# streams them in row blocks, so it bounds work, not a held array.
+# Refuse DP grids past this many whole-kernel entries (n_s * n_a * n_s). dp_solve
+# builds only the distinct keys' rows, so it bounds the grid, not a held array.
 MAX_KERNEL_ENTRIES = 80_000_000
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
-_BLOCK_ROWS = 1024  # (state, action) rows per kernel block in dp_solve; see there
+_BLOCK_ROWS = 1024  # distinct-key rows per kernel block in dp_solve; see there
 
 
 @dataclass
@@ -58,13 +59,13 @@ class GridDP:
         }
 
 
-def _discretized_kernel(env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray):
+def _discretized_kernel(env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray):
     """Row-normalized quadrature weights for E[f(s') | z] on the state grid.
 
-    The uniform grid's quadrature weight is the same for every point, so it
-    cancels in the normalization.
+    ``keys`` are ``env.transition_key(Z)``. The uniform grid's quadrature
+    weight is the same for every point, so it cancels in the normalization.
     """
-    dens = env.transition_density(Z, sp)
+    dens = env.transition_density(keys, sp)
     # Normalized in place: a kernel is the largest array of a solve, so a
     # same-size temporary would set the peak memory.
     totals = dens.sum(axis=1, keepdims=True)
@@ -74,36 +75,25 @@ def _discretized_kernel(env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray):
     return dens
 
 
-def _row_blocks(n: int):
-    """``(start, stop)`` of ``_BLOCK_ROWS``-row blocks covering ``range(n)``.
-
-    A last block of one row joins the block before it: numpy multiplies a
-    one-row matrix by another BLAS path, which changes its bits.
-    """
-    stops = list(range(_BLOCK_ROWS, n, _BLOCK_ROWS)) + [n]
-    if len(stops) > 1 and stops[-1] - stops[-2] == 1:
-        del stops[-2]
-    return zip([0] + stops[:-1], stops)
-
-
 def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     """Optimal value tables by backward induction on a uniform grid.
 
     Q and V tables are clipped to [0, 1], matching the normalization the
     environments guarantee.
 
-    Each step's expectation ``E[v_{h+1} | z]`` is computed over blocks of
-    1024 (state, action) rows (``_row_blocks``), so no step's
-    (n_s * n_a, n_s) kernel is built whole; a block is 2 MB at 257 states.
-    OpenBLAS's dgemv groups rows by 4 from a block's first row, so blocks of
-    a multiple of 4 rows give every row the bits of the single-threaded
-    whole-kernel product (129-row blocks changed them). A whole kernel's
-    product changed bits at 2 BLAS threads on some grids; the blocks give
-    the same tables at 1 and 2 threads. The blocks are rebuilt at every step
-    h < H: holding them across steps would hold the whole kernel again.
+    Each step's expectation ``E[v_{h+1} | z]`` depends on z only through
+    ``env.transition_key(z)``, so it is computed once per distinct key (by
+    bit pattern) and gathered back to the (n_s * n_a) rows: 385 keys for
+    33153 rows on smooth_drift at 257 x 129. The distinct rows go through the
+    kernel in blocks of 1024, so no step's whole kernel is built. Each row has
+    the bits of the single-threaded whole-kernel product: OpenBLAS's dgemv
+    takes rows in groups of 4 from a product's first row, and the last
+    ``n mod 4`` rows through another kernel (a one-row product through ddot).
+    So the distinct keys are padded to a multiple of 4 rows, and the grid's
+    last ``n mod 4`` rows are recomputed as the tail of a product of its last
+    ``4 + n mod 4`` rows. The blocks give the same tables at 1 and 2 BLAS
+    threads, which a whole kernel's product did not.
     """
-    if env.transition_density is None:
-        raise ValueError("environment does not expose a transition density")
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
     if env.state_dim != 1:
@@ -114,15 +104,24 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     if n_s * n_a * n_s > MAX_KERNEL_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
     Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
+    keys = env.transition_key(Z)
+    _, first, inverse = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
+    distinct = keys[np.append(first, np.full(-len(first) % 4, first[-1]))]
+    tail = Z.shape[0] % 4
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
-    expect = np.empty(n_s * n_a)
+    expect_u = np.empty(len(distinct))
     for h in range(H, 0, -1):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            for i, j in _row_blocks(Z.shape[0]):
-                expect[i:j] = _discretized_kernel(env, Z[i:j], sp) @ v[h + 1]
+            for i in range(0, len(distinct), _BLOCK_ROWS):
+                block = distinct[i : i + _BLOCK_ROWS]
+                expect_u[i : i + _BLOCK_ROWS] = _discretized_kernel(env, block, sp) @ v[h + 1]
+            expect = expect_u[inverse]
+            if tail:
+                last = keys[-4 - tail :]
+                expect[-tail:] = (_discretized_kernel(env, last, sp) @ v[h + 1])[-tail:]
             backup = backup + expect.reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
@@ -142,7 +141,8 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     rewards = np.zeros((H + 1, n_s, M))
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
-    kernel = _discretized_kernel(env, Z, sp).reshape(n_s, M, n_s) if H > 1 else None
+    keys = env.transition_key(Z)
+    kernel = _discretized_kernel(env, keys, sp).reshape(n_s, M, n_s) if H > 1 else None
     return rewards, kernel
 
 
@@ -253,7 +253,7 @@ def inherent_error_estimate(
     H = env.horizon
     N, d_feat = partition.n_regions, fmap.dim_features
 
-    kernel = _discretized_kernel(env, Z, sp) if H > 1 else None  # every step h < H
+    kernel = _discretized_kernel(env, env.transition_key(Z), sp) if H > 1 else None  # h < H
     per_step = np.zeros(H + 1)
     best = (0.0, 1, Z[0])
     n_cands = 0

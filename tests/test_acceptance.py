@@ -170,6 +170,24 @@ def test_criterion_07_inherent_error_scaling():
     )
 
 
+def _regret_gates(base: RunConfig):
+    """Seed-averaged log-log regret slope over the second half of seeds 0-4, R_K/K, and the
+    random-policy gap at s1 = 0, the numbers criteria 08 and 11 gate."""
+    configs = [dataclasses.replace(base, seed=s) for s in range(5)]
+    traces = run_sweep(configs, jobs=2)
+    cum = np.mean([t.column("cum_regret") for t in traces], axis=0)
+    K = base.episodes
+    k = np.arange(1, K + 1)
+    half = k > K // 2
+    A = np.vstack([np.log(k[half]), np.ones(half.sum())]).T
+    slope = float(np.linalg.lstsq(A, np.log(np.maximum(cum[half], 1e-9)), rcond=None)[0][0])
+
+    env = build_env(base)
+    dp = dp_solve(env, base.oracle_m_state, base.oracle_m_action)
+    gap = random_policy_gap(env, dp, np.zeros(1))
+    return slope, cum[-1] / K, gap
+
+
 def test_criterion_08_regret_sublinearity():
     with _budget(600.0):
         base = RunConfig(
@@ -182,24 +200,35 @@ def test_criterion_08_regret_sublinearity():
             bonus_scale=0.1,
             planner="relaxation",
         )
-        configs = [dataclasses.replace(base, seed=s) for s in range(5)]
-        traces = run_sweep(configs, jobs=2)
-        cum = np.mean([t.column("cum_regret") for t in traces], axis=0)
-        K = base.episodes
-        k = np.arange(1, K + 1)
-        half = k > K // 2
-        A = np.vstack([np.log(k[half]), np.ones(half.sum())]).T
-        slope = float(np.linalg.lstsq(A, np.log(np.maximum(cum[half], 1e-9)), rcond=None)[0][0])
-
-        env = build_env(base)
-        dp = dp_solve(env, base.oracle_m_state, base.oracle_m_action)
-        gap = random_policy_gap(env, dp, np.zeros(1))
-        avg = cum[-1] / K
+        slope, avg, gap = _regret_gates(base)
         ok = slope < 0.95 and avg <= 0.5 * gap
     _verdict(
         8,
         ok,
         f"seed-averaged log-log slope {slope:.3f} < 0.95; R_K/K={avg:.4f} <= 0.5*random gap={0.5 * gap:.4f}",
+    )
+
+
+def test_criterion_11_regret_sublinearity_at_degree_one():
+    """Criterion 08's gates on the Taylor degree >= 1 path: smooth_drift at nu = 2."""
+    with _budget(600.0):
+        base = RunConfig(
+            env_name="smooth_drift",
+            env_params={"drift_gain": 0.5, "noise_sigma": 0.3},
+            episodes=1024,
+            horizon=2,
+            nu=2.0,
+            epsilon="auto",
+            bonus_scale=0.1,
+            planner="relaxation",
+        )
+        slope, avg, gap = _regret_gates(base)
+        ok = slope < 0.95 and avg <= 0.5 * gap
+    _verdict(
+        11,
+        ok,
+        f"nu=2: seed-averaged log-log slope {slope:.3f} < 0.95; "
+        f"R_K/K={avg:.4f} <= 0.5*random gap={0.5 * gap:.4f}",
     )
 
 

@@ -52,7 +52,7 @@ def test_smooth_drift_density_integrates(rng):
     env = env_smooth_drift(0.5, 0.3, horizon=2)
     sp = np.linspace(-1, 1, 512)[:, None]
     Z = rng.uniform(-1, 1, size=(32, 2))
-    dens = env.transition_density(Z, sp)
+    dens = env.transition_density(env.transition_key(Z), sp)
     assert np.all(dens >= 0.0)
     totals = dens.sum(axis=1) * (2.0 / 511)
     np.testing.assert_allclose(totals, 1.0, atol=1e-2)
@@ -66,7 +66,7 @@ def test_smooth_drift_density_matches_closed_form():
     mass = ndtr((1.0 - mu) / 0.3) - ndtr((-1.0 - mu) / 0.3)
     x = (sp[:, 0][None, :] - mu[:, None]) / 0.3
     want = np.exp(-0.5 * x * x) / np.sqrt(2.0 * np.pi) / (0.3 * mass)[:, None]
-    np.testing.assert_array_equal(env.transition_density(Z, sp), want)
+    np.testing.assert_array_equal(env.transition_density(env.transition_key(Z), sp), want)
 
 
 def test_smooth_drift_reward_normalized():
@@ -183,6 +183,7 @@ def test_transitions_have_horizon_structure(rng):
 def test_sampling_view_hides_ground_truth(rng):
     env = env_uniform_shift(0.5, horizon=2)
     view = LearnerView(env)
+    assert not hasattr(view, "transition_key")
     assert not hasattr(view, "transition_density")
     assert not hasattr(view, "reward_mean")
     transitions, _ = run_episode(view, lambda h, s: np.zeros(1), rng)

@@ -607,7 +607,7 @@ def test_policy_eval_tables_reject_vanishing_density():
     env = env_uniform_shift(beta=0.5, horizon=2)
     dp = dp_solve(env, 17, 9)
     dead = dataclasses.replace(
-        env, transition_density=lambda Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+        env, transition_density=lambda keys, sp: np.zeros((keys.shape[0], sp.shape[0]))
     )
     with pytest.raises(ValueError, match="vanished"):
         _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])

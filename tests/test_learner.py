@@ -18,7 +18,7 @@ from cinderella.learner import (
     alpha_radius,
     beta_radius,
 )
-from cinderella.oracle import dp_solve
+from cinderella.oracle import dp_solve, policy_eval_tables
 from cinderella.regression import mahalanobis_inv_norm
 
 
@@ -113,21 +113,55 @@ OPTIMISM_CONFIGS = {
 }
 
 
-def _s1_optimism_rate(monkeypatch, config):
-    """Share of a run's plans whose unclipped step-1 score at s1 is >= V*(s1) - 1e-6."""
-    dp = dp_solve(build_env(config), config.oracle_m_state, config.oracle_m_action)
+def _after_each_plan(monkeypatch, config, record):
+    """Run ``config``, calling ``record(learner, s1)`` after each of its plans."""
     plan = CinderellaLearner.plan
-    margins = []
 
     def recording_plan(self, s1=None):
         plan(self, s1)
-        margins.append(self._scores(1, *self._blocks(s1)).max() - dp.value_at(s1))
+        record(self, s1)
 
     with monkeypatch.context() as patch:
         patch.setattr(CinderellaLearner, "plan", recording_plan)
         run_experiment(config)
+
+
+def _s1_optimism_rate(monkeypatch, config):
+    """Share of a run's plans whose unclipped step-1 score at s1 is >= V*(s1) - 1e-6."""
+    dp = dp_solve(build_env(config), config.oracle_m_state, config.oracle_m_action)
+    margins = []
+
+    def record(learner, s1):
+        margins.append(learner._scores(1, *learner._blocks(s1)).max() - dp.value_at(s1))
+
+    _after_each_plan(monkeypatch, config, record)
     assert len(margins) == config.episodes
     return np.mean(np.array(margins) >= -1e-6)
+
+
+def _pointwise_optimism_rate(monkeypatch, config):
+    """Share of unclipped scores >= Q*_h - 1e-6, pooled over plans, steps h, oracle
+    states and grid actions.
+
+    Q*_h at the learner's grid actions is ``rewards[h] + kernel @ V*_{h+1}``
+    (rewards alone at h = H), clipped to [0, 1], from ``policy_eval_tables``.
+    """
+    env = build_env(config)
+    dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
+    q_star, hits = {}, []
+
+    def record(learner, s1):
+        if not q_star:
+            rewards, kernel = policy_eval_tables(env, dp, learner.actions)
+            for h in range(1, env.horizon + 1):
+                backup = rewards[h] if h == env.horizon else rewards[h] + kernel @ dp.v[h + 1]
+                q_star[h] = np.clip(backup, 0.0, 1.0)
+        feats, regions = learner._blocks(dp.state_points)
+        hits.extend(learner._scores(h, feats, regions) >= q_star[h] - 1e-6 for h in q_star)
+
+    _after_each_plan(monkeypatch, config, record)
+    assert len(hits) == config.episodes * env.horizon
+    return np.mean(hits)
 
 
 @pytest.mark.parametrize("name", sorted(OPTIMISM_CONFIGS))
@@ -142,6 +176,17 @@ def test_relaxation_planner_is_optimistic_at_s1(monkeypatch, name, seed):
     assert _s1_optimism_rate(monkeypatch, config) >= 0.9
     control = dataclasses.replace(config, bonus_scale=0.0, r_max=0.0)
     assert _s1_optimism_rate(monkeypatch, control) < 0.9
+
+
+@pytest.mark.parametrize("name", sorted(OPTIMISM_CONFIGS))
+@pytest.mark.parametrize("seed", [0, 1])
+def test_relaxation_planner_is_optimistic_pointwise(monkeypatch, name, seed):
+    """The planned scores bound Q*_h from above at 90% of all (step, oracle state, grid
+    action) entries of a run; alpha = 0 is the control."""
+    config = RunConfig(**OPTIMISM_CONFIGS[name], seed=seed)
+    assert _pointwise_optimism_rate(monkeypatch, config) >= 0.9
+    control = dataclasses.replace(config, bonus_scale=0.0, r_max=0.0)
+    assert _pointwise_optimism_rate(monkeypatch, control) < 0.9
 
 
 def test_optimistic_q_clipped_everywhere(rng):
@@ -231,7 +276,7 @@ def test_learner_works_against_sampling_view():
 
 
 def test_greedy_baseline_matches_dp_q_after_coverage(rng):
-    from cinderella.oracle import dp_solve
+    from cinderella.oracle import dp_solve, policy_eval_tables
 
     learner = _fresh_learner(bonus_scale=0.0, episodes=600)
     learner.schedule.r_max = 0.0  # alpha = 0: pure ridge, no optimism

@@ -108,20 +108,36 @@ def _whole_kernel_dp(env, m_state, m_action):
     for h in range(H, 0, -1):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
-            backup = backup + (_discretized_kernel(env, Z, sp) @ v[h + 1]).reshape(n_s, n_a)
+            kernel = _discretized_kernel(env, env.transition_key(Z), sp)
+            backup = backup + (kernel @ v[h + 1]).reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
     return v, q
 
 
+STREAMED_ENVS = {
+    **ENVS_H3,
+    "smooth_drift_gain_0.3": lambda: env_smooth_drift(0.3, horizon=3),  # 2705 keys at 257 x 129
+    "smooth_drift_gain_0.3713": lambda: env_smooth_drift(0.3713, horizon=3),  # no key repeats
+    "exact_linear": lambda: env_exact_linear(  # one key
+        np.array([[0.15, 0.02, 0.05]] * 3),
+        TaylorFeatureMap(partition=build_partition(2, 1.0), index_set=enumerate_multi_indices(2, 1)),
+        horizon=3,
+    ),
+}
+
+
 def check_streamed_dp_matches_whole_kernel(env_name):
     """Raise unless ``dp_solve`` gives the whole-kernel tables bit for bit.
 
-    The grids have 8385, 33153 and 2145 (state, action) rows, 1025 (a last
-    block of one row) and 153 (one block).
+    The grids' (state, action) row counts, 8385, 33153, 2145, 1025, 153,
+    140, 126 and 147, take every value mod 4. With no key repeated (drift
+    gain 0.3713) the distinct keys fill 1 to 33 blocks, the last of 4 rows
+    at 1025.
     """
-    env = ENVS_H3[env_name]()
-    for m_state, m_action in [(129, 65), (257, 129), (65, 33), (41, 25), (17, 9)]:
+    env = STREAMED_ENVS[env_name]()
+    grids = [(129, 65), (257, 129), (65, 33), (41, 25), (17, 9), (20, 7), (18, 7), (21, 7)]
+    for m_state, m_action in grids:
         dp = dp_solve(env, m_state, m_action)
         v, q = _whole_kernel_dp(env, m_state, m_action)
         np.testing.assert_array_equal(dp.v.view(np.int64), v.view(np.int64))
@@ -146,9 +162,9 @@ def _at_blas_threads(threads, code):
     return proc.stdout
 
 
-@pytest.mark.parametrize("env_name", sorted(ENVS_H3))
+@pytest.mark.parametrize("env_name", sorted(STREAMED_ENVS))
 def test_streamed_dp_matches_whole_kernel_bit_for_bit(env_name):
-    """The row-block backup is the single-threaded whole-kernel backup, bit for bit, at H = 3."""
+    """The distinct-key backup is the single-threaded whole-kernel backup, bit for bit, at H = 3."""
     _at_blas_threads(
         1, f"import test_oracle; test_oracle.check_streamed_dp_matches_whole_kernel({env_name!r})"
     )
@@ -170,8 +186,16 @@ def test_dp_bits_do_not_depend_on_blas_threads():
     assert _at_blas_threads(2, code) == one
 
 
+def test_dp_builds_each_distinct_kernel_row_once_per_step():
+    """At 257 x 129, 33153 rows share 385 means: 388 padded distinct rows and a 5-row tail
+    per step h < H, where a kernel of every row would pass 33153."""
+    env, calls = _counting_density(env_smooth_drift(horizon=3))
+    dp_solve(env, 257, 129)
+    assert sum(calls) <= 2 * (388 + 5)
+
+
 def test_dp_never_holds_a_whole_kernel():
-    """At 257 x 129 a step's whole kernel is 68 MB; the streamed solve peaks near 4 MB."""
+    """At 257 x 129 a step's whole kernel is 68 MB; the distinct-key solve peaks near 4 MB."""
     env = env_smooth_drift(horizon=3)
     tracemalloc.start()
     try:
@@ -208,10 +232,11 @@ def test_discretized_kernel_matches_out_of_place(make_env, m_state):
     sp = np.linspace(-1.0, 1.0, m_state)[:, None]
     ap = np.linspace(-1.0, 1.0, 9)[:, None]
     Z = np.concatenate([np.repeat(sp, 9, axis=0), np.tile(ap, (m_state, 1))], axis=1)
-    dens = env.transition_density(Z, sp)
+    keys = env.transition_key(Z)
+    dens = env.transition_density(keys, sp)
     want = dens / dens.sum(axis=1, keepdims=True)
-    first = _discretized_kernel(env, Z, sp)
-    second = _discretized_kernel(env, Z, sp)
+    first = _discretized_kernel(env, keys, sp)
+    second = _discretized_kernel(env, keys, sp)
     np.testing.assert_array_equal(first, want)
     np.testing.assert_array_equal(second, want)
     assert not np.shares_memory(first, second)
@@ -266,7 +291,7 @@ def _naive_policy_value(env, dp, actions, action_idx, s1):
                 z = np.concatenate([s, actions[j]])[None, :]
                 backup = env.reward_mean(h, z)[0]
                 if h < env.horizon:
-                    dens = env.transition_density(z, sp)[0] * w
+                    dens = env.transition_density(env.transition_key(z), sp)[0] * w
                     backup += (dens / dens.sum()) @ v_next
                 values.append(min(max(backup, 0.0), 1.0))
             v[i] = np.mean(values)
@@ -305,7 +330,7 @@ def _per_step_tables(env, dp, actions):
     rewards = np.stack([np.zeros(n_s * M)] + [env.reward_mean(h, Z) for h in range(1, H + 1)])
     kernels = [None] * (H + 1)
     for h in range(1, H):
-        kernels[h] = _discretized_kernel(env, Z, sp).reshape(n_s, M, n_s)
+        kernels[h] = _discretized_kernel(env, env.transition_key(Z), sp).reshape(n_s, M, n_s)
     return rewards.reshape(H + 1, n_s, M), kernels
 
 
@@ -338,12 +363,12 @@ def test_one_kernel_policy_values_match_per_step_kernels(env_name):
 
 
 def _counting_density(env):
-    """``env`` with a transition density that records each call's row count."""
+    """``env`` with a transition density that records each call's key count."""
     calls = []
 
-    def density(Z, sp):
-        calls.append(Z.shape[0])
-        return env.transition_density(Z, sp)
+    def density(keys, sp):
+        calls.append(keys.shape[0])
+        return env.transition_density(keys, sp)
 
     return dataclasses.replace(env, transition_density=density), calls
 
@@ -405,7 +430,7 @@ def test_inherent_error_zero_for_constant_images(make_env, m_state):
 def test_inherent_error_rejects_vanishing_density():
     env = env_uniform_shift(beta=0.5, horizon=2)
     dead = dataclasses.replace(
-        env, transition_density=lambda Z, sp: np.zeros((Z.shape[0], sp.shape[0]))
+        env, transition_density=lambda keys, sp: np.zeros((keys.shape[0], sp.shape[0]))
     )
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
@@ -426,7 +451,7 @@ def _per_step_audit(env, partition, fmap, radius, m_state, m_action, seed):
     for h in range(1, H + 1):
         last = h == H
         cands = [np.zeros((N, d_feat))] if last else _candidate_thetas(N, d_feat, radius, rng)
-        kernel = None if last else _discretized_kernel(env, Z, sp)
+        kernel = None if last else _discretized_kernel(env, env.transition_key(Z), sp)
         for theta_next in cands:
             target = env.reward_mean(h, Z)
             if not last:

@@ -323,14 +323,17 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     """Execute one run: build everything from the config, measure regret.
 
     Per episode: plan and act, then value the episode's greedy policy with
-    the grid oracle; the regret increment is V*(s1) - V^pi(s1). A policy is
-    evaluated when it is not among the last ``_POLICY_VALUES_KEPT`` policies
-    evaluated; their step-1 values on the oracle grid serve every episode
-    that plays one of them again. Deterministic given (config, seed).
+    the grid oracle; the regret increment is V*(s1) - V^pi(s1). The policy
+    sets step 1 at least at the two oracle states around s1, which are all
+    ``np.interp`` reads of V^pi_1, and its evaluation builds each kernel row
+    on the first read. A policy is evaluated when it is not among the last
+    ``_POLICY_VALUES_KEPT`` policies evaluated; their step-1 values serve
+    every episode that plays one of them again. Deterministic given
+    (config, seed).
     """
     # The rows outlive the run in its trace. Allocated after the oracle's
-    # kernel, they could land above it on the heap and keep its freed pages
-    # from being reused by the next large allocation.
+    # tables, they could land above them on the heap and keep their freed
+    # pages from being reused by the next large allocation.
     rows = np.empty((config.episodes, 7))
     env = build_env(config)
     learner = build_learner(config)
@@ -395,10 +398,12 @@ def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
 
     ``jobs > 1`` runs them on up to that many spawned processes, each first
     importing numpy and scipy; at jobs=2 on 2 cores, four 0.5 s runs take 0.82x
-    the wall of jobs=1. With ``master_seed`` (an integer >= 0) given, each run's
-    seed is re-derived from (master_seed, run index). Errors are aggregated
-    with their run indices.
+    the wall of jobs=1. ``jobs`` must be an integer >= 1. With ``master_seed``
+    (an integer >= 0) given, each run's seed is re-derived from (master_seed,
+    run index). Errors are aggregated with their run indices.
     """
+    if isinstance(jobs, bool) or not isinstance(jobs, int) or jobs < 1:
+        raise ValueError(f"config invalid: jobs must be an integer >= 1, got {jobs!r}")
     configs = list(configs)
     if master_seed is not None:
         if isinstance(master_seed, bool) or not isinstance(master_seed, int) or master_seed < 0:

@@ -4,9 +4,10 @@ Values are computed by backward induction on uniform grids. Expectations use
 midpoint-style Riemann sums of ``density * value``; the discretized kernel
 rows are renormalized to sum to one so that constant functions propagate
 exactly through the backup. One kernel serves every step h < H, and its
-rows are built from the env's ``transition_key``: the policy evaluator and
-the audit build it whole once per grid, and the DP computes each distinct
-key's row once per step, in blocks, so it never holds a whole kernel.
+rows are built from the env's ``transition_key``: the audit builds it whole
+once per grid, the policy evaluator each (state, action) row on its first
+read, and the DP each distinct key's row once per step, in blocks, so it
+never holds a whole kernel.
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -128,11 +129,48 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
 
 
-def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
-    """Reward/kernel tables on (oracle states x the given actions).
+class KernelRows:
+    """The one kernel of every step h < H on (oracle states x table actions), built as read.
 
-    ``rewards[h]`` is (n_s, M) for h = 1..H. ``kernel`` is the one
-    (n_s, M, n_s) kernel of every step h < H, or None when H = 1.
+    ``kernel[states, actions]`` gives the rows of the broadcast (state,
+    action) index arrays, as fancy indexing of the whole (n_s, M, n_s) kernel
+    would, with its bits. Each row is built with ``_discretized_kernel`` on
+    its first read, so a density that vanishes raises there. Built rows are
+    kept in a compact store that grows as rows are built: ``slot`` holds each
+    (state, action) pair's store row, -1 until it is built.
+    """
+
+    def __init__(self, env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray, n_actions: int):
+        self._env, self._keys, self._sp, self._n_actions = env, keys, sp, n_actions
+        self.slot = np.full(keys.shape[0], -1, dtype=np.int64)
+        self.built = 0
+        self._store = np.empty((0, sp.shape[0]))
+
+    def __getitem__(self, index) -> np.ndarray:
+        states, actions = index
+        flat = states * self._n_actions + actions
+        slots = self.slot[flat]
+        missing = slots < 0
+        if missing.any():
+            new = np.unique(flat[missing])
+            rows = _discretized_kernel(self._env, self._keys[new], self._sp)
+            end = self.built + new.size
+            if end > self._store.shape[0]:
+                grown = np.empty((max(end, 2 * self._store.shape[0]), self._sp.shape[0]))
+                grown[: self.built] = self._store[: self.built]
+                self._store = grown
+            self._store[self.built : end] = rows
+            self.slot[new] = np.arange(self.built, end)
+            self.built = end
+            slots = self.slot[flat]
+        return self._store[slots]
+
+
+def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
+    """Reward tables and the kernel's rows on (oracle states x the given actions).
+
+    ``rewards[h]`` is (n_s, M) for h = 1..H. ``kernel`` is the ``KernelRows``
+    of every step h < H; none of its rows is built until a policy reads it.
     """
     sp = dp.state_points
     n_s, M = sp.shape[0], actions.shape[0]
@@ -141,29 +179,35 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     rewards = np.zeros((H + 1, n_s, M))
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
-    keys = env.transition_key(Z)
-    kernel = _discretized_kernel(env, keys, sp).reshape(n_s, M, n_s) if H > 1 else None
-    return rewards, kernel
+    return rewards, KernelRows(env, env.transition_key(Z), sp, M)
 
 
 def policy_values(rewards, kernel, action_idx) -> np.ndarray:
-    """V^pi_1 at every grid state, (n_s,), by backward induction over ``policy_eval_tables``.
+    """V^pi_1 on the grid states, (n_s,), by backward induction over ``policy_eval_tables``.
 
     ``action_idx[h]`` is (n_s, J): at each grid state the policy plays one of
     those J table actions uniformly at random, so J = 1 is a deterministic
-    policy and ``arange(M)`` at every state the uniform-random one. The
-    horizon H is ``len(rewards) - 1``; ``kernel`` serves every step h < H.
+    policy and ``arange(M)`` at every state the uniform-random one. At step 1
+    a row of -1 leaves its state unset: step 1 is backed up only at the states
+    the policy sets, no kernel row is read for the others, and V^pi_1 is NaN
+    there. The horizon H is ``len(rewards) - 1``; ``kernel`` serves every step
+    h < H.
     """
     H, n_s = len(rewards) - 1, rewards.shape[1]
     rows = np.arange(n_s)[:, None]
     v_next = np.zeros(n_s)
     for h in range(H, 0, -1):
         a = action_idx[h]
+        if h == 1:
+            states = np.flatnonzero(a[:, 0] >= 0)
+            rows, a = states[:, None], a[states]
         backup = rewards[h, rows, a]
         if h < H:
             backup = backup + np.einsum("ijk,k->ij", kernel[rows, a], v_next)
         v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
-    return v_next
+    v_1 = np.full(n_s, np.nan)
+    v_1[states] = v_next
+    return v_1
 
 
 def policy_value(rewards, kernel, action_idx, state_axis, s1) -> float:

@@ -19,6 +19,7 @@ from cinderella.harness import (
     _TOP_KEYS,
     CSV_HEADER,
     RunConfig,
+    _played_policy_value,
     _policy_eval_tables,
     build_env,
     build_learner,
@@ -524,6 +525,30 @@ def test_sweep_epsilon_bias_variance_shape():
     assert int(np.argmin(avg)) == 1
 
 
+@pytest.mark.parametrize("jobs", [0, -2, True, 2.5, "2", None])
+def test_sweep_rejects_bad_jobs_before_any_run(monkeypatch, jobs):
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    with pytest.raises(ValueError, match="config invalid: jobs must be an integer >= 1"):
+        run_sweep([_small_config(episodes=4)], jobs=jobs)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_cli_sweep_rejects_bad_jobs_before_any_run(monkeypatch, tmp_path, jobs):
+    def no_run(config):
+        raise AssertionError("a run started")
+
+    monkeypatch.setattr(harness, "run_experiment", no_run)
+    cfg_path = tmp_path / "sweep.json"
+    cfg_path.write_text(json.dumps({"runs": [{"env": {"name": "uniform_shift"}}]}))
+    out_dir = tmp_path / "out"
+    with pytest.raises(ValueError, match="config invalid: jobs"):
+        cli_main(["sweep", "--config", str(cfg_path), "--out", str(out_dir), "--jobs", jobs])
+    assert not out_dir.exists()
+
+
 def test_sweep_aggregates_errors_with_indices():
     good = _small_config(episodes=4)
     bad = _small_config(episodes=4, oracle_m_state=5000, oracle_m_action=500)
@@ -604,10 +629,17 @@ def test_cli_sweep(tmp_path):
 
 
 def test_policy_eval_tables_reject_vanishing_density():
+    """The first evaluation that reads a dead kernel row raises; the tables build none."""
     env = env_uniform_shift(beta=0.5, horizon=2)
     dp = dp_solve(env, 17, 9)
     dead = dataclasses.replace(
         env, transition_density=lambda keys, sp: np.zeros((keys.shape[0], sp.shape[0]))
     )
+    rewards, kernel = _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])
+    played = np.zeros((3, 17, 1), dtype=np.int64)
+    played[1] = -1  # step 1 unset: no kernel row is read
+    _played_policy_value(rewards, kernel, played)
+    played[1, 3:5] = 2
     with pytest.raises(ValueError, match="vanished"):
-        _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])
+        _played_policy_value(rewards, kernel, played)
+    assert kernel.built == 0

@@ -144,7 +144,8 @@ def _pointwise_optimism_rate(monkeypatch, config):
     states and grid actions.
 
     Q*_h at the learner's grid actions is ``rewards[h] + kernel @ V*_{h+1}``
-    (rewards alone at h = H), clipped to [0, 1], from ``policy_eval_tables``.
+    (rewards alone at h = H), clipped to [0, 1], from ``policy_eval_tables``,
+    whose kernel rows are read at every (oracle state, grid action).
     """
     env = build_env(config)
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
@@ -152,7 +153,8 @@ def _pointwise_optimism_rate(monkeypatch, config):
 
     def record(learner, s1):
         if not q_star:
-            rewards, kernel = policy_eval_tables(env, dp, learner.actions)
+            rewards, rows = policy_eval_tables(env, dp, learner.actions)
+            kernel = rows[np.arange(rewards.shape[1])[:, None], np.arange(rewards.shape[2])]
             for h in range(1, env.horizon + 1):
                 backup = rewards[h] if h == env.horizon else rewards[h] + kernel @ dp.v[h + 1]
                 q_star[h] = np.clip(backup, 0.0, 1.0)
@@ -393,11 +395,13 @@ def test_exact_grid_reads_only_theta_at_d3():
         feats, regions = learner._blocks(state)
         return np.array([f @ theta[h, n] for f, n in zip(feats[0], regions[0])])
 
-    greedy = learner.greedy_action_indices()
+    greedy = learner.greedy_action_indices(np.full(1, 0.3))
+    assert np.flatnonzero(greedy[1] >= 0).tolist() == [5, 6]  # 0.25 <= 0.3 < 0.5
     for h in (1, 2):
         for i, state in enumerate(states):
             scores = by_hand(h, state)
-            assert greedy[h, i] == np.argmax(scores)
+            if greedy[h, i] >= 0:
+                assert greedy[h, i] == np.argmax(scores)
             assert learner.act(h, state)[2] == np.argmax(scores)
     for state in states:
         want = float(np.clip(by_hand(1, state).max(), 0.0, 1.0))
@@ -471,7 +475,7 @@ def test_partition_centers_and_probe_blocks_are_read_only():
     schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
     learner = CinderellaLearner(fmap, schedule, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
-    feats, regions = learner._probe[1].feats, learner._probe[1].regions
+    feats, regions = learner._probe[1]
     for arr in (part.centers, feats, regions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0

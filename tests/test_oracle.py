@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from cinderella import harness
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
 from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
@@ -375,12 +376,116 @@ def _counting_density(env):
 
 @pytest.mark.parametrize("horizon, want_calls", [(1, 0), (3, 1)])
 def test_policy_eval_tables_build_one_kernel(horizon, want_calls):
+    """The tables build no kernel row. Two reads of every row build each once, in one call."""
     env, calls = _counting_density(env_smooth_drift(horizon=horizon))
     dp = dp_solve(env, 17, 9)
     calls.clear()
-    _, kernel = policy_eval_tables(env, dp, dp.action_points)
+    rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
+    assert calls == [] and kernel.built == 0
+    uniform = np.broadcast_to(np.arange(rewards.shape[2]), rewards.shape)
+    for _ in range(2):
+        policy_values(rewards, kernel, uniform)
     assert len(calls) == want_calls
-    assert (kernel is None) == (horizon == 1)
+    assert sum(calls) == kernel.built == (0 if horizon == 1 else 17 * 9)
+
+
+def _env(name, horizon):
+    if name == "exact_linear":
+        fmap = TaylorFeatureMap(
+            partition=build_partition(2, 1.0), index_set=enumerate_multi_indices(2, 1)
+        )
+        theta = np.tile([0.3, 0.05, 0.1], (horizon, 1)) / horizon
+        return env_exact_linear(theta, fmap, horizon=horizon)
+    if name == "smooth_drift":
+        return env_smooth_drift(0.5, 0.3, horizon=horizon)
+    return env_uniform_shift(0.5, horizon=horizon)
+
+
+def _whole_kernel_policy_values(env, dp, actions, action_idx):
+    """V^pi_1 at every grid state with the whole kernel, built once and gathered per step."""
+    sp = dp.state_points
+    n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
+    Z = grid_pairs(sp, actions)
+    kernel = _discretized_kernel(env, env.transition_key(Z), sp).reshape(n_s, M, n_s)
+    rows = np.arange(n_s)[:, None]
+    v_next = np.zeros(n_s)
+    for h in range(H, 0, -1):
+        a = action_idx[h]
+        backup = env.reward_mean(h, Z).reshape(n_s, M)[rows, a]
+        if h < H:
+            backup = backup + np.einsum("ijk,k->ij", kernel[rows, a], v_next)
+        v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
+    return v_next
+
+
+def _around(axis, s1):
+    """The two grid states whose values ``np.interp`` reads at s1."""
+    j = int(np.searchsorted(axis, s1, side="right")) - 1
+    lo = max(min(j, axis.size - 2), 0)
+    return np.array([lo, lo + 1])
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("env_name", ["exact_linear", "smooth_drift", "uniform_shift"])
+def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizon):
+    """Values from kernel rows built on first read are the whole kernel's, bit for bit.
+
+    Every policy is read at every state, then with step 1 set only at the two
+    grid states around s1, in a fresh store and in the store the full reads
+    filled: V^pi_1 at those states and V^pi_1(s1) keep their bits, and the
+    unset states read NaN.
+    """
+    env = _env(env_name, horizon)
+    dp = dp_solve(env, 17, 9)
+    axis = dp.state_points[:, 0]
+    rng = np.random.default_rng(700 + horizon)
+    actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
+    M = actions.shape[0]
+    policies = [rng.integers(0, M, size=(horizon + 1, 17, 1)) for _ in range(2)]
+    policies.append(dp.q.argmax(axis=2)[:, :, None] % M)
+    policies.append(np.broadcast_to(np.arange(M), (horizon + 1, 17, M)))  # uniform random
+    s1s = [-1.0, 1.0, axis[5], 0.5 * (axis[5] + axis[6]), 0.3141]
+    rewards, filled = policy_eval_tables(env, dp, actions)
+    for idx in policies:
+        want = _whole_kernel_policy_values(env, dp, actions, idx)
+        assert np.array_equal(policy_values(rewards, filled, idx), want)
+        for s1 in s1s:
+            pair = _around(axis, s1)
+            part = np.array(idx)
+            part[1] = -1
+            part[1, pair] = idx[1][pair]
+            for kernel in (policy_eval_tables(env, dp, actions)[1], filled):
+                got = policy_values(rewards, kernel, part)
+                assert np.array_equal(got[pair], want[pair])
+                assert np.isnan(np.delete(got, pair)).all()
+                assert np.interp(s1, axis, got) == np.interp(s1, axis, want)
+                assert policy_value(rewards, kernel, part, axis, [s1]) == np.interp(s1, axis, want)
+    assert filled.built == (0 if horizon == 1 else 17 * M)
+
+
+def test_played_policies_build_each_kernel_row_once(monkeypatch):
+    """A short H = 3, uniform-s1 run builds each kernel row it reads once, and not every row."""
+    stores, built = [], []
+
+    def tables(env, dp, actions):
+        def density(keys, sp):
+            built.append(keys.shape[0])
+            return env.transition_density(keys, sp)
+
+        out = policy_eval_tables(dataclasses.replace(env, transition_density=density), dp, actions)
+        stores.append(out[1])
+        return out
+
+    monkeypatch.setattr(harness, "_policy_eval_tables", tables)
+    config = harness.RunConfig(
+        env_name="smooth_drift", episodes=24, horizon=3, nu=2.0, epsilon=0.5,
+        oracle_m_state=33, oracle_m_action=17, init_mode="uniform",
+    )
+    harness.run_experiment(config)
+    (kernel,) = stores
+    slots = kernel.slot[kernel.slot >= 0]
+    assert sum(built) == kernel.built == slots.size < kernel.slot.size
+    np.testing.assert_array_equal(np.sort(slots), np.arange(kernel.built))
 
 
 # -- inherent error ----------------------------------------------------------

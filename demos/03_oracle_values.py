@@ -26,9 +26,10 @@ s1 = np.zeros(1)
 for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizon=2)):
     dp = dp_solve(env, m_state=129, m_action=65)
     vstar = dp.value_at(s1)
+    # The uniform-random value is the same grid backup, with the mean over actions for the max.
     v_rand = vstar - random_policy_gap(env, dp, s1)
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
-    greedy = dp.q.argmax(axis=2)[:, :, None]  # one action index per (step, grid state)
+    greedy = dp.q.argmax(axis=2)  # one action index per (step, grid state)
     v_greedy = policy_value(rewards, kernel, greedy, dp.state_points[:, 0], s1)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
           f"greedy-from-oracle {v_greedy:.4f}")

@@ -36,7 +36,6 @@ from .harness import (
     RunConfig,
     load_config,
     make_rng,
-    random_policy_gap,
     run_experiment,
     run_sweep,
 )
@@ -53,6 +52,7 @@ from .oracle import (
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
+    random_policy_gap,
     taylor_remainder_check,
 )
 from .regression import mahalanobis_inv_norm, ridge_update

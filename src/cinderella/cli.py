@@ -7,8 +7,11 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
+
 from .checks import check_suite
-from .harness import RunConfig, build_env, load_config, random_policy_gap, run_experiment, run_sweep
+from .harness import RunConfig, build_env, load_config, run_experiment, run_sweep
+from .oracle import dp_solve, random_policy_gap
 
 
 def _cmd_run(args) -> int:
@@ -56,10 +59,6 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
-    import numpy as np
-
-    from .oracle import dp_solve
-
     cfg = load_config(args.config)
     env = build_env(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)

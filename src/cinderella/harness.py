@@ -28,7 +28,7 @@ from .envs import EnvironmentModel, env_exact_linear, env_smooth_drift, env_unif
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import GridDP, dp_solve, policy_eval_tables, policy_value, policy_values
+from .oracle import dp_solve, policy_eval_tables, policy_values
 
 log = logging.getLogger(__name__)
 
@@ -358,7 +358,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         if v_played is None:
             if len(values) == _POLICY_VALUES_KEPT:
                 del values[next(iter(values))]
-            v_played = _played_policy_value(rewards_pi, kernel_pi, played[:, :, None])
+            v_played = _played_policy_value(rewards_pi, kernel_pi, played)
             values[key] = v_played
         vstar = dp.value_at(s1)
         vpi = float(np.interp(s1[0], state_axis, v_played))
@@ -435,12 +435,3 @@ def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
         msgs = "; ".join(f"run {i}: {exc}" for i, exc in sorted(errors))
         raise RuntimeError(f"sweep failed for {len(errors)} run(s): {msgs}")
     return results
-
-
-def random_policy_gap(env: EnvironmentModel, dp: GridDP, s1) -> float:
-    """V*(s1) minus the uniform-random policy's value, via the oracle."""
-    s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-    rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
-    every_action = np.broadcast_to(np.arange(dp.action_points.shape[0]), rewards.shape[1:])
-    v_rand = policy_value(rewards, kernel, [every_action] * len(rewards), dp.state_points[:, 0], s1)
-    return dp.value_at(s1) - v_rand

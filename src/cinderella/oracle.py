@@ -3,11 +3,15 @@
 Values are computed by backward induction on uniform grids. Expectations use
 midpoint-style Riemann sums of ``density * value``; the discretized kernel
 rows are renormalized to sum to one so that constant functions propagate
-exactly through the backup. One kernel serves every step h < H, and its
-rows are built from the env's ``transition_key``: the audit builds it whole
-once per grid, the policy evaluator each (state, action) row on its first
-read, and the DP each distinct key's row once per step, in blocks, so it
-never holds a whole kernel.
+exactly through the backup. Every expectation E[v | z] is one rule: plain
+``np.einsum`` (no BLAS) of a kernel row with v, so its bits depend on that
+row and v only, not on the batch, the BLAS library or its thread count.
+One kernel serves every step h < H, and its rows are built from the env's
+``transition_key``: the audit builds it whole once per grid, the policy
+evaluator each (state, action) row on its first read, and the grid backup
+each distinct key's row once per step, in blocks, so it never holds a
+whole kernel. One grid backup gives both V* (max over actions, ``dp_solve``)
+and the uniform-random policy's value (mean, ``random_policy_gap``).
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -28,7 +32,7 @@ from .geometry import Partition, assign_regions, build_partition, grid_pairs, un
 # builds only the distinct keys' rows, so it bounds the grid, not a held array.
 MAX_KERNEL_ENTRIES = 80_000_000
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
-_BLOCK_ROWS = 1024  # distinct-key rows per kernel block in dp_solve; see there
+_BLOCK_ROWS = 1024  # distinct-key rows per kernel block in _grid_backup
 
 
 @dataclass
@@ -76,65 +80,66 @@ def _discretized_kernel(env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray)
     return dens
 
 
-def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
-    """Optimal value tables by backward induction on a uniform grid.
+def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_actions):
+    """Backward induction on the (state, action) grid; ``v[h] = over_actions(q[h], axis=1)``.
 
-    Q and V tables are clipped to [0, 1], matching the normalization the
-    environments guarantee.
-
-    Each step's expectation ``E[v_{h+1} | z]`` depends on z only through
-    ``env.transition_key(z)``, so it is computed once per distinct key (by
-    bit pattern) and gathered back to the (n_s * n_a) rows: 385 keys for
-    33153 rows on smooth_drift at 257 x 129. The distinct rows go through the
-    kernel in blocks of 1024, so no step's whole kernel is built. Each row has
-    the bits of the single-threaded whole-kernel product: OpenBLAS's dgemv
-    takes rows in groups of 4 from a product's first row, and the last
-    ``n mod 4`` rows through another kernel (a one-row product through ddot).
-    So the distinct keys are padded to a multiple of 4 rows, and the grid's
-    last ``n mod 4`` rows are recomputed as the tail of a product of its last
-    ``4 + n mod 4`` rows. The blocks give the same tables at 1 and 2 BLAS
-    threads, which a whole kernel's product did not.
+    ``np.max`` gives the optimal tables, ``np.mean`` the uniform-random
+    policy's. Q is clipped to [0, 1], matching the normalization the
+    environments guarantee. Each step's expectation ``E[v_{h+1} | z]``
+    depends on z only through ``env.transition_key(z)``, so it is computed
+    once per distinct key (by bit pattern) and gathered back to the
+    (n_s * n_a) rows: 385 keys for 33153 rows on smooth_drift at 257 x 129.
+    The distinct rows go through the kernel in blocks of ``_BLOCK_ROWS``, so
+    no step's whole kernel is built.
     """
+    n_s, n_a = sp.shape[0], ap.shape[0]
+    Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
+    keys = env.transition_key(Z)
+    _, first, inverse = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
+    distinct = keys[first]
+    H = env.horizon
+    v = np.zeros((H + 2, n_s))
+    q = np.zeros((H + 1, n_s, n_a))
+    expect = np.empty(len(distinct))
+    for h in range(H, 0, -1):
+        backup = env.reward_mean(h, Z).reshape(n_s, n_a)
+        if h < H:
+            for i in range(0, len(distinct), _BLOCK_ROWS):
+                block = _discretized_kernel(env, distinct[i : i + _BLOCK_ROWS], sp)
+                expect[i : i + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v[h + 1])
+            backup = backup + expect[inverse].reshape(n_s, n_a)
+        q[h] = np.clip(backup, 0.0, 1.0)
+        v[h] = over_actions(q[h], axis=1)
+    return v, q
+
+
+def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
+    """Optimal value tables: ``_grid_backup`` with the max over actions on a uniform grid."""
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
     if env.state_dim != 1:
         raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
     sp = uniform_grid(m_state, 1)
     ap = uniform_grid(m_action, env.action_dim)
-    n_s, n_a = sp.shape[0], ap.shape[0]
-    if n_s * n_a * n_s > MAX_KERNEL_ENTRIES:
+    if sp.shape[0] * ap.shape[0] * sp.shape[0] > MAX_KERNEL_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
-    Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
-    keys = env.transition_key(Z)
-    _, first, inverse = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
-    distinct = keys[np.append(first, np.full(-len(first) % 4, first[-1]))]
-    tail = Z.shape[0] % 4
-    H = env.horizon
-    v = np.zeros((H + 2, n_s))
-    q = np.zeros((H + 1, n_s, n_a))
-    expect_u = np.empty(len(distinct))
-    for h in range(H, 0, -1):
-        backup = env.reward_mean(h, Z).reshape(n_s, n_a)
-        if h < H:
-            for i in range(0, len(distinct), _BLOCK_ROWS):
-                block = distinct[i : i + _BLOCK_ROWS]
-                expect_u[i : i + _BLOCK_ROWS] = _discretized_kernel(env, block, sp) @ v[h + 1]
-            expect = expect_u[inverse]
-            if tail:
-                last = keys[-4 - tail :]
-                expect[-tail:] = (_discretized_kernel(env, last, sp) @ v[h + 1])[-tail:]
-            backup = backup + expect.reshape(n_s, n_a)
-        q[h] = np.clip(backup, 0.0, 1.0)
-        v[h] = q[h].max(axis=1)
+    v, q = _grid_backup(env, sp, ap, np.max)
     return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
+
+
+def random_policy_gap(env: EnvironmentModel, dp: GridDP, s1) -> float:
+    """V*(s1) minus the uniform-random policy's value, both on ``dp``'s grid."""
+    s1 = np.atleast_1d(np.asarray(s1, dtype=float))
+    v_rand, _ = _grid_backup(env, dp.state_points, dp.action_points, np.mean)
+    return dp.value_at(s1) - float(np.interp(s1[0], dp.state_points[:, 0], v_rand[1]))
 
 
 class KernelRows:
     """The one kernel of every step h < H on (oracle states x table actions), built as read.
 
-    ``kernel[states, actions]`` gives the rows of the broadcast (state,
-    action) index arrays, as fancy indexing of the whole (n_s, M, n_s) kernel
-    would, with its bits. Each row is built with ``_discretized_kernel`` on
+    ``kernel[states, actions]`` gives the rows of the (state, action) index
+    arrays, as fancy indexing of the whole (n_s, M, n_s) kernel would, with
+    its bits. Each row is built with ``_discretized_kernel`` on
     its first read, so a density that vanishes raises there. Built rows are
     kept in a compact store that grows as rows are built: ``slot`` holds each
     (state, action) pair's store row, -1 until it is built.
@@ -183,28 +188,27 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
 
 
 def policy_values(rewards, kernel, action_idx) -> np.ndarray:
-    """V^pi_1 on the grid states, (n_s,), by backward induction over ``policy_eval_tables``.
+    """V^pi_1 on the grid states, (n_s,), of a deterministic table policy.
 
-    ``action_idx[h]`` is (n_s, J): at each grid state the policy plays one of
-    those J table actions uniformly at random, so J = 1 is a deterministic
-    policy and ``arange(M)`` at every state the uniform-random one. At step 1
-    a row of -1 leaves its state unset: step 1 is backed up only at the states
-    the policy sets, no kernel row is read for the others, and V^pi_1 is NaN
-    there. The horizon H is ``len(rewards) - 1``; ``kernel`` serves every step
-    h < H.
+    A backward induction over ``policy_eval_tables``: ``action_idx[h]`` is
+    (n_s,), the table action the policy plays at each grid state. At step 1
+    an entry of -1 leaves its state unset: step 1 is backed up only at the
+    states the policy sets, no kernel row is read for the others, and V^pi_1
+    is NaN there. The horizon H is ``len(rewards) - 1``; ``kernel`` serves
+    every step h < H.
     """
     H, n_s = len(rewards) - 1, rewards.shape[1]
-    rows = np.arange(n_s)[:, None]
+    rows = np.arange(n_s)
     v_next = np.zeros(n_s)
     for h in range(H, 0, -1):
         a = action_idx[h]
         if h == 1:
-            states = np.flatnonzero(a[:, 0] >= 0)
-            rows, a = states[:, None], a[states]
+            states = np.flatnonzero(a >= 0)
+            rows, a = states, a[states]
         backup = rewards[h, rows, a]
         if h < H:
-            backup = backup + np.einsum("ijk,k->ij", kernel[rows, a], v_next)
-        v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
+            backup = backup + np.einsum("ik,k->i", kernel[rows, a], v_next)
+        v_next = np.clip(backup, 0.0, 1.0)
     v_1 = np.full(n_s, np.nan)
     v_1[states] = v_next
     return v_1
@@ -285,8 +289,8 @@ def inherent_error_estimate(
     """
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
-    if not np.isfinite(theta_box_radius):
-        raise ValueError("theta box radius must be finite")
+    if not np.isfinite(theta_box_radius) or theta_box_radius < 0:
+        raise ValueError(f"theta box radius must be finite and >= 0, got {theta_box_radius!r}")
     rng = np.random.default_rng(seed)
     sp = uniform_grid(m_state, env.state_dim)
     ap = uniform_grid(m_action, env.action_dim)
@@ -314,7 +318,7 @@ def inherent_error_estimate(
             if h < H:
                 q_next = np.einsum("zf,zf->z", z_feats, theta_next[z_regions])
                 w_vals = np.clip(q_next.reshape(n_s, n_a), 0.0, 1.0).max(axis=1)
-                target = reward + kernel @ w_vals
+                target = reward + np.einsum("ij,j->i", kernel, w_vals)
             for n in range(N):
                 mask = z_regions == n
                 if not np.any(mask):

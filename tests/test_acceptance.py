@@ -15,8 +15,13 @@ from cinderella.checks import optimism_rate
 from cinderella.envs import env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, feature_matrix
 from cinderella.geometry import assign_regions, build_partition
-from cinderella.harness import RunConfig, build_env, random_policy_gap, run_experiment, run_sweep
-from cinderella.oracle import dp_solve, inherent_error_estimate, taylor_remainder_check
+from cinderella.harness import RunConfig, build_env, run_experiment, run_sweep
+from cinderella.oracle import (
+    dp_solve,
+    inherent_error_estimate,
+    random_policy_gap,
+    taylor_remainder_check,
+)
 from cinderella.regression import ridge_update
 from conftest import sin2x, sin2x_derivative
 

@@ -374,7 +374,7 @@ def _recorded_run(monkeypatch, kept):
     rewards, kernel = policy_eval_tables(env, dp, learner.actions)
     s1 = np.full(1, cfg.init_value)
     want = [
-        policy_value(rewards, kernel, actions[:, :, None], dp.state_points[:, 0], s1)
+        policy_value(rewards, kernel, actions, dp.state_points[:, 0], s1)
         for actions in policies
     ]
     np.testing.assert_array_equal(trace.column("vpi"), want)
@@ -636,7 +636,7 @@ def test_policy_eval_tables_reject_vanishing_density():
         env, transition_density=lambda keys, sp: np.zeros((keys.shape[0], sp.shape[0]))
     )
     rewards, kernel = _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])
-    played = np.zeros((3, 17, 1), dtype=np.int64)
+    played = np.zeros((3, 17), dtype=np.int64)
     played[1] = -1  # step 1 unset: no kernel row is read
     _played_policy_value(rewards, kernel, played)
     played[1, 3:5] = 2

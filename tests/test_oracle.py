@@ -12,16 +12,17 @@ from cinderella import harness
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
 from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
-from cinderella.harness import random_policy_gap
 from cinderella.oracle import (
     _candidate_thetas,
     _chebyshev_fit_residual,
     _discretized_kernel,
+    _grid_backup,
     dp_solve,
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
     policy_values,
+    random_policy_gap,
     taylor_remainder_check,
 )
 from conftest import sin2x, sin2x_derivative
@@ -101,7 +102,7 @@ ENVS_H3 = {
 
 
 def _whole_kernel_dp(env, m_state, m_action):
-    """``dp.v`` and ``dp.q`` with each step's kernel built whole and used in one product."""
+    """``dp.v`` and ``dp.q`` with each step's kernel built whole, E[v | z] by ``np.einsum``."""
     sp, ap = uniform_grid(m_state, 1), uniform_grid(m_action, env.action_dim)
     Z = grid_pairs(sp, ap)
     n_s, n_a, H = m_state, ap.shape[0], env.horizon
@@ -110,7 +111,7 @@ def _whole_kernel_dp(env, m_state, m_action):
         backup = env.reward_mean(h, Z).reshape(n_s, n_a)
         if h < H:
             kernel = _discretized_kernel(env, env.transition_key(Z), sp)
-            backup = backup + (kernel @ v[h + 1]).reshape(n_s, n_a)
+            backup = backup + np.einsum("ij,j->i", kernel, v[h + 1]).reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = q[h].max(axis=1)
     return v, q
@@ -128,13 +129,13 @@ STREAMED_ENVS = {
 }
 
 
-def check_streamed_dp_matches_whole_kernel(env_name):
-    """Raise unless ``dp_solve`` gives the whole-kernel tables bit for bit.
+@pytest.mark.parametrize("env_name", sorted(STREAMED_ENVS))
+def test_streamed_dp_matches_whole_kernel_bit_for_bit(env_name):
+    """The distinct-key backup in blocks is the whole-kernel backup, bit for bit, at H = 3.
 
-    The grids' (state, action) row counts, 8385, 33153, 2145, 1025, 153,
-    140, 126 and 147, take every value mod 4. With no key repeated (drift
-    gain 0.3713) the distinct keys fill 1 to 33 blocks, the last of 4 rows
-    at 1025.
+    The grids have 8385, 33153, 2145, 1025, 153, 140, 126 and 147 (state,
+    action) rows. With no key repeated (drift gain 0.3713) the distinct keys
+    fill 1 to 33 blocks, the last of 4 rows at 1025.
     """
     env = STREAMED_ENVS[env_name]()
     grids = [(129, 65), (257, 129), (65, 33), (41, 25), (17, 9), (20, 7), (18, 7), (21, 7)]
@@ -163,36 +164,40 @@ def _at_blas_threads(threads, code):
     return proc.stdout
 
 
-@pytest.mark.parametrize("env_name", sorted(STREAMED_ENVS))
-def test_streamed_dp_matches_whole_kernel_bit_for_bit(env_name):
-    """The distinct-key backup is the single-threaded whole-kernel backup, bit for bit, at H = 3."""
-    _at_blas_threads(
-        1, f"import test_oracle; test_oracle.check_streamed_dp_matches_whole_kernel({env_name!r})"
-    )
-
-
 def test_dp_bits_do_not_depend_on_blas_threads():
-    """Whole-kernel products gave other bits at 2 BLAS threads on some of these grids."""
+    """The DP tables, the random-policy gap and the audit's ``per_step`` have the same bits at
+    1 and 2 BLAS threads. Whole-kernel products gave other bits at 2 threads on some of
+    these grids."""
     code = (
         "import hashlib\n"
+        "import numpy as np\n"
         "from test_oracle import ENVS_H3\n"
-        "from cinderella.oracle import dp_solve\n"
+        "from cinderella.features import TaylorFeatureMap, enumerate_multi_indices\n"
+        "from cinderella.geometry import build_partition\n"
+        "from cinderella.oracle import dp_solve, inherent_error_estimate, random_policy_gap\n"
         "for name, grid in [('smooth_drift', (129, 129)), ('smooth_drift', (129, 65)),\n"
         "                   ('uniform_shift', (129, 129))]:\n"
         "    dp = dp_solve(ENVS_H3[name](), *grid)\n"
         "    print(name, grid, hashlib.sha256(dp.v.tobytes() + dp.q.tobytes()).hexdigest())\n"
+        "env = ENVS_H3['smooth_drift']()\n"
+        "dp = dp_solve(env, 33, 17)\n"
+        "print(random_policy_gap(env, dp, np.array([0.3141])).hex())\n"
+        "part = build_partition(2, 0.5)\n"
+        "fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))\n"
+        "rep = inherent_error_estimate(env, part, fmap, 2.0, m_state=33, m_action=17, seed=4)\n"
+        "print(rep.per_step.tobytes().hex())\n"
     )
     one = _at_blas_threads(1, code)
-    assert one.count("\n") == 3
+    assert one.count("\n") == 5
     assert _at_blas_threads(2, code) == one
 
 
 def test_dp_builds_each_distinct_kernel_row_once_per_step():
-    """At 257 x 129, 33153 rows share 385 means: 388 padded distinct rows and a 5-row tail
-    per step h < H, where a kernel of every row would pass 33153."""
+    """At 257 x 129, 33153 rows share 385 means: 385 kernel rows per step h < H, where a
+    kernel of every row would pass 33153."""
     env, calls = _counting_density(env_smooth_drift(horizon=3))
     dp_solve(env, 257, 129)
-    assert sum(calls) <= 2 * (388 + 5)
+    assert sum(calls) == 2 * 385
 
 
 def test_dp_never_holds_a_whole_kernel():
@@ -247,7 +252,7 @@ def test_policy_value_greedy_self_consistency():
     env = env_uniform_shift(0.5, horizon=2)
     dp = dp_solve(env, 65, 33)
     s1 = np.zeros(1)
-    v_pi = _value(env, dp, dp.action_points, dp.q.argmax(axis=2)[:, :, None], s1)
+    v_pi = _value(env, dp, dp.action_points, dp.q.argmax(axis=2), s1)
     assert v_pi == pytest.approx(dp.value_at(s1), abs=1e-9)
 
 
@@ -255,7 +260,7 @@ def test_policy_value_random_on_zero_reward():
     env = env_uniform_shift(0.5, reward="zero", horizon=2)
     dp = dp_solve(env, 33, 17)
     rng = np.random.default_rng(0)
-    idx = rng.integers(0, dp.action_points.shape[0], size=(env.horizon + 1, 33, 1))
+    idx = rng.integers(0, dp.action_points.shape[0], size=(env.horizon + 1, 33))
     assert _value(env, dp, dp.action_points, idx, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -264,7 +269,7 @@ def test_policy_value_never_beats_optimal(rng):
     dp = dp_solve(env, 65, 33)
     s1 = np.zeros(1)
     vstar = dp.value_at(s1)
-    idx = np.zeros((env.horizon + 1, 65, 1), dtype=np.int64)
+    idx = np.zeros((env.horizon + 1, 65), dtype=np.int64)
     for _ in range(5):
         a_fixed = rng.uniform(-1, 1)
         v_pi = _value(env, dp, np.array([[a_fixed]]), idx, s1)
@@ -280,7 +285,10 @@ def test_random_policy_value_below_optimal():
 
 
 def _naive_policy_value(env, dp, actions, action_idx, s1):
-    """Per-state backward induction with the density queried at each exact (s, a)."""
+    """Per-state backward induction with the density queried at each exact (s, a).
+
+    ``action_idx[h][i]`` is one table action or a row of them, played uniformly at random.
+    """
     sp = dp.state_points
     w = 2.0 / (dp.m_state - 1)
     v_next = np.zeros(sp.shape[0])
@@ -288,7 +296,7 @@ def _naive_policy_value(env, dp, actions, action_idx, s1):
         v = np.zeros_like(v_next)
         for i, s in enumerate(sp):
             values = []
-            for j in action_idx[h][i]:
+            for j in np.atleast_1d(action_idx[h][i]):
                 z = np.concatenate([s, actions[j]])[None, :]
                 backup = env.reward_mean(h, z)[0]
                 if h < env.horizon:
@@ -316,8 +324,7 @@ def test_policy_value_matches_naive_reference(make_env, horizon):
     actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
     s1 = np.array([rng.uniform(-1.0, 1.0)])
     n_s, M = 17, actions.shape[0]
-    tables = [rng.integers(0, M, size=(horizon + 1, n_s, 1)) for _ in range(3)]
-    tables.append(np.broadcast_to(np.arange(M), (horizon + 1, n_s, M)))  # uniform random
+    tables = [rng.integers(0, M, size=(horizon + 1, n_s)) for _ in range(3)]
     for idx in tables:
         fast = _value(env, dp, actions, idx, s1)
         assert fast == pytest.approx(_naive_policy_value(env, dp, actions, idx, s1), abs=1e-12)
@@ -337,14 +344,14 @@ def _per_step_tables(env, dp, actions):
 
 def _per_step_policy_values(rewards, kernels, action_idx):
     """``policy_values`` with step h's own kernel at every h < H."""
-    rows = np.arange(rewards.shape[1])[:, None]
+    rows = np.arange(rewards.shape[1])
     v_next = np.zeros(rewards.shape[1])
     for h in range(len(rewards) - 1, 0, -1):
         a = action_idx[h]
         backup = rewards[h, rows, a]
         if kernels[h] is not None:
-            backup = backup + np.einsum("ijk,k->ij", kernels[h][rows, a], v_next)
-        v_next = np.clip(backup, 0.0, 1.0).mean(axis=1)
+            backup = backup + np.einsum("ik,k->i", kernels[h][rows, a], v_next)
+        v_next = np.clip(backup, 0.0, 1.0)
     return v_next
 
 
@@ -355,9 +362,8 @@ def test_one_kernel_policy_values_match_per_step_kernels(env_name):
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     ref_rewards, ref_kernels = _per_step_tables(env, dp, dp.action_points)
     np.testing.assert_array_equal(rewards.view(np.int64), ref_rewards.view(np.int64))
-    greedy = dp.q.argmax(axis=2)[:, :, None]
-    uniform = np.broadcast_to(np.arange(rewards.shape[2]), rewards.shape)
-    for idx in (greedy, uniform):
+    rng = np.random.default_rng(3)
+    for idx in (dp.q.argmax(axis=2), rng.integers(0, rewards.shape[2], rewards.shape[:2])):
         got = policy_values(rewards, kernel, idx)
         want = _per_step_policy_values(ref_rewards, ref_kernels, idx)
         np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
@@ -374,19 +380,21 @@ def _counting_density(env):
     return dataclasses.replace(env, transition_density=density), calls
 
 
-@pytest.mark.parametrize("horizon, want_calls", [(1, 0), (3, 1)])
-def test_policy_eval_tables_build_one_kernel(horizon, want_calls):
-    """The tables build no kernel row. Two reads of every row build each once, in one call."""
+@pytest.mark.parametrize("horizon, calls_per_action", [(1, 0), (3, 1)])
+def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
+    """The tables build no kernel row. Every constant policy, evaluated twice, builds each
+    of its rows once, in one call of n_s rows (none at H = 1)."""
     env, calls = _counting_density(env_smooth_drift(horizon=horizon))
     dp = dp_solve(env, 17, 9)
     calls.clear()
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     assert calls == [] and kernel.built == 0
-    uniform = np.broadcast_to(np.arange(rewards.shape[2]), rewards.shape)
+    M = rewards.shape[2]
     for _ in range(2):
-        policy_values(rewards, kernel, uniform)
-    assert len(calls) == want_calls
-    assert sum(calls) == kernel.built == (0 if horizon == 1 else 17 * 9)
+        for j in range(M):
+            policy_values(rewards, kernel, np.full(rewards.shape[:2], j))
+    assert calls == [17] * (calls_per_action * M)
+    assert kernel.built == 17 * calls_per_action * M
 
 
 def _env(name, horizon):
@@ -402,7 +410,10 @@ def _env(name, horizon):
 
 
 def _whole_kernel_policy_values(env, dp, actions, action_idx):
-    """V^pi_1 at every grid state with the whole kernel, built once and gathered per step."""
+    """V^pi_1 at every grid state with the whole kernel, built once and gathered per step.
+
+    ``action_idx[h]`` is (n_s, J): each state plays its J table actions uniformly at random.
+    """
     sp = dp.state_points
     n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
     Z = grid_pairs(sp, actions)
@@ -441,13 +452,12 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
     rng = np.random.default_rng(700 + horizon)
     actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
     M = actions.shape[0]
-    policies = [rng.integers(0, M, size=(horizon + 1, 17, 1)) for _ in range(2)]
-    policies.append(dp.q.argmax(axis=2)[:, :, None] % M)
-    policies.append(np.broadcast_to(np.arange(M), (horizon + 1, 17, M)))  # uniform random
+    policies = [rng.integers(0, M, size=(horizon + 1, 17)) for _ in range(3)]
+    policies.append(dp.q.argmax(axis=2) % M)
     s1s = [-1.0, 1.0, axis[5], 0.5 * (axis[5] + axis[6]), 0.3141]
     rewards, filled = policy_eval_tables(env, dp, actions)
     for idx in policies:
-        want = _whole_kernel_policy_values(env, dp, actions, idx)
+        want = _whole_kernel_policy_values(env, dp, actions, idx[:, :, None])
         assert np.array_equal(policy_values(rewards, filled, idx), want)
         for s1 in s1s:
             pair = _around(axis, s1)
@@ -460,7 +470,8 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
                 assert np.isnan(np.delete(got, pair)).all()
                 assert np.interp(s1, axis, got) == np.interp(s1, axis, want)
                 assert policy_value(rewards, kernel, part, axis, [s1]) == np.interp(s1, axis, want)
-    assert filled.built == (0 if horizon == 1 else 17 * M)
+    read = [np.arange(17) * M + idx[h] for idx in policies for h in range(1, horizon)]
+    assert filled.built == (np.unique(read).size if read else 0)
 
 
 def test_played_policies_build_each_kernel_row_once(monkeypatch):
@@ -486,6 +497,40 @@ def test_played_policies_build_each_kernel_row_once(monkeypatch):
     slots = kernel.slot[kernel.slot >= 0]
     assert sum(built) == kernel.built == slots.size < kernel.slot.size
     np.testing.assert_array_equal(np.sort(slots), np.arange(kernel.built))
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("env_name", ["exact_linear", "smooth_drift", "uniform_shift"])
+def test_random_policy_gap_matches_whole_kernel_reference(env_name, horizon):
+    """V^rand is the whole-kernel, all-actions backup bit for bit, and the naive one to 1e-12."""
+    env = _env(env_name, horizon)
+    for grid in [(17, 9), (20, 7), (65, 33)]:
+        dp = dp_solve(env, *grid)
+        axis, n_a = dp.state_points[:, 0], dp.action_points.shape[0]
+        every_action = np.broadcast_to(np.arange(n_a), (horizon + 1, axis.size, n_a))
+        want = _whole_kernel_policy_values(env, dp, dp.action_points, every_action)
+        v_rand, _ = _grid_backup(env, dp.state_points, dp.action_points, np.mean)
+        assert np.array_equal(v_rand[1], want)
+        for s1 in [-1.0, 1.0, axis[5], 0.3141]:
+            gap = random_policy_gap(env, dp, np.array([s1]))
+            assert gap == dp.value_at(np.array([s1])) - np.interp(s1, axis, want)
+            if grid == (17, 9):
+                naive = _naive_policy_value(env, dp, dp.action_points, every_action, [s1])
+                assert dp.value_at(np.array([s1])) - gap == pytest.approx(naive, abs=1e-12)
+
+
+def test_random_policy_gap_never_holds_a_whole_kernel():
+    """At 257 x 129 the rows of every (state, action) pair take 68 MB; the grid backup
+    builds only the distinct keys' rows, in blocks."""
+    env = env_smooth_drift(horizon=3)
+    dp = dp_solve(env, 257, 129)
+    tracemalloc.start()
+    try:
+        random_policy_gap(env, dp, np.zeros(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 # -- inherent error ----------------------------------------------------------
@@ -562,7 +607,7 @@ def _per_step_audit(env, partition, fmap, radius, m_state, m_action, seed):
             if not last:
                 q_next = np.einsum("zf,zf->z", feats, theta_next[regions])
                 w_vals = np.clip(q_next.reshape(m_state, -1), 0.0, 1.0).max(axis=1)
-                target = target + kernel @ w_vals
+                target = target + np.einsum("ij,j->i", kernel, w_vals)
             for n in np.unique(regions):
                 mask = regions == n
                 resid = _chebyshev_fit_residual(feats[mask], target[mask], radius)
@@ -605,6 +650,17 @@ def test_inherent_error_monotone_in_degree():
         )
         estimates.append(rep.estimate)
     assert estimates[1] <= estimates[0] + 1e-9
+
+
+@pytest.mark.parametrize("horizon", [1, 2])
+@pytest.mark.parametrize("radius", [-1.0, -1e-12, np.nan])
+def test_inherent_error_rejects_bad_radius(horizon, radius):
+    """A negative or NaN box radius fails up front, not in the sampler or the LP."""
+    env = env_uniform_shift(0.5, horizon=horizon)
+    part = build_partition(2, 1.0)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
+    with pytest.raises(ValueError, match="theta box radius must be finite and >= 0"):
+        inherent_error_estimate(env, part, fmap, radius, m_state=17, m_action=9)
 
 
 def test_inherent_error_report_shape():

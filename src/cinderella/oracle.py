@@ -22,15 +22,14 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
 from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
 
-# Refuse DP grids past this many whole-kernel entries (n_s * n_a * n_s). dp_solve
-# builds only the distinct keys' rows, so it bounds the grid, not a held array.
-MAX_KERNEL_ENTRIES = 80_000_000
+# Refuse grids whose solve would hold more float entries than this (128 MB):
+# dp_solve's n_s * n_a rows and one kernel block, the audit's whole kernel.
+MAX_HELD_ENTRIES = 16_000_000
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
 _BLOCK_ROWS = 1024  # distinct-key rows per kernel block in _grid_backup
 
@@ -119,10 +118,15 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
         raise ValueError("grid resolutions must be at least 2")
     if env.state_dim != 1:
         raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
+    # Sized with Python ints, before any allocation: Z, q and the key index
+    # hold (1 + d_A) + (H + 1) + 1 entries per (state, action) row, and one
+    # kernel block _BLOCK_ROWS * n_s.
+    n_rows = int(m_state) * int(m_action) ** env.action_dim
+    held = n_rows * (1 + env.action_dim + env.horizon + 2) + _BLOCK_ROWS * int(m_state)
+    if held > MAX_HELD_ENTRIES:
+        raise ValueError("DP instance too large; reduce grid resolutions")
     sp = uniform_grid(m_state, 1)
     ap = uniform_grid(m_action, env.action_dim)
-    if sp.shape[0] * ap.shape[0] * sp.shape[0] > MAX_KERNEL_ENTRIES:
-        raise ValueError("DP instance too large; reduce grid resolutions")
     v, q = _grid_backup(env, sp, ap, np.max)
     return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
 
@@ -242,7 +246,14 @@ class InherentErrorReport:
 
 
 def _chebyshev_fit_residual(phi: np.ndarray, y: np.ndarray, radius: float) -> float:
-    """min over theta in the box of max |phi @ theta - y| (linear program)."""
+    """min over theta in the box of max |phi @ theta - y| (linear program).
+
+    ``scipy.optimize`` is imported here, at the audit's first fit, because a
+    regret run never audits: importing it with the module put 22 MB of
+    resident memory into every run and sweep worker (CPython 3.11, scipy 1.17).
+    """
+    from scipy.optimize import linprog
+
     n, d = phi.shape
     c = np.zeros(d + 1)
     c[-1] = 1.0
@@ -291,15 +302,20 @@ def inherent_error_estimate(
         raise ValueError("grid resolutions must be at least 2")
     if not np.isfinite(theta_box_radius) or theta_box_radius < 0:
         raise ValueError(f"theta box radius must be finite and >= 0, got {theta_box_radius!r}")
+    H = env.horizon
+    N, d_feat = partition.n_regions, fmap.dim_features
+    n_s, n_a = int(m_state) ** env.state_dim, int(m_action) ** env.action_dim
+    # Sized before any allocation: Z and its features per (state, action) row,
+    # and the whole kernel of the steps h < H.
+    held = n_s * n_a * (env.state_dim + env.action_dim + d_feat + (n_s if H > 1 else 0))
+    if held > MAX_HELD_ENTRIES:
+        raise ValueError("audit grid too large; reduce grid resolutions")
     rng = np.random.default_rng(seed)
     sp = uniform_grid(m_state, env.state_dim)
     ap = uniform_grid(m_action, env.action_dim)
-    n_s, n_a = sp.shape[0], ap.shape[0]
     Z = grid_pairs(sp, ap)
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])
-    H = env.horizon
-    N, d_feat = partition.n_regions, fmap.dim_features
 
     kernel = _discretized_kernel(env, env.transition_key(Z), sp) if H > 1 else None  # h < H
     per_step = np.zeros(H + 1)

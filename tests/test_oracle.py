@@ -67,6 +67,22 @@ def test_dp_guards():
         dp_solve(env, 5000, 500)
 
 
+def test_dp_guard_bounds_the_rows_it_holds():
+    """The guard bounds the backup's n_s * n_a rows and one kernel block, not a whole
+    kernel: 1025 x 513 is solved, and 4M state points are refused before the grids are
+    built (the state grid alone would take 32 MB)."""
+    env = env_uniform_shift(0.5, horizon=2)
+    assert np.all(np.isfinite(dp_solve(env, 1025, 513).v))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="too large"):
+            dp_solve(env, 4_000_000, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+
+
 def test_dp_monotone_under_reward_domination():
     lo = env_uniform_shift(0.5, reward="zero", horizon=2)
     hi = env_uniform_shift(0.5, reward="default", horizon=2)
@@ -86,6 +102,34 @@ def test_dp_grid_convergence(make_env):
     v_coarse = dp_solve(env, 65, 33).value_at(np.zeros(1))
     v_fine = dp_solve(env, 129, 33).value_at(np.zeros(1))
     assert abs(v_fine - v_coarse) <= 0.01
+
+
+REFINED_ENVS = {
+    "criterion_08": lambda: env_uniform_shift(0.5, horizon=2),
+    "criterion_11": lambda: env_smooth_drift(0.5, 0.3, horizon=2),
+    "fine_oracle_h3": lambda: env_smooth_drift(0.5, 0.3, horizon=3),
+}
+
+
+@pytest.mark.parametrize("env_name", sorted(REFINED_ENVS))
+def test_oracle_values_hold_under_grid_refinement(env_name):
+    """The oracle's own grid error: 129 x 65 against 513 x 257 (a grid that holds every
+    coarse state). V*(0) moves by at most 4.3e-5, V* at any coarse state by at most 3.5e-4
+    (at s = -1; fine_oracle_h3 draws s1 uniformly), and the V^pi(0) of three fixed table
+    policies by at most 2.3e-4."""
+    env = REFINED_ENVS[env_name]()
+    coarse, fine = dp_solve(env, 129, 65), dp_solve(env, 513, 257)
+    s1 = np.zeros(1)
+    assert abs(coarse.value_at(s1) - fine.value_at(s1)) <= 1e-4
+    assert np.max(np.abs(coarse.v[1] - fine.v[1][::4])) <= 1e-3
+    policies = (lambda s: np.full_like(s, 0.3), lambda s: np.clip(1.0 - s, -1.0, 1.0), np.negative)
+    for policy in policies:
+        values = []
+        for dp in (coarse, fine):
+            states = dp.state_points[:, 0]
+            idx = np.tile(np.arange(states.size), (env.horizon + 1, 1))  # state i plays row i
+            values.append(_value(env, dp, policy(states)[:, None], idx, s1))
+        assert abs(values[0] - values[1]) <= 1e-3
 
 
 def test_dp_rejects_two_dimensional_states():
@@ -190,6 +234,29 @@ def test_dp_bits_do_not_depend_on_blas_threads():
     one = _at_blas_threads(1, code)
     assert one.count("\n") == 5
     assert _at_blas_threads(2, code) == one
+
+
+def test_a_regret_run_loads_no_lp_solver():
+    """A regret run imports no ``scipy.optimize``; the audit imports it for its first fit."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from cinderella import RunConfig, run_experiment\n"
+        "from cinderella.envs import env_uniform_shift\n"
+        "from cinderella.features import TaylorFeatureMap, enumerate_multi_indices\n"
+        "from cinderella.geometry import build_partition\n"
+        "from cinderella.oracle import inherent_error_estimate\n"
+        "run_experiment(RunConfig(env_name='uniform_shift', env_params={'beta': 0.5},\n"
+        "                         episodes=4, horizon=2, nu=1.0, epsilon=0.5,\n"
+        "                         oracle_m_state=17, oracle_m_action=9))\n"
+        "print('scipy.optimize' in sys.modules)\n"
+        "part = build_partition(2, 1.0)\n"
+        "fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))\n"
+        "env = env_uniform_shift(0.5, horizon=2)\n"
+        "rep = inherent_error_estimate(env, part, fmap, 1.0, m_state=17, m_action=9)\n"
+        "print('scipy.optimize' in sys.modules, bool(np.isfinite(rep.estimate)))\n"
+    )
+    assert _at_blas_threads(1, code).split() == ["False", "True", "True"]
 
 
 def test_dp_builds_each_distinct_kernel_row_once_per_step():
@@ -672,6 +739,27 @@ def test_inherent_error_report_shape():
     assert 1 <= rep.witness_step <= 2
     with pytest.raises(ValueError, match="at least 2"):
         inherent_error_estimate(env, part, fmap, 1.0, m_state=1, m_action=9)
+
+
+def test_inherent_error_refuses_an_oversized_kernel_before_allocating():
+    """At 513 x 257 the audit's whole kernel would take 541 MB (4.3 GB at 1025 x 513); it is
+    refused before the grids are built. At H = 1 there is no kernel, and the rows alone
+    refuse 4097 x 2049."""
+    part = build_partition(2, 1.0)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
+    tracemalloc.start()
+    try:
+        for m_state, m_action in [(513, 257), (1025, 513)]:
+            with pytest.raises(ValueError, match="too large"):
+                inherent_error_estimate(
+                    env_uniform_shift(0.5, horizon=2), part, fmap, 1.0, m_state, m_action
+                )
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    with pytest.raises(ValueError, match="too large"):
+        inherent_error_estimate(env_uniform_shift(0.5, horizon=1), part, fmap, 1.0, 4097, 2049)
 
 
 # -- Taylor remainder ---------------------------------------------------------

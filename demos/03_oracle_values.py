@@ -18,6 +18,7 @@ from cinderella import (
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
+    policy_values,
     random_policy_gap,
 )
 
@@ -30,7 +31,10 @@ for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizo
     v_rand = vstar - random_policy_gap(env, dp, s1)
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     greedy = dp.q.argmax(axis=2)  # one action index per (step, grid state)
-    v_greedy = policy_value(rewards, kernel, greedy, dp.state_points[:, 0], s1)
+    # V^pi(s1): the step-1 backup at (s1, a1) of V^pi_2; s1 = 0 is the middle grid state.
+    z1 = np.concatenate([s1, dp.action_points[greedy[1, dp.m_state // 2]]])
+    v_2 = policy_values(rewards[1:], kernel, greedy[1:])
+    v_greedy = policy_value(env, dp.state_points, z1, v_2)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
           f"greedy-from-oracle {v_greedy:.4f}")
 

@@ -52,6 +52,7 @@ from .oracle import (
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
+    policy_values,
     random_policy_gap,
     taylor_remainder_check,
 )
@@ -92,6 +93,7 @@ __all__ = [
     "nu_star",
     "policy_eval_tables",
     "policy_value",
+    "policy_values",
     "random_policy_gap",
     "ridge_update",
     "run_episode",

@@ -28,7 +28,7 @@ from .envs import EnvironmentModel, env_exact_linear, env_smooth_drift, env_unif
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import dp_solve, policy_eval_tables, policy_values
+from .oracle import dp_solve, policy_eval_tables, policy_value, policy_values
 
 log = logging.getLogger(__name__)
 
@@ -315,21 +315,21 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
 _policy_eval_tables = policy_eval_tables
 _played_policy_value = policy_values
 
-# Played policies whose step-1 values run_experiment keeps, oldest evicted first.
+# Played policies whose V^pi(s1) run_experiment keeps, oldest evicted first.
 _POLICY_VALUES_KEPT = 32
 
 
 def run_experiment(config: RunConfig) -> RegretTrace:
     """Execute one run: build everything from the config, measure regret.
 
-    Per episode: plan and act, then value the episode's greedy policy with
-    the grid oracle; the regret increment is V*(s1) - V^pi(s1). The policy
-    sets step 1 at least at the two oracle states around s1, which are all
-    ``np.interp`` reads of V^pi_1, and its evaluation builds each kernel row
-    on the first read. A policy is evaluated when it is not among the last
-    ``_POLICY_VALUES_KEPT`` policies evaluated; their step-1 values serve
-    every episode that plays one of them again. Deterministic given
-    (config, seed).
+    Per episode: plan and act, then value the policy the episode played with
+    the grid oracle; the regret increment is V*(s1) - V^pi(s1). V^pi(s1) is
+    the one-row backup at z1 = (s1, a1), the first state and action played,
+    of V^pi_2 on the oracle grid, whose evaluation builds each kernel row on
+    the first read. A policy is keyed by z1 and its greedy indices of steps
+    2..H, and evaluated when it is not among the last ``_POLICY_VALUES_KEPT``
+    evaluated; their values serve every episode that plays one again. V* is
+    interpolated on the oracle grid. Deterministic given (config, seed).
     """
     # The rows outlive the run in its trace. Allocated after the oracle's
     # tables, they could land above them on the heap and keep their freed
@@ -340,10 +340,9 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
     learner.register_probe(dp.state_points)
     rewards_pi, kernel_pi = _policy_eval_tables(env, dp, learner.actions)
-    state_axis = dp.state_points[:, 0]
 
     cum = 0.0
-    values = {}  # step-1 values by played policy bytes, oldest first
+    values = {}  # V^pi(s1) by the bytes of z1 and the steps-2..H table, oldest first
     for k in range(1, config.episodes + 1):
         t0 = time.perf_counter()
         if config.init_mode == "uniform":
@@ -351,17 +350,17 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         else:
             s1 = np.full(env.state_dim, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
-        _, ret = learner.plan_and_act_episode(env, s1, env_rng)
+        transitions, ret = learner.plan_and_act_episode(env, s1, env_rng)
         played = learner.last_policy_actions
-        key = played.tobytes()
-        v_played = values.get(key)
-        if v_played is None:
+        z1 = np.concatenate([s1, transitions[0].action])
+        key = z1.tobytes() + played[2:].tobytes()
+        vpi = values.get(key)
+        if vpi is None:
             if len(values) == _POLICY_VALUES_KEPT:
                 del values[next(iter(values))]
-            v_played = _played_policy_value(rewards_pi, kernel_pi, played)
-            values[key] = v_played
+            v_2 = _played_policy_value(rewards_pi[1:], kernel_pi, played[1:])
+            vpi = values[key] = policy_value(env, dp.state_points, z1, v_2)
         vstar = dp.value_at(s1)
-        vpi = float(np.interp(s1[0], state_axis, v_played))
         regret = vstar - vpi
         cum += regret
         # The row is written inside the episode's ms window, so per-episode

@@ -26,10 +26,10 @@ scores into one (state cell x grid action) table per step, which gives the
 re-fit targets and every cell's greedy index; ``act`` and the probe look
 that up, and history rows keep their next state's cell, so acting,
 absorbing and re-fitting compute no features. At degree >= 1 the history's
-next-state blocks and the probe's blocks of steps h >= 2 cache each entry's
-mean and bonus width, and a plan recomputes only the entries whose inputs
-moved; the probe's step 1 is scored afresh at the two probe states around
-s1 only. The floats are those of the general rule.
+next-state blocks and the probe's blocks cache each entry's mean and bonus
+width, and a plan recomputes only the entries whose inputs moved. The
+floats are those of the general rule. The probe covers steps h >= 2 only:
+the oracle values step 1 at the action the episode played.
 
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
@@ -289,11 +289,10 @@ class CinderellaLearner:
         self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
-        # The probe states' coordinates; per step, their (feats, regions) at
-        # step 1 and one _Blocks each at steps h >= 2, all sharing feats and
-        # regions, or at degree 0 the probe states' cells.
-        self._probe_axis = None
+        # The probe states' cells at degree 0, else one _Blocks per step h >= 2
+        # (at index h), all sharing the states' feats and regions.
         self._probe = None
+        self._n_probe = 0
         self.last_policy_actions = None
 
     # -- feature plumbing ---------------------------------------------------
@@ -471,7 +470,7 @@ class CinderellaLearner:
             for h in range(1, self.H + 1):
                 self._greedy[h] = np.argmax(self._cell_scores(h), axis=1)
         if self._probe is not None:
-            self.last_policy_actions = self.greedy_action_indices(s1)
+            self.last_policy_actions = self.greedy_action_indices()
 
     # -- acting -------------------------------------------------------------
 
@@ -545,43 +544,30 @@ class CinderellaLearner:
     # -- policy probe (for oracle evaluation) --------------------------------
 
     def register_probe(self, states: np.ndarray) -> None:
-        """Precompute the blocks, or at degree 0 the cells, of ascending states (n, 1)."""
+        """Precompute the blocks, or at degree 0 the cells, of the probe states (n, 1)."""
         if self._cells:
-            probe = self._state_cells(states)
+            self._probe = self._state_cells(states)
         else:
             feats, regions = self._blocks(states)
             feats.flags.writeable = False
             regions.flags.writeable = False
-            probe = [None, (feats, regions)]
-            probe += [_Blocks(feats, regions, self.N) for _ in range(self.H - 1)]
-        axis = np.reshape(states, -1)
-        if np.any(np.diff(axis) <= 0):
-            raise ValueError("probe states must be strictly ascending")
-        self._probe_axis, self._probe = axis, probe
+            steps = [_Blocks(feats, regions, self.N) for _ in range(self.H - 1)]
+            self._probe = [None, None] + steps
+        self._n_probe = len(states)
 
-    def greedy_action_indices(self, s1: np.ndarray | None) -> np.ndarray:
-        """Greedy grid-action index per step at the probe states: (H+1, n), -1 where unscored.
+    def greedy_action_indices(self) -> np.ndarray:
+        """Greedy grid-action index of each step h >= 2 at every probe state: (H+1, n).
 
-        Steps h >= 2 are scored at every probe state. Step 1 is scored at the
-        two probe states around ``s1``, the pair ``np.interp`` reads for
-        V^pi_1(s1), and is -1 at the others (everywhere when ``s1`` is None).
-        At degree 0 every entry is a lookup in the plan's cell table, so step 1
-        is read at every probe state.
+        Rows 0 and 1 are 0: the oracle values step 1 at the action played at
+        s1, not at the probe states. At degree 0 each entry is a lookup in the
+        plan's cell table.
         """
         if self._probe is None:
             raise ValueError("no probe registered")
-        if self._cells:
-            return self._greedy[:, self._probe]
-        n = self._probe_axis.shape[0]
-        out = np.zeros((self.H + 1, n), dtype=np.int64)
+        out = np.zeros((self.H + 1, self._n_probe), dtype=np.int64)
         for h in range(2, self.H + 1):
-            out[h] = np.argmax(self._block_scores(h, self._probe[h], n), axis=1)
-        out[1] = -1
-        if s1 is not None:
-            j = int(np.searchsorted(self._probe_axis, s1[0], side="right")) - 1
-            lo = max(min(j, n - 2), 0)
-            pair = slice(lo, lo + 2)
-            feats, regions = self._probe[1]
-            out[1, pair] = np.argmax(self._scores(1, feats[pair], regions[pair]), axis=1)
+            if self._cells:
+                out[h] = self._greedy[h, self._probe]
+            else:
+                out[h] = np.argmax(self._block_scores(h, self._probe[h], self._n_probe), axis=1)
         return out
-

@@ -8,10 +8,11 @@ exactly through the backup. Every expectation E[v | z] is one rule: plain
 row and v only, not on the batch, the BLAS library or its thread count.
 One kernel serves every step h < H, and its rows are built from the env's
 ``transition_key``: the audit builds it whole once per grid, the policy
-evaluator each (state, action) row on its first read, and the grid backup
-each distinct key's row once per step, in blocks, so it never holds a
-whole kernel. One grid backup gives both V* (max over actions, ``dp_solve``)
-and the uniform-random policy's value (mean, ``random_policy_gap``).
+evaluator each (state, action) row on its first read and the one row at the
+played (s1, a1), and the grid backup each distinct key's row once per step,
+in blocks, so it never holds a whole kernel. One grid backup gives both V*
+(max over actions, ``dp_solve``) and the uniform-random policy's value
+(mean, ``random_policy_gap``).
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -28,7 +29,7 @@ from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_cen
 from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
 
 # Refuse grids whose solve would hold more float entries than this (128 MB):
-# dp_solve's n_s * n_a rows and one kernel block, the audit's whole kernel.
+# dp_solve's n_s * n_a rows and kernel blocks, the audit's whole kernel.
 MAX_HELD_ENTRIES = 16_000_000
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
 _BLOCK_ROWS = 1024  # distinct-key rows per kernel block in _grid_backup
@@ -106,6 +107,7 @@ def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_act
             for i in range(0, len(distinct), _BLOCK_ROWS):
                 block = _discretized_kernel(env, distinct[i : i + _BLOCK_ROWS], sp)
                 expect[i : i + _BLOCK_ROWS] = np.einsum("ij,j->i", block, v[h + 1])
+                del block  # freed before the next is built, or two would set the peak
             backup = backup + expect[inverse].reshape(n_s, n_a)
         q[h] = np.clip(backup, 0.0, 1.0)
         v[h] = over_actions(q[h], axis=1)
@@ -118,11 +120,12 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
         raise ValueError("grid resolutions must be at least 2")
     if env.state_dim != 1:
         raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
-    # Sized with Python ints, before any allocation: Z, q and the key index
-    # hold (1 + d_A) + (H + 1) + 1 entries per (state, action) row, and one
-    # kernel block _BLOCK_ROWS * n_s.
+    # Sized with Python ints, before any allocation. Per (state, action) row:
+    # Z (1 + d_A), the keys and their index (2), q (H + 1), and the backup
+    # with two temporaries of its size (3). Then one kernel block
+    # _BLOCK_ROWS * n_s, and one density temporary as large.
     n_rows = int(m_state) * int(m_action) ** env.action_dim
-    held = n_rows * (1 + env.action_dim + env.horizon + 2) + _BLOCK_ROWS * int(m_state)
+    held = n_rows * (env.action_dim + env.horizon + 7) + 2 * _BLOCK_ROWS * int(m_state)
     if held > MAX_HELD_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
     sp = uniform_grid(m_state, 1)
@@ -195,32 +198,39 @@ def policy_values(rewards, kernel, action_idx) -> np.ndarray:
     """V^pi_1 on the grid states, (n_s,), of a deterministic table policy.
 
     A backward induction over ``policy_eval_tables``: ``action_idx[h]`` is
-    (n_s,), the table action the policy plays at each grid state. At step 1
-    an entry of -1 leaves its state unset: step 1 is backed up only at the
-    states the policy sets, no kernel row is read for the others, and V^pi_1
-    is NaN there. The horizon H is ``len(rewards) - 1``; ``kernel`` serves
-    every step h < H.
+    (n_s,), the table action the policy plays at each grid state. The horizon
+    H is ``len(rewards) - 1``; ``kernel`` serves every step h < H. The kernel
+    takes no step, so ``policy_values(rewards[1:], kernel, action_idx[1:])``
+    is V^pi_2 (0 at H = 1).
     """
     H, n_s = len(rewards) - 1, rewards.shape[1]
     rows = np.arange(n_s)
     v_next = np.zeros(n_s)
     for h in range(H, 0, -1):
         a = action_idx[h]
-        if h == 1:
-            states = np.flatnonzero(a >= 0)
-            rows, a = states, a[states]
         backup = rewards[h, rows, a]
         if h < H:
             backup = backup + np.einsum("ik,k->i", kernel[rows, a], v_next)
         v_next = np.clip(backup, 0.0, 1.0)
-    v_1 = np.full(n_s, np.nan)
-    v_1[states] = v_next
-    return v_1
+    return v_next
 
 
-def policy_value(rewards, kernel, action_idx, state_axis, s1) -> float:
-    """V^pi_1(s1): ``policy_values`` linearly interpolated on ``state_axis``."""
-    return float(np.interp(s1[0], state_axis, policy_values(rewards, kernel, action_idx)))
+def policy_value(env: EnvironmentModel, sp: np.ndarray, z1, v_2) -> float:
+    """V^pi_1(s1) of a policy that plays a1 at s1: ``clip(r_1(z1) + E[V^pi_2 | z1], 0, 1)``.
+
+    ``z1`` is (s1, a1) and ``v_2`` is V^pi_2 on the grid states ``sp``, as
+    ``policy_values`` gives it from step 2 on. The expectation is one
+    ``_discretized_kernel`` row with the oracle's one rule, so at a grid
+    state and a table action the value has the bits of ``policy_values``'
+    step-1 backup there, as long as ``reward_mean``'s bits do not depend on
+    the batch (``exact_linear``'s BLAS product may move the last bit).
+    """
+    z1 = np.asarray(z1, dtype=float)[None, :]
+    backup = env.reward_mean(1, z1)
+    if env.horizon > 1:
+        row = _discretized_kernel(env, env.transition_key(z1), sp)
+        backup = backup + np.einsum("ik,k->i", row, v_2)
+    return float(np.clip(backup, 0.0, 1.0)[0])
 
 
 # ---------------------------------------------------------------------------

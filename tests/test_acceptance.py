@@ -17,6 +17,7 @@ from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, featu
 from cinderella.geometry import assign_regions, build_partition
 from cinderella.harness import RunConfig, build_env, run_experiment, run_sweep
 from cinderella.oracle import (
+    _grid_backup,
     dp_solve,
     inherent_error_estimate,
     random_policy_gap,
@@ -177,7 +178,8 @@ def test_criterion_07_inherent_error_scaling():
 
 def _regret_gates(base: RunConfig):
     """Seed-averaged log-log regret slope over the second half of seeds 0-4, R_K/K, and the
-    random-policy gap at s1 = 0, the numbers criteria 08 and 11 gate."""
+    random-policy gap, the numbers criteria 08, 11 and 12 gate. The gap is V* - V^rand at
+    s1 = 0, or with a uniform s1 its average over the oracle grid (trapezoid rule)."""
     configs = [dataclasses.replace(base, seed=s) for s in range(5)]
     traces = run_sweep(configs, jobs=2)
     cum = np.mean([t.column("cum_regret") for t in traces], axis=0)
@@ -189,7 +191,11 @@ def _regret_gates(base: RunConfig):
 
     env = build_env(base)
     dp = dp_solve(env, base.oracle_m_state, base.oracle_m_action)
-    gap = random_policy_gap(env, dp, np.zeros(1))
+    if base.init_mode == "uniform":
+        v_rand, _ = _grid_backup(env, dp.state_points, dp.action_points, np.mean)
+        gap = np.trapezoid(dp.v[1] - v_rand[1], dp.state_points[:, 0]) / 2.0
+    else:
+        gap = random_policy_gap(env, dp, np.zeros(1))
     return slope, cum[-1] / K, gap
 
 
@@ -234,6 +240,31 @@ def test_criterion_11_regret_sublinearity_at_degree_one():
         ok,
         f"nu=2: seed-averaged log-log slope {slope:.3f} < 0.95; "
         f"R_K/K={avg:.4f} <= 0.5*random gap={0.5 * gap:.4f}",
+    )
+
+
+def test_criterion_12_regret_sublinearity_at_h3_with_uniform_s1():
+    """Criterion 08's gates at H = 3 with s1 drawn uniformly: the re-fit with two next-state
+    steps, and the regret of the action played at each s1."""
+    with _budget(600.0):
+        base = RunConfig(
+            env_name="uniform_shift",
+            env_params={"beta": 0.5},
+            episodes=4096,
+            horizon=3,
+            nu=1.0,
+            epsilon="auto",
+            bonus_scale=0.1,
+            planner="relaxation",
+            init_mode="uniform",
+        )
+        slope, avg, gap = _regret_gates(base)
+        ok = slope < 0.95 and avg <= 0.5 * gap
+    _verdict(
+        12,
+        ok,
+        f"H=3, uniform s1: seed-averaged log-log slope {slope:.3f} < 0.95; "
+        f"R_K/K={avg:.4f} <= 0.5*s1-averaged random gap={0.5 * gap:.4f}",
     )
 
 

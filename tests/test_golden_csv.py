@@ -21,7 +21,7 @@ behaviour_sha256 = runpy.run_path(str(BENCH / "outcheck.py"))["behaviour_sha256"
 WORKLOAD_HASHES = {  # Workload.config(1, episodes=32)
     "uniform_shift_k1024": "e21100ee6c7d8d5a0bfb21fa6d12f1274e3105fa60462203317bcd187140581e",
     "smooth_drift_nu3": "81af21a9ea61fb4fbd4838134c57a9e523755e1b1af4b6847e0c6d26a512bf87",
-    "fine_oracle_h3": "01dd6770410de722f581d23f9b8654a475b16ce23b3e799e05bca7e175d3bb6f",
+    "fine_oracle_h3": "2f6d00b0390b1ccdbcb0e429d50f5c055e2cee56a1e6f146e09dc192db061e9a",
 }
 
 
@@ -106,4 +106,19 @@ def test_relaxation_csv_hash_h3_nu3():
         oracle_m_action=33,
         init_mode="uniform",
     )
-    assert _hash(cfg) == "bc78fd9236a4bb0a97c32d9d7657b6b2a1cc407dd68ebd94ab0c380a0e56e4d6"
+    assert _hash(cfg) == "86ab0484d493b4de0042fb784990f2ccecf1e154441d44da2eabdade82b4ad3b"
+
+
+def test_relaxation_csv_hash_degree_0_uniform_s1():
+    """Criterion 12's config at K=32: the cell path at H=3, valued at each uniform s1."""
+    cfg = RunConfig(
+        env_name="uniform_shift",
+        env_params={"beta": 0.5},
+        episodes=32,
+        horizon=3,
+        nu=1.0,
+        bonus_scale=0.1,
+        seed=0,
+        init_mode="uniform",
+    )
+    assert _hash(cfg) == "680d3d5bd4c2bb9c67f8fd0ec6cd34ee727ea869fb0ee133a3f7235344721020"

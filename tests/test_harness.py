@@ -31,6 +31,7 @@ from cinderella.harness import (
 )
 from cinderella.learner import CinderellaLearner
 from cinderella.oracle import dp_solve, policy_eval_tables, policy_value, policy_values
+from conftest import record_played
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -344,57 +345,47 @@ def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
 
 
 def _recorded_run(monkeypatch, kept):
-    """One run keeping ``kept`` policies' values: its played policies and its evaluation count.
+    """One run keeping ``kept`` policies' values: the key of each episode's played policy,
+    z1 = (s1, a1) and the greedy table of steps 2..H, and the run's evaluation count.
 
     Every vpi is checked against the played policy's direct value.
     """
-    policies, evaluations = [], []
+    played, evaluations = record_played(monkeypatch), []
 
-    def recording(fn, log):
-        def wrapper(*args, **kwargs):
-            out = fn(*args, **kwargs)
-            log.append(out)
-            return out
+    def recording(*args):
+        evaluations.append(args)
+        return policy_values(*args)
 
-        return wrapper
-
-    monkeypatch.setattr(
-        CinderellaLearner,
-        "greedy_action_indices",
-        recording(CinderellaLearner.__dict__["greedy_action_indices"], policies),
-    )
-    monkeypatch.setattr(harness, "_played_policy_value", recording(policy_values, evaluations))
+    monkeypatch.setattr(harness, "_played_policy_value", recording)
     monkeypatch.setattr(harness, "_POLICY_VALUES_KEPT", kept)
     cfg = _small_config(episodes=40)
     trace = run_experiment(cfg)
 
-    assert len(policies) == cfg.episodes
+    assert len(played) == cfg.episodes
     env, learner = build_env(cfg), build_learner(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
     rewards, kernel = policy_eval_tables(env, dp, learner.actions)
-    s1 = np.full(1, cfg.init_value)
     want = [
-        policy_value(rewards, kernel, actions, dp.state_points[:, 0], s1)
-        for actions in policies
+        policy_value(env, dp.state_points, z1, policy_values(rewards[1:], kernel, table[1:]))
+        for z1, table in played
     ]
     np.testing.assert_array_equal(trace.column("vpi"), want)
-    return policies, len(evaluations)
+    return [z1.tobytes() + table[2:].tobytes() for z1, table in played], len(evaluations)
 
 
 def test_each_played_policy_is_evaluated_once(monkeypatch):
     """Each distinct played policy is evaluated once, and every vpi is its direct value."""
-    policies, evaluations = _recorded_run(monkeypatch, harness._POLICY_VALUES_KEPT)
-    changes = 1 + sum(not np.array_equal(a, b) for a, b in zip(policies, policies[1:]))
-    distinct = len({actions.tobytes() for actions in policies})
-    assert evaluations == distinct < changes  # policies recur, and not only back to back
+    keys, evaluations = _recorded_run(monkeypatch, harness._POLICY_VALUES_KEPT)
+    changes = 1 + sum(a != b for a, b in zip(keys, keys[1:]))
+    assert evaluations == len(set(keys)) < changes  # policies recur, and not only back to back
 
 
 @pytest.mark.parametrize("kept", [1, 2, 3])
 def test_kept_policy_values_are_evicted_oldest_first(monkeypatch, kept):
     """A policy is evaluated again once ``kept`` newer ones have been evaluated since."""
-    policies, evaluations = _recorded_run(monkeypatch, kept)
+    keys, evaluations = _recorded_run(monkeypatch, kept)
     queue, want = [], 0
-    for key in (actions.tobytes() for actions in policies):
+    for key in keys:
         if key not in queue:
             want += 1
             queue = [*queue, key][-kept:]
@@ -629,17 +620,21 @@ def test_cli_sweep(tmp_path):
 
 
 def test_policy_eval_tables_reject_vanishing_density():
-    """The first evaluation that reads a dead kernel row raises; the tables build none."""
+    """The first evaluation that reads a dead kernel row raises; the tables build none.
+
+    At H = 2 the played policy's steps 2..H read no row, and its step-1 value at
+    (s1, a1) reads one.
+    """
     env = env_uniform_shift(beta=0.5, horizon=2)
     dp = dp_solve(env, 17, 9)
     dead = dataclasses.replace(
         env, transition_density=lambda keys, sp: np.zeros((keys.shape[0], sp.shape[0]))
     )
     rewards, kernel = _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])
-    played = np.zeros((3, 17), dtype=np.int64)
-    played[1] = -1  # step 1 unset: no kernel row is read
-    _played_policy_value(rewards, kernel, played)
-    played[1, 3:5] = 2
+    played = np.full((3, 17), 2)
+    v_2 = _played_policy_value(rewards[1:], kernel, played[1:])
+    with pytest.raises(ValueError, match="vanished"):
+        policy_value(dead, dp.state_points, [0.3, 0.0], v_2)
     with pytest.raises(ValueError, match="vanished"):
         _played_policy_value(rewards, kernel, played)
     assert kernel.built == 0

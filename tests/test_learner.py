@@ -373,7 +373,7 @@ def test_exact_grid_guard_rejects_large_instances():
 
 
 def test_exact_grid_reads_only_theta_at_d3():
-    """act, value_estimate and the probe equal the max of phi . theta_bar, by hand.
+    """act, value_estimate and the probe of step 2 equal the max of phi . theta_bar, by hand.
 
     At d_feat = 3 the history and probe scores of the search go through the
     width cache while the zero radii keep it out of the scores.
@@ -395,14 +395,12 @@ def test_exact_grid_reads_only_theta_at_d3():
         feats, regions = learner._blocks(state)
         return np.array([f @ theta[h, n] for f, n in zip(feats[0], regions[0])])
 
-    greedy = learner.greedy_action_indices(np.full(1, 0.3))
-    assert np.flatnonzero(greedy[1] >= 0).tolist() == [5, 6]  # 0.25 <= 0.3 < 0.5
-    for h in (1, 2):
-        for i, state in enumerate(states):
-            scores = by_hand(h, state)
-            if greedy[h, i] >= 0:
-                assert greedy[h, i] == np.argmax(scores)
-            assert learner.act(h, state)[2] == np.argmax(scores)
+    greedy = learner.greedy_action_indices()
+    assert not greedy[:2].any()
+    for i, state in enumerate(states):
+        assert greedy[2, i] == np.argmax(by_hand(2, state))
+        for h in (1, 2):
+            assert learner.act(h, state)[2] == np.argmax(by_hand(h, state))
     for state in states:
         want = float(np.clip(by_hand(1, state).max(), 0.0, 1.0))
         assert learner.value_estimate(state) == pytest.approx(want, abs=1e-12)
@@ -472,11 +470,10 @@ def test_observe_transition_fails_fast(h, next_state, prior, match):
 def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
-    schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features)
+    schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features, horizon=2)
     learner = CinderellaLearner(fmap, schedule, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
-    feats, regions = learner._probe[1]
-    for arr in (part.centers, feats, regions):
+    for arr in (part.centers, learner._probe[2].feats, learner._probe[2].regions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
 

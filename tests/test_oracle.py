@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import subprocess
 import sys
@@ -8,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cinderella import harness
+from cinderella import harness, oracle
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
 from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
@@ -25,7 +26,7 @@ from cinderella.oracle import (
     random_policy_gap,
     taylor_remainder_check,
 )
-from conftest import sin2x, sin2x_derivative
+from conftest import record_played, sin2x, sin2x_derivative
 
 # Benchmark value pinned from the reference oracle run (uniform shift,
 # beta = 0.5, default reward, H = 2, m_state = m_action = 129): the optimal
@@ -83,6 +84,32 @@ def test_dp_guard_bounds_the_rows_it_holds():
     assert peak < 1e6
 
 
+@pytest.mark.parametrize(
+    "make_env, m_state, m_action",
+    [
+        (lambda: env_smooth_drift(horizon=2), 4097, 65),
+        (lambda: env_uniform_shift(0.5, horizon=3), 4097, 65),
+        (lambda: env_smooth_drift(horizon=4), 257, 2049),
+    ],
+    ids=["smooth_drift_h2", "uniform_shift_h3", "smooth_drift_h4_wide"],
+)
+def test_dp_guard_counts_the_peak_it_holds(monkeypatch, make_env, m_state, m_action):
+    """The guard's count bounds a solve's traced peak, kernel blocks and temporaries
+    included: a limit one float below the peak refuses the grid. Where n_s >> n_a the
+    kernel blocks dominate the peak, so a block kept while the next is built would pass
+    the count; at 257 x 2049 the n_s * n_a rows dominate."""
+    env = make_env()
+    tracemalloc.start()
+    try:
+        dp_solve(env, m_state, m_action)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+    with pytest.raises(ValueError, match="too large"):
+        dp_solve(env, m_state, m_action)
+
+
 def test_dp_monotone_under_reward_domination():
     lo = env_uniform_shift(0.5, reward="zero", horizon=2)
     hi = env_uniform_shift(0.5, reward="default", horizon=2)
@@ -128,7 +155,8 @@ def test_oracle_values_hold_under_grid_refinement(env_name):
         for dp in (coarse, fine):
             states = dp.state_points[:, 0]
             idx = np.tile(np.arange(states.size), (env.horizon + 1, 1))  # state i plays row i
-            values.append(_value(env, dp, policy(states)[:, None], idx, s1))
+            z1 = np.concatenate([s1, policy(s1)])
+            values.append(_value(env, dp, policy(states)[:, None], idx, z1))
         assert abs(values[0] - values[1]) <= 1e-3
 
 
@@ -279,9 +307,12 @@ def test_dp_never_holds_a_whole_kernel():
     assert peak < 16e6
 
 
-def _value(env, dp, actions, action_idx, s1):
+def _value(env, dp, actions, action_idx, z1):
+    """V^pi(s1) of the policy that plays a1 at s1, z1 = (s1, a1), then the table
+    ``action_idx`` over ``actions`` at steps 2..H."""
     rewards, kernel = policy_eval_tables(env, dp, actions)
-    return policy_value(rewards, kernel, action_idx, dp.state_points[:, 0], s1)
+    v_2 = policy_values(rewards[1:], kernel, action_idx[1:])
+    return policy_value(env, dp.state_points, z1, v_2)
 
 
 @pytest.mark.parametrize(
@@ -318,9 +349,10 @@ def test_discretized_kernel_matches_out_of_place(make_env, m_state):
 def test_policy_value_greedy_self_consistency():
     env = env_uniform_shift(0.5, horizon=2)
     dp = dp_solve(env, 65, 33)
-    s1 = np.zeros(1)
-    v_pi = _value(env, dp, dp.action_points, dp.q.argmax(axis=2), s1)
-    assert v_pi == pytest.approx(dp.value_at(s1), abs=1e-9)
+    greedy = dp.q.argmax(axis=2)
+    z1 = np.concatenate([np.zeros(1), dp.action_points[greedy[1, 32]]])  # s1 = 0 is state 32
+    v_pi = _value(env, dp, dp.action_points, greedy, z1)
+    assert v_pi == pytest.approx(dp.value_at(np.zeros(1)), abs=1e-9)
 
 
 def test_policy_value_random_on_zero_reward():
@@ -328,7 +360,8 @@ def test_policy_value_random_on_zero_reward():
     dp = dp_solve(env, 33, 17)
     rng = np.random.default_rng(0)
     idx = rng.integers(0, dp.action_points.shape[0], size=(env.horizon + 1, 33))
-    assert _value(env, dp, dp.action_points, idx, np.zeros(1)) == pytest.approx(0.0, abs=1e-12)
+    z1 = np.array([0.0, rng.uniform(-1.0, 1.0)])
+    assert _value(env, dp, dp.action_points, idx, z1) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_policy_value_never_beats_optimal(rng):
@@ -339,7 +372,7 @@ def test_policy_value_never_beats_optimal(rng):
     idx = np.zeros((env.horizon + 1, 65), dtype=np.int64)
     for _ in range(5):
         a_fixed = rng.uniform(-1, 1)
-        v_pi = _value(env, dp, np.array([[a_fixed]]), idx, s1)
+        v_pi = _value(env, dp, np.array([[a_fixed]]), idx, np.array([0.0, a_fixed]))
         assert v_pi <= vstar + 1e-9
 
 
@@ -351,28 +384,38 @@ def test_random_policy_value_below_optimal():
     assert 0.0 <= v_rand <= vstar
 
 
-def _naive_policy_value(env, dp, actions, action_idx, s1):
-    """Per-state backward induction with the density queried at each exact (s, a).
+def _naive_backup(env, dp, h, z, v_next):
+    """``clip(r_h(z) + E[v_next | z], 0, 1)`` with the density queried at the exact z."""
+    z = np.asarray(z, dtype=float)[None, :]
+    backup = env.reward_mean(h, z)[0]
+    if h < env.horizon:
+        dens = env.transition_density(env.transition_key(z), dp.state_points)[0]
+        backup += (dens / dens.sum()) @ v_next
+    return min(max(backup, 0.0), 1.0)
+
+
+def _naive_grid_values(env, dp, actions, action_idx, first=1):
+    """V_first on the grid states by per-state backward induction (0 when first > H).
 
     ``action_idx[h][i]`` is one table action or a row of them, played uniformly at random.
     """
     sp = dp.state_points
-    w = 2.0 / (dp.m_state - 1)
     v_next = np.zeros(sp.shape[0])
-    for h in range(env.horizon, 0, -1):
-        v = np.zeros_like(v_next)
-        for i, s in enumerate(sp):
-            values = []
-            for j in np.atleast_1d(action_idx[h][i]):
-                z = np.concatenate([s, actions[j]])[None, :]
-                backup = env.reward_mean(h, z)[0]
-                if h < env.horizon:
-                    dens = env.transition_density(env.transition_key(z), sp)[0] * w
-                    backup += (dens / dens.sum()) @ v_next
-                values.append(min(max(backup, 0.0), 1.0))
-            v[i] = np.mean(values)
-        v_next = v
-    return float(np.interp(s1[0], sp[:, 0], v_next))
+    for h in range(env.horizon, first - 1, -1):
+        v_next = np.array([
+            np.mean([
+                _naive_backup(env, dp, h, np.concatenate([s, actions[j]]), v_next)
+                for j in np.atleast_1d(action_idx[h][i])
+            ])
+            for i, s in enumerate(sp)
+        ])
+    return v_next
+
+
+def _naive_policy_value(env, dp, actions, action_idx, s1):
+    """V_1 of ``_naive_grid_values`` interpolated at s1."""
+    v_1 = _naive_grid_values(env, dp, actions, action_idx)
+    return float(np.interp(s1[0], dp.state_points[:, 0], v_1))
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -385,16 +428,19 @@ def _naive_policy_value(env, dp, actions, action_idx, s1):
     ids=["uniform_shift", "smooth_drift"],
 )
 def test_policy_value_matches_naive_reference(make_env, horizon):
+    """V^pi(s1) at an off-grid (s1, a1) is a naive loop's step-1 backup there, of the
+    naive steps-2..H values of a table policy whose actions are off the oracle grid."""
     env = make_env(horizon)
     dp = dp_solve(env, 17, 9)
     rng = np.random.default_rng(100 + horizon)
     actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
-    s1 = np.array([rng.uniform(-1.0, 1.0)])
     n_s, M = 17, actions.shape[0]
     tables = [rng.integers(0, M, size=(horizon + 1, n_s)) for _ in range(3)]
     for idx in tables:
-        fast = _value(env, dp, actions, idx, s1)
-        assert fast == pytest.approx(_naive_policy_value(env, dp, actions, idx, s1), abs=1e-12)
+        z1 = rng.uniform(-1.0, 1.0, size=2)
+        fast = _value(env, dp, actions, idx, z1)
+        v_2 = _naive_grid_values(env, dp, actions, idx, first=2)
+        assert fast == pytest.approx(_naive_backup(env, dp, 1, z1, v_2), abs=1e-12)
 
 
 def _per_step_tables(env, dp, actions):
@@ -476,8 +522,8 @@ def _env(name, horizon):
     return env_uniform_shift(0.5, horizon=horizon)
 
 
-def _whole_kernel_policy_values(env, dp, actions, action_idx):
-    """V^pi_1 at every grid state with the whole kernel, built once and gathered per step.
+def _whole_kernel_policy_values(env, dp, actions, action_idx, first=1):
+    """V^pi_first at every grid state with the whole kernel, built once and gathered per step.
 
     ``action_idx[h]`` is (n_s, J): each state plays its J table actions uniformly at random.
     """
@@ -487,7 +533,7 @@ def _whole_kernel_policy_values(env, dp, actions, action_idx):
     kernel = _discretized_kernel(env, env.transition_key(Z), sp).reshape(n_s, M, n_s)
     rows = np.arange(n_s)[:, None]
     v_next = np.zeros(n_s)
-    for h in range(H, 0, -1):
+    for h in range(H, first - 1, -1):
         a = action_idx[h]
         backup = env.reward_mean(h, Z).reshape(n_s, M)[rows, a]
         if h < H:
@@ -496,49 +542,93 @@ def _whole_kernel_policy_values(env, dp, actions, action_idx):
     return v_next
 
 
-def _around(axis, s1):
-    """The two grid states whose values ``np.interp`` reads at s1."""
-    j = int(np.searchsorted(axis, s1, side="right")) - 1
-    lo = max(min(j, axis.size - 2), 0)
-    return np.array([lo, lo + 1])
-
-
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 @pytest.mark.parametrize("env_name", ["exact_linear", "smooth_drift", "uniform_shift"])
 def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizon):
     """Values from kernel rows built on first read are the whole kernel's, bit for bit.
 
-    Every policy is read at every state, then with step 1 set only at the two
-    grid states around s1, in a fresh store and in the store the full reads
-    filled: V^pi_1 at those states and V^pi_1(s1) keep their bits, and the
-    unset states read NaN.
+    Every policy is read at every state, then from step 2 on, in a fresh store
+    and in the store the full reads filled. At every grid state, V^pi(s1) of
+    the table's step-1 action there, one row on V^pi_2, has the bits of V^pi_1
+    there: this is why a fixed s1 on the oracle grid keeps its regret bits.
+    exact_linear's reward is a BLAS product, whose last bit depends on the
+    batch, so there the two agree to 1e-15.
     """
     env = _env(env_name, horizon)
     dp = dp_solve(env, 17, 9)
-    axis = dp.state_points[:, 0]
+    sp = dp.state_points
     rng = np.random.default_rng(700 + horizon)
     actions = rng.uniform(-1.0, 1.0, size=(6, 1))  # off the oracle action grid
     M = actions.shape[0]
     policies = [rng.integers(0, M, size=(horizon + 1, 17)) for _ in range(3)]
     policies.append(dp.q.argmax(axis=2) % M)
-    s1s = [-1.0, 1.0, axis[5], 0.5 * (axis[5] + axis[6]), 0.3141]
     rewards, filled = policy_eval_tables(env, dp, actions)
     for idx in policies:
         want = _whole_kernel_policy_values(env, dp, actions, idx[:, :, None])
         assert np.array_equal(policy_values(rewards, filled, idx), want)
-        for s1 in s1s:
-            pair = _around(axis, s1)
-            part = np.array(idx)
-            part[1] = -1
-            part[1, pair] = idx[1][pair]
-            for kernel in (policy_eval_tables(env, dp, actions)[1], filled):
-                got = policy_values(rewards, kernel, part)
-                assert np.array_equal(got[pair], want[pair])
-                assert np.isnan(np.delete(got, pair)).all()
-                assert np.interp(s1, axis, got) == np.interp(s1, axis, want)
-                assert policy_value(rewards, kernel, part, axis, [s1]) == np.interp(s1, axis, want)
+        want_2 = _whole_kernel_policy_values(env, dp, actions, idx[:, :, None], first=2)
+        for kernel in (policy_eval_tables(env, dp, actions)[1], filled):
+            v_2 = policy_values(rewards[1:], kernel, idx[1:])
+            assert np.array_equal(v_2, want_2)
+        for j in range(17):
+            z1 = np.concatenate([sp[j], actions[idx[1, j]]])
+            tol = 1e-15 if env_name == "exact_linear" else 0.0
+            assert abs(policy_value(env, sp, z1, v_2) - want[j]) <= tol
     read = [np.arange(17) * M + idx[h] for idx in policies for h in range(1, horizon)]
     assert filled.built == (np.unique(read).size if read else 0)
+
+
+def test_vpi_is_the_naive_value_of_the_played_policy(monkeypatch):
+    """With a uniform s1 at H = 3 and degree 2, every vpi is a naive loop's value of the
+    policy played: the step-1 backup at (s1, a1) of its steps-2..H values, each with the
+    density queried at the exact (s, a)."""
+    played = record_played(monkeypatch)
+    config = harness.RunConfig(
+        env_name="smooth_drift", episodes=12, horizon=3, nu=3.0, epsilon=0.5,
+        oracle_m_state=17, oracle_m_action=9, init_mode="uniform", seed=4,
+    )
+    trace = harness.run_experiment(config)
+    env, learner = harness.build_env(config), harness.build_learner(config)
+    dp = dp_solve(env, 17, 9)
+    want = [
+        _naive_backup(env, dp, 1, z1, _naive_grid_values(env, dp, learner.actions, table, 2))
+        for z1, table in played
+    ]
+    np.testing.assert_allclose(trace.column("vpi"), want, rtol=0, atol=1e-12)
+    assert len({z1[1] for z1, _ in played}) > 1
+
+
+def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypatch):
+    """A planned table whose greedy action follows the state, ``-(a - s)^2``, plays a = 0.3
+    at s1 = 0.27, and a = 0 and a = 0.5 at the oracle states 0 and 0.5 around it. vpi is
+    the value of (0.27, 0.3), where interpolating the values of the grid pair's picks
+    would be off by 0.15."""
+    config = harness.RunConfig(
+        env_name="smooth_drift", episodes=1, horizon=2, nu=3.0, epsilon=1.0,
+        oracle_m_state=5, oracle_m_action=9, init_value=0.27,
+    )
+    learner = harness.build_learner(config)
+    assert learner.N == 1 and learner.fmap.index_set.indices.tolist() == [
+        [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]
+    ]
+
+    def plan():  # every step scores -(a - s)^2 = -s^2 + 2 s a - a^2, with no bonus
+        learner.theta_all[1:, 0] = [0.0, 0.0, 0.0, -1.0, 2.0, -1.0]
+        learner.alpha_all[:] = 0.0
+
+    monkeypatch.setattr(learner, "_plan_relaxation", plan)
+    monkeypatch.setattr(harness, "build_learner", lambda cfg: learner)
+    trace = harness.run_experiment(config)
+
+    env = harness.build_env(config)
+    dp = dp_solve(env, 5, 9)
+    s1, axis = np.array([0.27]), dp.state_points[:, 0]
+    assert [learner.act(1, s)[2] for s in ([0.0], [0.5], s1)] == [10, 15, 13]
+    v_2 = _naive_grid_values(env, dp, learner.actions, learner.last_policy_actions, 2)
+    exact = _naive_backup(env, dp, 1, [0.27, 0.3], v_2)
+    assert trace.column("vpi")[0] == pytest.approx(exact, abs=1e-12)
+    pair = [_naive_backup(env, dp, 1, [s, s], v_2) for s in (0.0, 0.5)]
+    assert abs(np.interp(0.27, axis[2:4], pair) - exact) > 0.1
 
 
 def test_played_policies_build_each_kernel_row_once(monkeypatch):

@@ -18,8 +18,8 @@ keys computed afresh. A sixth holds the separable blocks of ``_blocks`` to
 every cached block score to the uncached scoring rule, whether a plan moved
 the table in no region, in some or in all. An eighth holds the re-fit's
 per-region sums to a loop that adds the history rows in order, bit for bit,
-and a ninth the played policy's step 1, scored at the two probe states
-around s1, to the greedy picks of the planned table before the episode
+and a ninth the played policy, its step-1 action at s1 and its probe picks
+of steps 2..H, to the greedy picks of the planned table before the episode
 absorbs its transitions.
 """
 
@@ -193,29 +193,11 @@ def _uncached_plan(learner, probe_states):
     return theta, greedy
 
 
-def _around(states, s1):
-    """Indices of the two probe states around ``s1``, the pair ``np.interp`` reads."""
-    axis = states[:, 0]
-    j = int(np.searchsorted(axis, s1[0], side="right")) - 1
-    lo = max(min(j, axis.size - 2), 0)
-    return [lo, lo + 1]
-
-
-def _assert_probe_picks(learner, states, got, want, s1):
-    """The probe's greedy indices ``got`` equal ``want`` at every entry that was scored.
-
-    Steps 2..H are scored at every probe state. Step 1 is scored at the two
-    probe states around ``s1`` (at none when it is None) and is -1 at the
-    others; at degree 0 it is read from the cell table at every probe state.
-    """
-    scored = got >= 0
-    assert scored[2:].all()
-    if learner._cells:
-        assert scored[1].all()
-    else:
-        pair = [] if s1 is None else _around(states, s1)
-        assert np.flatnonzero(scored[1]).tolist() == pair
-    np.testing.assert_array_equal(got[scored], want[scored])
+def _assert_probe_picks(got, want):
+    """The probe's greedy indices ``got`` equal ``want`` at steps 2..H, and rows 0 and 1
+    are 0: the oracle values step 1 at the action played, not at the probe states."""
+    assert not got[:2].any()
+    np.testing.assert_array_equal(got[2:], want[2:])
 
 
 # (hot, spread) visits per step before each plan. Region 0 ends round one
@@ -223,8 +205,6 @@ def _assert_probe_picks(learner, states, got, want, s1):
 # stay unchanged, so only region 0's cached widths go stale and the rows
 # appended since the last plan are new; the last plan sees no new data.
 ROUNDS = [(REINVERT_EVERY - 12, 0), (20, 0), (0, 30), (0, 0)]
-# The initial state of each round's plan: none, then -1, an interior point and +1.
-ROUND_S1 = [None, np.full(1, -1.0), np.full(1, 0.3), np.full(1, 1.0)]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -234,23 +214,23 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
     learner = _learner(degree, horizon)
     probe_states = np.sort(rng.uniform(-1.0, 1.0, size=(23, 1)), axis=0)
     learner.register_probe(probe_states)
-    for i, ((hot, spread), s1) in enumerate(zip(ROUNDS, ROUND_S1)):
+    for i, (hot, spread) in enumerate(ROUNDS):
         before = learner.counts[1:, 0].copy()
         _feed(learner, rng, hot, spread)
         if i == 1:
             assert np.all(before < REINVERT_EVERY)
             assert np.all(learner.counts[1:, 0] >= REINVERT_EVERY)
         learner.k = 11 * i  # alpha changes between plans
-        learner.plan(s1)
+        learner.plan()
 
         theta, greedy = _uncached_plan(learner, probe_states)
         np.testing.assert_array_equal(learner.theta_all, theta)
         got = learner.last_policy_actions
-        _assert_probe_picks(learner, probe_states, got, greedy, s1)
-        np.testing.assert_array_equal(learner.greedy_action_indices(s1), got)
+        _assert_probe_picks(got, greedy)
+        np.testing.assert_array_equal(learner.greedy_action_indices(), got)
         if learner._cells:
             continue  # degree-0 histories and probes keep cells, with no widths to cache
-        for h in range(2, horizon + 1):  # step 1 of the probe is not cached
+        for h in range(2, horizon + 1):
             probe = learner._probe[h]
             np.testing.assert_array_equal(
                 probe.width, learner._width(h, probe.feats, probe.regions)
@@ -265,29 +245,28 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
 
 @pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
 def test_probe_greedy_indices_match_act(degree):
-    """The probe's greedy indices, whose regret the harness measures, are the actions played."""
+    """The probe's greedy indices of steps 2..H, whose value the harness measures, are the
+    actions ``act`` plays there, from the keys ``act`` computes."""
     rng = np.random.default_rng(3000 + 10 * degree + 1)
     learner = _learner(degree, 3)
     states = np.sort(rng.uniform(-1.0, 1.0, size=(17, 1)), axis=0)
     learner.register_probe(states)
     for i, s in enumerate(states):
-        key = learner.act(1, s)[3]
+        key = learner.act(2, s)[3]
         if learner._cells:
             assert learner._probe[i] == key
         else:
-            np.testing.assert_array_equal(learner._probe[1][0][i], key[0][0])
-            np.testing.assert_array_equal(learner._probe[1][1][i], key[1][0])
+            np.testing.assert_array_equal(learner._probe[2].feats[i], key[0][0])
+            np.testing.assert_array_equal(learner._probe[2].regions[i], key[1][0])
     for (hot, spread), s1 in zip([(30, 10), (0, 20)], [states[5], np.zeros(1)]):
         _feed(learner, rng, hot, spread)
         learner.k += 7
         learner.plan(s1)
-        greedy = learner.greedy_action_indices(s1)
-        _assert_probe_picks(learner, states, learner.last_policy_actions, greedy, s1)
-        np.testing.assert_array_equal(learner.last_policy_actions, greedy)
-        for h in range(1, learner.H + 1):
+        greedy = learner.greedy_action_indices()
+        _assert_probe_picks(learner.last_policy_actions, greedy)
+        for h in range(2, learner.H + 1):
             for i, s in enumerate(states):
-                if greedy[h, i] >= 0:
-                    assert learner.act(h, s)[2] == greedy[h, i]
+                assert learner.act(h, s)[2] == greedy[h, i]
 
 
 @pytest.mark.parametrize(
@@ -329,8 +308,8 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for name in ("counts", "lam_all", "lam_inv_all", "theta_all", "alpha_all"):
             np.testing.assert_array_equal(getattr(cell, name), getattr(general, name))
         want = cell.last_policy_actions
-        _assert_probe_picks(cell, probe_states, want, want, s1)
-        _assert_probe_picks(general, probe_states, general.last_policy_actions, want, s1)
+        _assert_probe_picks(want, want)
+        _assert_probe_picks(general.last_policy_actions, want)
         for s in rng.uniform(-1.0, 1.0, size=(5, 1)):
             assert cell.value_estimate(s) == general.value_estimate(s)
             for h in range(1, horizon + 1):
@@ -537,26 +516,28 @@ PROBE_STATES = np.linspace(-1.0, 1.0, 9)[:, None]
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 @pytest.mark.parametrize("degree", [0, 1, 2])
 def test_played_step_1_is_the_planned_greedy_around_s1(monkeypatch, degree, horizon, s1):
-    """The played policy's step 1 is the planned table's greedy pick at the two probe
-    states around s1, taken before the episode absorbs; steps 2..H are at every probe state.
+    """The played policy is the planned table's, taken before the episode absorbs: its
+    step-1 action is the greedy pick at s1, and its steps 2..H the picks at every probe
+    state.
 
-    The want is the uncached re-plan's greedy indices, recorded right after each
-    plan. The probe's grid holds 0.25, and -1 and +1 are its ends.
+    The want is the uncached re-plan's greedy indices at the probe states and at s1,
+    recorded right after each plan. The probe's grid holds 0.25, and -1 and +1 are its
+    ends.
     """
     learner = _learner(degree, horizon)
     env = build_env(RunConfig(env_name="uniform_shift", horizon=horizon))
     learner.register_probe(PROBE_STATES)
     plan, planned = learner.plan, []
+    start = np.full(1, s1)
 
     def recording(state):
         plan(state)
-        planned.append(_uncached_plan(learner, PROBE_STATES)[1])
+        planned.append(_uncached_plan(learner, np.vstack([PROBE_STATES, start]))[1])
 
     monkeypatch.setattr(learner, "plan", recording)
-    start = np.full(1, s1)
     for k in range(1, 9):
-        learner.plan_and_act_episode(env, start, make_rng(8, k, 0, 1))
-        got = learner.last_policy_actions
-        _assert_probe_picks(learner, PROBE_STATES, got, planned[-1], start)
-        assert got[1, _around(PROBE_STATES, start)].min() >= 0
+        transitions, _ = learner.plan_and_act_episode(env, start, make_rng(8, k, 0, 1))
+        want = planned[-1]
+        _assert_probe_picks(learner.last_policy_actions, want[:, :-1])
+        np.testing.assert_array_equal(transitions[0].action, learner.actions[want[1, -1]])
     assert len(planned) == 8

@@ -62,7 +62,7 @@ def _cmd_oracle(args) -> int:
     cfg = load_config(args.config)
     env = build_env(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
-    s1 = np.full(env.state_dim, float(cfg.init_value))
+    s1 = np.full(1, float(cfg.init_value))
     report = dp.report(s1)
     report["random_policy_gap"] = random_policy_gap(env, dp, s1)
     report["env"] = cfg.env_name

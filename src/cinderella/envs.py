@@ -1,4 +1,4 @@
-"""Benchmark continuous MDPs on [-1, 1]^d and the episode runner.
+"""Benchmark continuous MDPs on the square [-1, 1]^2 of rows z = (s, a), and the episode runner.
 
 Every environment exposes its exact transition density and mean reward so the
 grid oracles can compute ground truth; learners are expected to touch only the
@@ -22,6 +22,9 @@ REWARD_NOISE_TRUNCATION = 4.0  # reward noise support is +-4 sigma
 # The standard normal CDF at the truncation points, computed once.
 _NOISE_CDF_LO = ndtr(-REWARD_NOISE_TRUNCATION)
 _NOISE_CDF_HI = ndtr(REWARD_NOISE_TRUNCATION)
+# Every env, the learner and the grid oracle use one state coordinate s and
+# one action coordinate a: rows z = (s, a) of the square [-1, 1]^2.
+Z_DIM = 2
 
 
 def _truncated_gaussian(rng: np.random.Generator, sigma: float) -> float:
@@ -33,13 +36,13 @@ def _truncated_gaussian(rng: np.random.Generator, sigma: float) -> float:
 
 @dataclass(frozen=True)
 class EnvironmentModel:
-    """A finite-horizon MDP with state-action space [-1, 1]^(d_S + d_A).
+    """A finite-horizon MDP on rows z = (s, a) of [-1, 1]^2.
 
     Vectorized callables:
-      transition_sample(Z, rng) -> next states, Z of shape (n, d)
+      transition_sample(Z, rng) -> next states (n, 1), Z of shape (n, 2)
       transition_key(Z) -> (n,) the one statistic of z that the transition
         law depends on (float64), so equal keys mean equal kernel rows
-      transition_density(keys, S') -> (n, m) densities over states S' (m, d_S)
+      transition_density(keys, S') -> (n, m) densities over states S' (m, 1)
         at the keys of ``transition_key``, a new float array that the caller
         may overwrite
       reward_mean(h, Z) -> (n,) mean rewards in [0, 1/H]
@@ -49,8 +52,6 @@ class EnvironmentModel:
     """
 
     name: str
-    state_dim: int
-    action_dim: int
     horizon: int
     transition_sample: Callable[[np.ndarray, np.random.Generator], np.ndarray]
     transition_key: Callable[[np.ndarray], np.ndarray]
@@ -63,10 +64,6 @@ class EnvironmentModel:
         sigma = self.reward_noise_sigma
         if not (np.isfinite(sigma) and sigma >= 0.0):
             raise ValueError(f"reward noise sigma must be finite and >= 0, got {sigma}")
-
-    @property
-    def dim(self) -> int:
-        return self.state_dim + self.action_dim
 
     def sample_reward(self, h: int, z: np.ndarray, rng: np.random.Generator) -> float:
         mean = float(self.reward_mean(h, np.asarray(z, dtype=float)[None, :])[0])
@@ -93,8 +90,6 @@ class LearnerView:
 
     def __init__(self, env: EnvironmentModel):
         self._env = env
-        self.state_dim = env.state_dim
-        self.action_dim = env.action_dim
         self.horizon = env.horizon
 
     def sample_transition(self, z, rng):
@@ -108,17 +103,17 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
     """Roll one episode under ``policy(h, state) -> action``.
 
     Returns (transitions, total_return). Starts from ``s1`` (origin when
-    omitted). Works with a full EnvironmentModel or a LearnerView; raises if
-    the policy leaves [-1, 1]^d_A.
+    omitted). Works with a full EnvironmentModel or a LearnerView; raises
+    unless the policy returns one action coordinate in [-1, 1].
     """
     view = env if isinstance(env, LearnerView) else LearnerView(env)
-    state = np.zeros(view.state_dim) if s1 is None else np.asarray(s1, dtype=float)
+    state = np.zeros(1) if s1 is None else np.asarray(s1, dtype=float)
     transitions = []
     total = 0.0
     for h in range(1, view.horizon + 1):
         action = np.atleast_1d(np.asarray(policy(h, state), dtype=float))
-        if action.shape != (view.action_dim,) or not np.all(np.abs(action) <= 1.0):
-            raise ValueError(f"policy action out of [-1, 1]^{view.action_dim}: {action}")
+        if action.shape != (1,) or not np.all(np.abs(action) <= 1.0):
+            raise ValueError(f"policy action out of [-1, 1]: {action}")
         z = np.concatenate([state, action])
         reward = view.sample_reward(h, z, rng)
         next_state = view.sample_transition(z, rng) if h < view.horizon else None
@@ -158,7 +153,7 @@ def _resolve_reward(spec, horizon: int):
 
 def _check_normalization(env: EnvironmentModel, grid_per_axis: int = 128) -> None:
     """Assert 0 <= H * reward_mean <= 1 on a dense grid (Q in [0, 1])."""
-    Z = uniform_grid(grid_per_axis, env.dim)
+    Z = uniform_grid(grid_per_axis, Z_DIM)
     for h in range(1, env.horizon + 1):
         r = env.reward_mean(h, Z)
         if np.any(r < -1e-12) or np.any(env.horizon * r > 1.0 + 1e-9):
@@ -173,7 +168,7 @@ def _check_density_integral(env: EnvironmentModel, n_quad: int = 1024, tol: floa
     if env.horizon < 2:
         return
     rng = np.random.default_rng(0)
-    Z = rng.uniform(-1, 1, size=(8, env.dim))
+    Z = rng.uniform(-1, 1, size=(8, Z_DIM))
     grid = uniform_grid(n_quad, 1)
     w = 2.0 / (n_quad - 1)
     dens = env.transition_density(env.transition_key(Z), grid)
@@ -219,8 +214,6 @@ def env_uniform_shift(
     c_t = 2.0 / width + 1.0 + reward_slope
     env = EnvironmentModel(
         name="uniform_shift",
-        state_dim=1,
-        action_dim=1,
         horizon=horizon,
         transition_sample=sample,
         transition_key=key,
@@ -292,8 +285,6 @@ def env_smooth_drift(
     c_t = 1.0 + (1.0 + abs(drift_gain)) / noise_sigma  # coarse scale estimate
     env = EnvironmentModel(
         name="smooth_drift",
-        state_dim=1,
-        action_dim=1,
         horizon=horizon,
         transition_sample=sample,
         transition_key=key,
@@ -328,25 +319,23 @@ def env_exact_linear(
         )
     if fmap.index_set.indices[0].sum() != 0:
         raise ValueError("feature map must include the constant monomial")
-    d_state = 1
-    d = fmap.partition.dim
+    if fmap.partition.dim != Z_DIM:
+        raise ValueError(f"feature map must partition rows (s, a), got dim {fmap.partition.dim}")
 
-    def mean_reward(h, Z):
-        return feature_matrix(fmap, Z) @ theta[h - 1]
+    def mean_reward(h, Z):  # einsum, not BLAS, so a row's bits do not depend on the batch
+        return np.einsum("zf,f->z", feature_matrix(fmap, Z), theta[h - 1])
 
     def sample(Z, rng):
-        return rng.uniform(-1.0, 1.0, size=(Z.shape[0], d_state))
+        return rng.uniform(-1.0, 1.0, size=(Z.shape[0], 1))
 
     def key(Z):  # the kernel ignores z
         return np.zeros(Z.shape[0])
 
     def density(keys, Sp):
-        return np.full((keys.shape[0], Sp.shape[0]), 0.5**d_state)
+        return np.full((keys.shape[0], Sp.shape[0]), 0.5)
 
     env = EnvironmentModel(
         name="exact_linear",
-        state_dim=d_state,
-        action_dim=d - d_state,
         horizon=horizon,
         transition_sample=sample,
         transition_key=key,

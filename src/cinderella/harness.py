@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import EnvironmentModel, env_exact_linear, env_smooth_drift, env_uniform_shift
+from .envs import Z_DIM, EnvironmentModel, env_exact_linear, env_smooth_drift, env_uniform_shift
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
@@ -170,14 +170,9 @@ class RunConfig:
         if self.action_grid < 2 or self.oracle_m_state < 2 or self.oracle_m_action < 2:
             raise ValueError("config invalid: grids need at least 2 points")
 
-    @property
-    def dim(self) -> int:
-        # dp_solve handles only 1-D states, and every env has one action dimension.
-        return 2
-
     def resolved_epsilon(self) -> float:
         if self.epsilon == "auto":
-            return auto_epsilon(self.episodes, self.dim, self.nu)
+            return auto_epsilon(self.episodes, Z_DIM, self.nu)
         return float(self.epsilon)
 
     def semantic_dict(self) -> dict:
@@ -272,10 +267,10 @@ class RegretTrace:
 
 
 def _feature_map(config: RunConfig) -> TaylorFeatureMap:
-    partition = build_partition(config.dim, config.resolved_epsilon())
+    partition = build_partition(Z_DIM, config.resolved_epsilon())
     return TaylorFeatureMap(
         partition=partition,
-        index_set=enumerate_multi_indices(config.dim, nu_star(config.nu)),
+        index_set=enumerate_multi_indices(Z_DIM, nu_star(config.nu)),
     )
 
 
@@ -346,9 +341,9 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     for k in range(1, config.episodes + 1):
         t0 = time.perf_counter()
         if config.init_mode == "uniform":
-            s1 = make_rng(config.seed, k, 0, STREAM_INIT).uniform(-1.0, 1.0, env.state_dim)
+            s1 = make_rng(config.seed, k, 0, STREAM_INIT).uniform(-1.0, 1.0, 1)
         else:
-            s1 = np.full(env.state_dim, float(config.init_value))
+            s1 = np.full(1, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
         transitions, ret = learner.plan_and_act_episode(env, s1, env_rng)
         played = learner.last_policy_actions

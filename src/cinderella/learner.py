@@ -45,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .envs import run_episode
+from .envs import Z_DIM, run_episode
 from .features import TaylorFeatureMap
 from .geometry import assign_regions, axis_cell, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
@@ -230,8 +230,8 @@ class CinderellaLearner:
         if planner not in ("relaxation", "exact-grid"):
             raise ValueError(f"unknown planner: {planner!r}")
         partition = fmap.partition
-        if partition.dim < 2:  # states are 1-d, as in every env and the grid oracle
-            raise ValueError("state dimension must leave at least one action dimension")
+        if partition.dim != Z_DIM:
+            raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
         if (schedule.n_regions, schedule.d_feat) != (N, d):
             raise ValueError(
@@ -245,8 +245,7 @@ class CinderellaLearner:
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule
-        self.action_dim = partition.dim - 1
-        self.actions = uniform_grid(action_points_per_axis, self.action_dim)
+        self.actions = uniform_grid(action_points_per_axis, 1)
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
 
@@ -256,22 +255,20 @@ class CinderellaLearner:
         self.lam_inv_all = np.tile(np.eye(d) / lam0, (H + 1, N, 1, 1))
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
         M, K = self.actions.shape[0], schedule.episodes
-        # The first center of each state cell: its action coordinates lie in
-        # the first action cell, which repeats every m^d_A centers.
+        # The first center of each state cell: its action coordinate lies in
+        # the first action cell, which repeats every m centers.
         m = partition.cells_per_axis
-        cell_centers = partition.centers[:: m**self.action_dim, :1]
+        cell_centers = partition.centers[::m, :1]
         regions = assign_regions(partition, grid_pairs(cell_centers, self.actions))
         self._cell_regions = regions.reshape(-1, M)
         self._cell_centers = cell_centers[:, 0]
-        # Features are (s - c_s)^i * (a_1 - c_1)^j_1 * ..., the order in which
-        # features_at_centers' product runs; each grid action's offsets from
-        # its cell center are the same in every state cell.
+        # Features are (s - c_s)^i * (a - c_a)^j, the order in which
+        # features_at_centers' product runs; each grid action's offset from
+        # its cell center is the same in every state cell.
         exps = fmap.index_set.indices
-        offsets = self.actions - partition.centers[self._cell_regions[0], 1:]
+        offsets = self.actions[:, 0] - partition.centers[self._cell_regions[0], 1]
         self._state_exps = exps[:, 0]
-        self._action_powers = [
-            offsets[:, j, None] ** exps[:, j + 1] for j in range(self.action_dim)
-        ]
+        self._action_powers = offsets[:, None] ** exps[:, 1]  # (M, d)
         self._cells = fmap.index_set.degree == 0
         if self._cells:
             self._greedy = np.zeros((H + 1, m), dtype=np.int64)
@@ -305,9 +302,7 @@ class CinderellaLearner:
         """
         cells = self._state_cells(states)
         offsets = np.reshape(states, -1) - self._cell_centers[cells]
-        feats = (offsets[:, None] ** self._state_exps)[:, None, :] * self._action_powers[0]
-        for powers in self._action_powers[1:]:
-            feats *= powers
+        feats = (offsets[:, None] ** self._state_exps)[:, None, :] * self._action_powers
         return feats, self._cell_regions[cells]
 
     def _state_cells(self, states: np.ndarray):
@@ -423,9 +418,10 @@ class CinderellaLearner:
 
         Feasible candidates (within the per-region confidence ellipsoid
         ``||xi||_Lambda <= alpha``) are enumerated region by region; every
-        joint assignment is scored by the optimistic initial value after a
-        full backward re-fit with ``theta = theta_hat + xi``. The best
-        ``theta`` is kept with zero radii.
+        joint assignment is scored by the optimistic initial value, the max
+        step-1 ``phi . theta`` over the action grid at s1, after a full
+        backward re-fit with ``theta = theta_hat + xi``. The best ``theta`` is
+        kept with zero radii.
         """
         H, N, d, g = self.H, self.N, self.d, _EXACT_GRID_RESOLUTION
         alpha = alpha_radius(self.schedule, self.k + 1, self.counts)
@@ -445,7 +441,6 @@ class CinderellaLearner:
             candidates.append(np.unique(feas, axis=0))
 
         s1_feats, s1_regions = self._blocks(s1)
-        s1_width = self._width(1, s1_feats, s1_regions)
         self.alpha_all[:] = 0.0
         xi = np.zeros((H + 1, N, d))
         best_obj, best = -np.inf, None
@@ -453,7 +448,7 @@ class CinderellaLearner:
             for (h, n), c in zip(keys, combo):
                 xi[h, n] = c
             self._backward(xi)
-            obj = self._scores(1, s1_feats, s1_regions, s1_width).max()
+            obj = self._mean(1, s1_feats, s1_regions).max()
             if obj > best_obj:
                 best_obj, best = obj, self.theta_all.copy()
         self.theta_all[:] = best
@@ -524,7 +519,7 @@ class CinderellaLearner:
         """
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
         if not np.all(np.abs(s1) <= 1.0):
-            raise ValueError("initial state outside [-1, 1]^d_S")
+            raise ValueError("initial state outside [-1, 1]")
         self.plan(s1)
         visits = []  # act's (phi, region, index, key) per visited state
 

@@ -40,13 +40,13 @@ class GridDP:
     """Backward-induction tables for one environment on a fixed grid.
 
     ``v[h]`` and ``q[h]`` are indexed with h starting at 1 (entry 0 unused in
-    q; v[horizon + 1] is the terminal zero function). States are 1-D.
+    q; v[horizon + 1] is the terminal zero function). States and actions are 1-D.
     """
 
     m_state: int
     m_action: int
     state_points: np.ndarray  # (n_s, 1)
-    action_points: np.ndarray  # (n_a, d_A)
+    action_points: np.ndarray  # (n_a, 1)
     v: np.ndarray  # (H + 2, n_s)
     q: np.ndarray  # (H + 1, n_s, n_a)
 
@@ -118,18 +118,16 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     """Optimal value tables: ``_grid_backup`` with the max over actions on a uniform grid."""
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
-    if env.state_dim != 1:
-        raise ValueError(f"grid DP supports 1-d states only, got state_dim={env.state_dim}")
     # Sized with Python ints, before any allocation. Per (state, action) row:
-    # Z (1 + d_A), the keys and their index (2), q (H + 1), and the backup
+    # Z (2), the keys and their index (2), q (H + 1), and the backup
     # with two temporaries of its size (3). Then one kernel block
     # _BLOCK_ROWS * n_s, and one density temporary as large.
-    n_rows = int(m_state) * int(m_action) ** env.action_dim
-    held = n_rows * (env.action_dim + env.horizon + 7) + 2 * _BLOCK_ROWS * int(m_state)
+    n_rows = int(m_state) * int(m_action)
+    held = n_rows * (env.horizon + 8) + 2 * _BLOCK_ROWS * int(m_state)
     if held > MAX_HELD_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
     sp = uniform_grid(m_state, 1)
-    ap = uniform_grid(m_action, env.action_dim)
+    ap = uniform_grid(m_action, 1)
     v, q = _grid_backup(env, sp, ap, np.max)
     return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
 
@@ -222,8 +220,7 @@ def policy_value(env: EnvironmentModel, sp: np.ndarray, z1, v_2) -> float:
     ``policy_values`` gives it from step 2 on. The expectation is one
     ``_discretized_kernel`` row with the oracle's one rule, so at a grid
     state and a table action the value has the bits of ``policy_values``'
-    step-1 backup there, as long as ``reward_mean``'s bits do not depend on
-    the batch (``exact_linear``'s BLAS product may move the last bit).
+    step-1 backup there.
     """
     z1 = np.asarray(z1, dtype=float)[None, :]
     backup = env.reward_mean(1, z1)
@@ -314,15 +311,15 @@ def inherent_error_estimate(
         raise ValueError(f"theta box radius must be finite and >= 0, got {theta_box_radius!r}")
     H = env.horizon
     N, d_feat = partition.n_regions, fmap.dim_features
-    n_s, n_a = int(m_state) ** env.state_dim, int(m_action) ** env.action_dim
-    # Sized before any allocation: Z and its features per (state, action) row,
-    # and the whole kernel of the steps h < H.
-    held = n_s * n_a * (env.state_dim + env.action_dim + d_feat + (n_s if H > 1 else 0))
+    n_s, n_a = int(m_state), int(m_action)
+    # Sized before any allocation: Z (2) and its features per (state, action)
+    # row, and the whole kernel of the steps h < H.
+    held = n_s * n_a * (2 + d_feat + (n_s if H > 1 else 0))
     if held > MAX_HELD_ENTRIES:
         raise ValueError("audit grid too large; reduce grid resolutions")
     rng = np.random.default_rng(seed)
-    sp = uniform_grid(m_state, env.state_dim)
-    ap = uniform_grid(m_action, env.action_dim)
+    sp = uniform_grid(m_state, 1)
+    ap = uniform_grid(m_action, 1)
     Z = grid_pairs(sp, ap)
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])

@@ -122,6 +122,13 @@ def test_exact_linear_rejects_unnormalized_theta():
         env_exact_linear(np.array([[0.1, 0.0, 0.5]]), fmap, horizon=1)  # negative at a=-1
 
 
+def test_exact_linear_rejects_a_three_dimensional_feature_map():
+    part = build_partition(3, 1.0)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(3, 0))
+    with pytest.raises(ValueError, match="got dim 3"):
+        env_exact_linear(np.array([[0.5]]), fmap, horizon=1)
+
+
 @pytest.mark.parametrize("sigma", [-1.0, np.nan, np.inf])
 @pytest.mark.parametrize(
     "build",
@@ -168,8 +175,9 @@ def test_run_episode_deterministic_given_seed():
 
 def test_run_episode_rejects_out_of_range_policy(rng):
     env = env_uniform_shift(0.5, horizon=2)
-    with pytest.raises(ValueError, match="out of"):
-        run_episode(env, lambda h, s: np.array([1.5]), rng)
+    for action in ([1.5], [0.1, 0.2]):  # out of range; two action coordinates
+        with pytest.raises(ValueError, match="out of"):
+            run_episode(env, lambda h, s: np.array(action), rng)
 
 
 def test_transitions_have_horizon_structure(rng):

@@ -417,6 +417,14 @@ def test_schedule_must_match_feature_map(overrides):
         CinderellaLearner(fmap, _schedule(**sizes))
 
 
+def test_learner_refuses_partitions_not_on_rows_s_a():
+    for dim in (1, 3):
+        part = build_partition(dim, 1.0)
+        fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, 0))
+        with pytest.raises(ValueError, match=re.escape(f"rows (s, a), got dim {dim}")):
+            CinderellaLearner(fmap, _schedule())
+
+
 def test_schedule_validation():
     with pytest.raises(ValueError):
         _schedule(delta=0.0)
@@ -554,7 +562,7 @@ def _nan_reward_at_step_2(env):
 
 def _nan_next_state(env):
     def transition_sample(Z, rng):
-        return np.full((Z.shape[0], env.state_dim), math.nan)
+        return np.full((Z.shape[0], 1), math.nan)
 
     return dataclasses.replace(env, transition_sample=transition_sample)
 

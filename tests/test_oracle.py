@@ -160,12 +160,6 @@ def test_oracle_values_hold_under_grid_refinement(env_name):
         assert abs(values[0] - values[1]) <= 1e-3
 
 
-def test_dp_rejects_two_dimensional_states():
-    env = dataclasses.replace(env_uniform_shift(0.5, horizon=2), state_dim=2)
-    with pytest.raises(ValueError, match="1-d states"):
-        dp_solve(env, 17, 9)
-
-
 TESTS = Path(__file__).resolve().parent
 ENVS_H3 = {
     "smooth_drift": lambda: env_smooth_drift(horizon=3),
@@ -175,7 +169,7 @@ ENVS_H3 = {
 
 def _whole_kernel_dp(env, m_state, m_action):
     """``dp.v`` and ``dp.q`` with each step's kernel built whole, E[v | z] by ``np.einsum``."""
-    sp, ap = uniform_grid(m_state, 1), uniform_grid(m_action, env.action_dim)
+    sp, ap = uniform_grid(m_state, 1), uniform_grid(m_action, 1)
     Z = grid_pairs(sp, ap)
     n_s, n_a, H = m_state, ap.shape[0], env.horizon
     v, q = np.zeros((H + 2, n_s)), np.zeros((H + 1, n_s, n_a))
@@ -551,8 +545,6 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
     and in the store the full reads filled. At every grid state, V^pi(s1) of
     the table's step-1 action there, one row on V^pi_2, has the bits of V^pi_1
     there: this is why a fixed s1 on the oracle grid keeps its regret bits.
-    exact_linear's reward is a BLAS product, whose last bit depends on the
-    batch, so there the two agree to 1e-15.
     """
     env = _env(env_name, horizon)
     dp = dp_solve(env, 17, 9)
@@ -572,8 +564,7 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
             assert np.array_equal(v_2, want_2)
         for j in range(17):
             z1 = np.concatenate([sp[j], actions[idx[1, j]]])
-            tol = 1e-15 if env_name == "exact_linear" else 0.0
-            assert abs(policy_value(env, sp, z1, v_2) - want[j]) <= tol
+            assert policy_value(env, sp, z1, v_2) == want[j]
     read = [np.arange(17) * M + idx[h] for idx in policies for h in range(1, horizon)]
     assert filled.built == (np.unique(read).size if read else 0)
 

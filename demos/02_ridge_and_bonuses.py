@@ -8,7 +8,16 @@ updates staying accurate and the bonus collapsing as data accumulates.
 
 import numpy as np
 
-from cinderella import BonusSchedule, alpha_radius, beta_radius, mahalanobis_inv_norm, ridge_update
+from cinderella import (
+    BonusSchedule,
+    TaylorFeatureMap,
+    alpha_radius,
+    beta_radius,
+    build_partition,
+    enumerate_multi_indices,
+    mahalanobis_inv_norm,
+    ridge_update,
+)
 
 rng = np.random.default_rng(1)
 d = 6
@@ -31,16 +40,11 @@ for n in range(1, 2001):
 
 # The confidence radius grows slowly (logarithmically) with the episode index
 # while the per-point norm decays like 1/sqrt(visits), so bonuses vanish.
-schedule = BonusSchedule(
-    delta=0.1,
-    lam_reg=1.0,
-    l_phi=1.0 + 2.0 * np.sqrt(d),
-    r_max=1.0,
-    n_regions=4,
-    d_feat=d,
-    episodes=4096,
-    horizon=2,
-)
+# The radii read N, d and the feature-norm bound from the feature map: 4
+# regions of the 6 degree-2 monomials in (s, a).
+fmap = TaylorFeatureMap(build_partition(2, 0.5), enumerate_multi_indices(2, 2))
+schedule = BonusSchedule(delta=0.1, lam_reg=1.0, r_max=1.0, episodes=4096, horizon=2)
 print("\nepisode | concentration radius | feasibility radius (at count=k)")
 for k in (1, 16, 256, 4096):
-    print(f"{k:>7} | {beta_radius(schedule, k):20.4f} | {alpha_radius(schedule, k, k):.4f}")
+    beta, alpha = beta_radius(schedule, fmap, k), alpha_radius(schedule, fmap, k, k)
+    print(f"{k:>7} | {beta:20.4f} | {alpha:.4f}")

@@ -32,7 +32,7 @@ for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizo
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     greedy = dp.q.argmax(axis=2)  # one action index per (step, grid state)
     # V^pi(s1): the step-1 backup at (s1, a1) of V^pi_2; s1 = 0 is the middle grid state.
-    z1 = np.concatenate([s1, dp.action_points[greedy[1, dp.m_state // 2]]])
+    z1 = np.concatenate([s1, dp.action_points[greedy[1, len(dp.state_points) // 2]]])
     v_2 = policy_values(rewards[1:], kernel, greedy[1:])
     v_greedy = policy_value(env, dp.state_points, z1, v_2)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
@@ -47,7 +47,7 @@ for eps in (0.5, 0.25, 0.125):
     part = build_partition(2, eps)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     rep = inherent_error_estimate(
-        env, part, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17
+        env, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17
     )
     print(f"  eps={eps:<5} regions={part.n_regions:>3}  estimate {rep.estimate:.4f} "
           f"(witness step {rep.witness_step} at z={np.round(rep.witness_point, 2)})")

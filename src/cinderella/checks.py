@@ -168,7 +168,7 @@ def _check_inherent_monotone():
         part = build_partition(2, eps)
         fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
         rep = inherent_error_estimate(
-            env, part, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=5
+            env, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=5
         )
         estimates[eps] = rep.estimate
     ok = estimates[0.25] < estimates[0.5]

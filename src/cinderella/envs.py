@@ -104,10 +104,12 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
 
     Returns (transitions, total_return). Starts from ``s1`` (origin when
     omitted). Works with a full EnvironmentModel or a LearnerView; raises
-    unless the policy returns one action coordinate in [-1, 1].
+    unless ``s1`` and each action are one coordinate, the actions in [-1, 1].
     """
     view = env if isinstance(env, LearnerView) else LearnerView(env)
     state = np.zeros(1) if s1 is None else np.asarray(s1, dtype=float)
+    if state.shape != (1,):
+        raise ValueError(f"initial state must be one coordinate, got shape {state.shape}")
     transitions = []
     total = 0.0
     for h in range(1, view.horizon + 1):

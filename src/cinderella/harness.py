@@ -288,10 +288,7 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
     schedule = BonusSchedule(
         delta=config.delta,
         lam_reg=config.lam_reg,
-        l_phi=fmap.norm_bound,
         r_max=config.r_max,
-        n_regions=fmap.partition.n_regions,
-        d_feat=fmap.dim_features,
         episodes=config.episodes,
         horizon=config.horizon,
         inherent_bound=config.inherent_bound,

@@ -61,15 +61,13 @@ class BonusSchedule:
     ``r_max`` bounds the parameter-set diameter, ``inherent_bound`` is the
     user's bound on the class misspecification (0 when the class is exact),
     and ``bonus_scale`` rescales the concentration radius; theory constants
-    correspond to ``bonus_scale = 1``.
+    correspond to ``bonus_scale = 1``. The radii read the region count N,
+    feature count d and feature-norm bound L_phi from the feature map.
     """
 
     delta: float
     lam_reg: float
-    l_phi: float
     r_max: float
-    n_regions: int
-    d_feat: int
     episodes: int
     horizon: int
     inherent_bound: float = 0.0
@@ -78,18 +76,18 @@ class BonusSchedule:
     def __post_init__(self):
         if not (0.0 < self.delta < 1.0):
             raise ValueError(f"delta must be in (0, 1), got {self.delta}")
-        for name in ("lam_reg", "l_phi", "r_max", "inherent_bound", "bonus_scale"):
+        for name in ("lam_reg", "r_max", "inherent_bound", "bonus_scale"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if self.lam_reg <= 0 or self.l_phi <= 0:
-            raise ValueError("regularizer and feature bound must be positive")
+        if self.lam_reg <= 0:
+            raise ValueError("regularizer must be positive")
         if self.r_max < 0 or self.inherent_bound < 0 or self.bonus_scale < 0:
             raise ValueError("radii, misspecification bound and scale must be >= 0")
-        if min(self.n_regions, self.d_feat, self.episodes, self.horizon) < 1:
-            raise ValueError("region/feature/episode/horizon counts must be >= 1")
+        if min(self.episodes, self.horizon) < 1:
+            raise ValueError("episode/horizon counts must be >= 1")
 
 
-def beta_radius(schedule: BonusSchedule, k: int) -> float:
+def beta_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int) -> float:
     """Concentration radius for the regression noise at episode k.
 
     Folds the covering-number bound of the per-region linear class into one
@@ -98,23 +96,23 @@ def beta_radius(schedule: BonusSchedule, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"episode index must be >= 1, got {k}")
-    s = schedule
+    s, N, d = schedule, fmap.partition.n_regions, fmap.dim_features
     covering = max(math.log(3.0 * s.r_max * max(math.sqrt(k), 1.0)), 0.0) if s.r_max > 0 else 0.0
     inside = (
-        s.d_feat * math.log1p(k * s.l_phi**2 / s.lam_reg)
-        + s.n_regions * s.d_feat * covering
-        + math.log(s.horizon * s.n_regions * s.episodes / s.delta)
+        d * math.log1p(k * fmap.norm_bound**2 / s.lam_reg)
+        + N * d * covering
+        + math.log(s.horizon * N * s.episodes / s.delta)
     )
     return s.bonus_scale * (math.sqrt(max(inside, 0.0)) + 2.0)
 
 
-def alpha_radius(schedule: BonusSchedule, k: int, counts):
+def alpha_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int, counts):
     """Feasibility radius: concentration + misspecification + prior terms.
 
     ``counts`` is a visit count or an array of them; the result has its shape.
     """
     return (
-        beta_radius(schedule, k)
+        beta_radius(schedule, fmap, k)
         + np.sqrt(np.maximum(counts, 0)) * schedule.inherent_bound
         + schedule.r_max / schedule.lam_reg
     )
@@ -232,12 +230,9 @@ class CinderellaLearner:
         partition = fmap.partition
         if partition.dim != Z_DIM:
             raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
+        if not math.isfinite(fmap.norm_bound):
+            raise ValueError(f"l_phi must be finite, got {fmap.norm_bound}")
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
-        if (schedule.n_regions, schedule.d_feat) != (N, d):
-            raise ValueError(
-                f"schedule sized for n_regions={schedule.n_regions}, d_feat={schedule.d_feat}; "
-                f"the feature map has {N} regions and {d} features"
-            )
         if planner == "exact-grid" and H * N * d > 6:
             raise ValueError(
                 f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
@@ -410,7 +405,7 @@ class CinderellaLearner:
                 self.theta_all[h] += xi[h]
 
     def _plan_relaxation(self) -> None:
-        self.alpha_all[1:] = alpha_radius(self.schedule, self.k + 1, self.counts[1:])
+        self.alpha_all[1:] = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts[1:])
         self._backward()
 
     def _plan_exact_grid(self, s1: np.ndarray) -> None:
@@ -424,7 +419,7 @@ class CinderellaLearner:
         kept with zero radii.
         """
         H, N, d, g = self.H, self.N, self.d, _EXACT_GRID_RESOLUTION
-        alpha = alpha_radius(self.schedule, self.k + 1, self.counts)
+        alpha = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts)
         keys = [(h, n) for h in range(1, H + 1) for n in range(N)]
         # Feasible xi per (h, n): grid of the bounding box, filtered by the
         # ellipsoid constraint; the zero vector is always kept.
@@ -517,9 +512,11 @@ class CinderellaLearner:
         Returns (transitions, total_return). The learner touches only the
         sampling surface of ``env``.
         """
+        if env.horizon != self.H:
+            raise ValueError(f"env horizon {env.horizon} is not the learner's horizon {self.H}")
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-        if not np.all(np.abs(s1) <= 1.0):
-            raise ValueError("initial state outside [-1, 1]")
+        if s1.shape != (1,) or not np.all(np.abs(s1) <= 1.0):
+            raise ValueError(f"initial state must be one coordinate in [-1, 1], got {s1}")
         self.plan(s1)
         visits = []  # act's (phi, region, index, key) per visited state
 

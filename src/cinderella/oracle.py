@@ -26,7 +26,7 @@ import numpy as np
 
 from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
-from .geometry import Partition, assign_regions, build_partition, grid_pairs, uniform_grid
+from .geometry import assign_regions, build_partition, grid_pairs, uniform_grid
 
 # Refuse grids whose solve would hold more float entries than this (128 MB):
 # dp_solve's n_s * n_a rows and kernel blocks, the audit's whole kernel.
@@ -43,8 +43,6 @@ class GridDP:
     q; v[horizon + 1] is the terminal zero function). States and actions are 1-D.
     """
 
-    m_state: int
-    m_action: int
     state_points: np.ndarray  # (n_s, 1)
     action_points: np.ndarray  # (n_a, 1)
     v: np.ndarray  # (H + 2, n_s)
@@ -59,8 +57,8 @@ class GridDP:
         return {
             "v_star_at_s1": self.value_at(s1),
             "s1": np.atleast_1d(s1).tolist(),
-            "m_state": self.m_state,
-            "m_action": self.m_action,
+            "m_state": len(self.state_points),
+            "m_action": len(self.action_points),
         }
 
 
@@ -129,7 +127,7 @@ def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
     sp = uniform_grid(m_state, 1)
     ap = uniform_grid(m_action, 1)
     v, q = _grid_backup(env, sp, ap, np.max)
-    return GridDP(m_state=m_state, m_action=m_action, state_points=sp, action_points=ap, v=v, q=q)
+    return GridDP(state_points=sp, action_points=ap, v=v, q=q)
 
 
 def random_policy_gap(env: EnvironmentModel, dp: GridDP, s1) -> float:
@@ -287,7 +285,6 @@ def _candidate_thetas(n_regions, d_feat, radius, rng):
 
 def inherent_error_estimate(
     env: EnvironmentModel,
-    partition: Partition,
     fmap: TaylorFeatureMap,
     theta_box_radius: float,
     m_state: int = 65,
@@ -309,7 +306,7 @@ def inherent_error_estimate(
         raise ValueError("grid resolutions must be at least 2")
     if not np.isfinite(theta_box_radius) or theta_box_radius < 0:
         raise ValueError(f"theta box radius must be finite and >= 0, got {theta_box_radius!r}")
-    H = env.horizon
+    H, partition = env.horizon, fmap.partition
     N, d_feat = partition.n_regions, fmap.dim_features
     n_s, n_a = int(m_state), int(m_action)
     # Sized before any allocation: Z (2) and its features per (state, action)

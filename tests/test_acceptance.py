@@ -147,7 +147,7 @@ def test_criterion_07_inherent_error_scaling():
             part = build_partition(2, eps)
             fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
             rep = inherent_error_estimate(
-                env, part, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=7
+                env, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=7
             )
             estimates[eps] = rep.estimate
 
@@ -165,7 +165,7 @@ def test_criterion_07_inherent_error_scaling():
             )
         )
         rep_lin = inherent_error_estimate(
-            env_lin, part1, fmap1, theta_box_radius=3.0, m_state=33, m_action=17
+            env_lin, fmap1, theta_box_radius=3.0, m_state=33, m_action=17
         )
         ok = estimates[0.25] < estimates[0.5] and rep_lin.estimate <= 1e-6
     _verdict(

@@ -180,6 +180,12 @@ def test_run_episode_rejects_out_of_range_policy(rng):
             run_episode(env, lambda h, s: np.array(action), rng)
 
 
+def test_run_episode_rejects_an_initial_state_of_two_coordinates(rng):
+    env = env_uniform_shift(0.5, horizon=2)
+    with pytest.raises(ValueError, match="initial state must be one coordinate"):
+        run_episode(env, lambda h, s: np.zeros(1), rng, s1=np.array([0.1, -0.9]))
+
+
 def test_transitions_have_horizon_structure(rng):
     env = env_uniform_shift(0.5, horizon=3)
     transitions, _ = run_episode(env, lambda h, s: np.zeros(1), rng)

@@ -72,7 +72,7 @@ def test_non_finite_schedule_constant_fails_before_oracle(monkeypatch, field, ho
     if field == "l_phi":  # derived from the feature map, not a config field
         monkeypatch.setattr(TaylorFeatureMap, "norm_bound", property(lambda self: value))
         overrides = {}
-    # Config fields are rejected when the RunConfig is built, l_phi by the schedule.
+    # Config fields are rejected when the RunConfig is built, l_phi by the learner.
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         run_experiment(_small_config(horizon=horizon, **overrides))
 

@@ -26,10 +26,7 @@ def _schedule(**overrides):
     base = dict(
         delta=1.0 / math.e,
         lam_reg=1.0,
-        l_phi=1.0,
         r_max=1.0,
-        n_regions=1,
-        d_feat=1,
         episodes=1,
         horizon=1,
         inherent_bound=0.0,
@@ -39,35 +36,42 @@ def _schedule(**overrides):
     return BonusSchedule(**base)
 
 
+# One region and one constant feature (N = d = 1), with norm bound L_phi = 1 + 2 sqrt(1) = 3.
+_ONE_CELL = TaylorFeatureMap(
+    partition=build_partition(2, 1.0), index_set=enumerate_multi_indices(2, 0)
+)
+
+
 def test_beta_radius_closed_form():
     sch = _schedule()
-    want = math.sqrt(math.log(2.0) + math.log(3.0) + 1.0) + 2.0  # near 3.67
-    assert beta_radius(sch, k=1) == pytest.approx(want, abs=1e-12)
+    want = math.sqrt(math.log(10.0) + math.log(3.0) + 1.0) + 2.0  # near 4.08
+    assert beta_radius(sch, _ONE_CELL, k=1) == pytest.approx(want, abs=1e-12)
 
 
 def test_beta_radius_zero_scale_disables_bonus():
-    assert beta_radius(_schedule(bonus_scale=0.0), k=5) == 0.0
+    assert beta_radius(_schedule(bonus_scale=0.0), _ONE_CELL, k=5) == 0.0
 
 
 def test_beta_radius_monotone_in_k():
     sch = _schedule(episodes=100, r_max=2.0)
-    values = [beta_radius(sch, k) for k in range(1, 100, 7)]
+    values = [beta_radius(sch, _ONE_CELL, k) for k in range(1, 100, 7)]
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
 def test_alpha_radius_degenerate_terms():
     sch = _schedule(r_max=0.0)
-    assert alpha_radius(sch, k=3, counts=10) == pytest.approx(beta_radius(sch, 3))
+    want = beta_radius(sch, _ONE_CELL, 3)
+    assert alpha_radius(sch, _ONE_CELL, k=3, counts=10) == pytest.approx(want)
 
 
 def test_alpha_radius_no_visits_no_misspecification_term():
     sch = _schedule(inherent_bound=0.5, r_max=0.0)
-    assert alpha_radius(sch, 2, 0) == pytest.approx(beta_radius(sch, 2))
+    assert alpha_radius(sch, _ONE_CELL, 2, 0) == pytest.approx(beta_radius(sch, _ONE_CELL, 2))
 
 
 def test_alpha_radius_misspecification_arithmetic():
     sch = _schedule(bonus_scale=0.0, inherent_bound=0.1, r_max=0.0)
-    assert alpha_radius(sch, 1, 100) == pytest.approx(1.0)
+    assert alpha_radius(sch, _ONE_CELL, 1, 100) == pytest.approx(1.0)
 
 
 def _fresh_learner(
@@ -75,15 +79,7 @@ def _fresh_learner(
 ):
     part = build_partition(2, eps)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
-    sch = _schedule(
-        n_regions=part.n_regions,
-        d_feat=fmap.dim_features,
-        episodes=episodes,
-        horizon=horizon,
-        bonus_scale=bonus_scale,
-        delta=0.1,
-        l_phi=fmap.norm_bound,
-    )
+    sch = _schedule(episodes=episodes, horizon=horizon, bonus_scale=bonus_scale, delta=0.1)
     learner = CinderellaLearner(fmap, sch, planner=planner)
     return learner
 
@@ -248,7 +244,8 @@ def test_bonus_monotone_under_region_updates():
     bonuses = []
     for k in range(1, 40):
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(1, k, 0, 1))
-        alpha = alpha_radius(learner.schedule, k_frozen, int(learner.counts[1, region]))
+        count = int(learner.counts[1, region])
+        alpha = alpha_radius(learner.schedule, learner.fmap, k_frozen, count)
         bonuses.append(alpha * mahalanobis_inv_norm(learner.lam_inv_all[1, region], phi))
     assert all(b <= a + 1e-12 for a, b in zip(bonuses, bonuses[1:]))
 
@@ -331,7 +328,7 @@ def test_exact_grid_matches_1d_closed_form():
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, k, 0, 1))
     learner.plan(np.zeros(1))
     lam = learner.lam_all[1, 0, 0, 0]
-    radius = alpha_radius(learner.schedule, learner.k + 1, int(learner.counts[1, 0]))
+    radius = alpha_radius(learner.schedule, learner.fmap, learner.k + 1, int(learner.counts[1, 0]))
     closed = _ridge_solution(learner)[0] + radius / math.sqrt(lam)
     assert learner.theta_all[1, 0, 0] == pytest.approx(closed, abs=1e-10)
 
@@ -343,7 +340,7 @@ def test_exact_grid_objective_matches_relaxation_on_tiny_instance():
     s1 = np.zeros(1)
     learner.plan(s1)
     objective = learner._scores(1, *learner._blocks(s1)).max()
-    radius = alpha_radius(learner.schedule, learner.k + 1, int(learner.counts[1, 0]))
+    radius = alpha_radius(learner.schedule, learner.fmap, learner.k + 1, int(learner.counts[1, 0]))
     relax = _ridge_solution(learner)[0] + radius * mahalanobis_inv_norm(
         learner.lam_inv_all[1, 0], np.ones(1)
     )
@@ -363,7 +360,7 @@ def test_exact_grid_emits_feasible_tables():
     # inside its confidence ellipsoid
     xi = learner.theta_all[1, 0] - _ridge_solution(learner)
     norm = math.sqrt(xi @ learner.lam_all[1, 0] @ xi)
-    alpha = alpha_radius(learner.schedule, k_next, int(learner.counts[1, 0]))
+    alpha = alpha_radius(learner.schedule, learner.fmap, k_next, int(learner.counts[1, 0]))
     assert norm <= alpha + 1e-9
 
 
@@ -406,17 +403,6 @@ def test_exact_grid_reads_only_theta_at_d3():
         assert learner.value_estimate(state) == pytest.approx(want, abs=1e-12)
 
 
-@pytest.mark.parametrize(
-    "overrides", [{"n_regions": 1}, {"d_feat": 1}, {"n_regions": 16, "d_feat": 6}]
-)
-def test_schedule_must_match_feature_map(overrides):
-    part = build_partition(2, 0.25)  # 16 regions
-    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
-    sizes = {"n_regions": part.n_regions, "d_feat": fmap.dim_features, **overrides}
-    with pytest.raises(ValueError, match="schedule sized for"):
-        CinderellaLearner(fmap, _schedule(**sizes))
-
-
 def test_learner_refuses_partitions_not_on_rows_s_a():
     for dim in (1, 3):
         part = build_partition(dim, 1.0)
@@ -439,8 +425,8 @@ def test_schedule_validation():
 def test_alpha_radius_vectorizes_over_counts():
     sch = _schedule(inherent_bound=0.3, r_max=0.5, lam_reg=2.0)
     counts = np.array([[0, 1, 7], [512, 3, 0]])
-    want = [[alpha_radius(sch, 4, int(c)) for c in row] for row in counts]
-    np.testing.assert_array_equal(alpha_radius(sch, 4, counts), want)
+    want = [[alpha_radius(sch, _ONE_CELL, 4, int(c)) for c in row] for row in counts]
+    np.testing.assert_array_equal(alpha_radius(sch, _ONE_CELL, 4, counts), want)
 
 
 def test_observe_rejects_non_finite_reward():
@@ -478,7 +464,7 @@ def test_observe_transition_fails_fast(h, next_state, prior, match):
 def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
-    schedule = _schedule(n_regions=part.n_regions, d_feat=fmap.dim_features, horizon=2)
+    schedule = _schedule(horizon=2)
     learner = CinderellaLearner(fmap, schedule, action_points_per_axis=5)
     learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
     for arr in (part.centers, learner._probe[2].feats, learner._probe[2].regions):
@@ -567,18 +553,36 @@ def _nan_next_state(env):
     return dataclasses.replace(env, transition_sample=transition_sample)
 
 
+def _horizon(horizon):
+    return lambda env: dataclasses.replace(env, horizon=horizon)
+
+
 @pytest.mark.parametrize(
-    "episodes, make_env, nu, match",
+    "episodes, make_env, nu, s1, match",
     [
-        (8, _nan_reward_at_step_2, 2.0, "non-finite reward"),
-        (2, lambda env: env, 2.0, "history full: step 1"),  # the episode after the last
-        (8, _nan_next_state, 2.0, "outside"),
-        (8, _nan_next_state, 1.0, "outside"),  # degree 0: the state-cell lookup rejects it
+        (8, _nan_reward_at_step_2, 2.0, [0.3], "non-finite reward"),
+        (2, lambda env: env, 2.0, [0.3], "history full: step 1"),  # the episode after the last
+        (8, _nan_next_state, 2.0, [0.3], "outside"),
+        (8, _nan_next_state, 1.0, [0.3], "outside"),  # degree 0: the state-cell lookup rejects it
+        (8, lambda env: env, 2.0, [0.1, -0.9], "initial state must be one coordinate"),
+        (8, lambda env: env, 1.0, [0.1, -0.9], "initial state must be one coordinate"),
+        (8, _horizon(3), 2.0, [0.3], "env horizon 3 is not the learner's horizon 2"),
+        (8, _horizon(1), 2.0, [0.3], "env horizon 1 is not the learner's horizon 2"),
     ],
-    ids=["nan-reward-step-2", "full-history", "nan-next-state", "nan-next-state-degree-0"],
+    ids=[
+        "nan-reward-step-2",
+        "full-history",
+        "nan-next-state",
+        "nan-next-state-degree-0",
+        "two-coordinate-s1",
+        "two-coordinate-s1-degree-0",
+        "env-horizon-3",
+        "env-horizon-1",
+    ],
 )
-def test_failed_episode_changes_nothing(episodes, make_env, nu, match):
-    """An episode that fails in its rollout or at any step's absorb leaves the learner as it was."""
+def test_failed_episode_changes_nothing(episodes, make_env, nu, s1, match):
+    """An episode that is refused up front, or fails in its rollout or at any step's absorb,
+    leaves the learner as it was."""
     cfg = RunConfig(env_name="uniform_shift", episodes=episodes, horizon=2, nu=nu, epsilon=0.5)
     env, learner = build_env(cfg), build_learner(cfg)
     for k in range(1, 3):
@@ -586,7 +590,7 @@ def test_failed_episode_changes_nothing(episodes, make_env, nu, match):
     before = {name: getattr(learner, name).copy() for name in ("counts", "lam_all", "lam_inv_all")}
     sizes = [hist.size for hist in learner.history]
     with pytest.raises(ValueError, match=match):
-        learner.plan_and_act_episode(make_env(env), np.full(1, 0.3), make_rng(0, 3, 0, 1))
+        learner.plan_and_act_episode(make_env(env), np.array(s1), make_rng(0, 3, 0, 1))
     for name, value in before.items():
         np.testing.assert_array_equal(getattr(learner, name), value)
     assert [hist.size for hist in learner.history] == sizes == [0, 2, 2]

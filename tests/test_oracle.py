@@ -250,7 +250,7 @@ def test_dp_bits_do_not_depend_on_blas_threads():
         "print(random_policy_gap(env, dp, np.array([0.3141])).hex())\n"
         "part = build_partition(2, 0.5)\n"
         "fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))\n"
-        "rep = inherent_error_estimate(env, part, fmap, 2.0, m_state=33, m_action=17, seed=4)\n"
+        "rep = inherent_error_estimate(env, fmap, 2.0, m_state=33, m_action=17, seed=4)\n"
         "print(rep.per_step.tobytes().hex())\n"
     )
     one = _at_blas_threads(1, code)
@@ -275,7 +275,7 @@ def test_a_regret_run_loads_no_lp_solver():
         "part = build_partition(2, 1.0)\n"
         "fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))\n"
         "env = env_uniform_shift(0.5, horizon=2)\n"
-        "rep = inherent_error_estimate(env, part, fmap, 1.0, m_state=17, m_action=9)\n"
+        "rep = inherent_error_estimate(env, fmap, 1.0, m_state=17, m_action=9)\n"
         "print('scipy.optimize' in sys.modules, bool(np.isfinite(rep.estimate)))\n"
     )
     assert _at_blas_threads(1, code).split() == ["False", "True", "True"]
@@ -689,7 +689,7 @@ def test_inherent_error_exact_linear_is_zero():
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     theta = np.array([[0.3, 0.05, 0.1], [0.3, 0.05, 0.1]])
     env = env_exact_linear(theta, fmap, horizon=2)
-    rep = inherent_error_estimate(env, part, fmap, theta_box_radius=3.0, m_state=33, m_action=17)
+    rep = inherent_error_estimate(env, fmap, theta_box_radius=3.0, m_state=33, m_action=17)
     assert rep.estimate <= 1e-6
 
 
@@ -699,7 +699,7 @@ def test_inherent_error_zero_class_saturates():
     env = env_uniform_shift(0.5, reward="constant", horizon=1)
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
-    rep = inherent_error_estimate(env, part, fmap, theta_box_radius=0.0, m_state=17, m_action=9)
+    rep = inherent_error_estimate(env, fmap, theta_box_radius=0.0, m_state=17, m_action=9)
     assert rep.estimate == pytest.approx(1.0, abs=1e-9)
     assert rep.estimate <= 1.0 + 1e-9
 
@@ -720,7 +720,7 @@ def test_inherent_error_zero_for_constant_images(make_env, m_state):
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     rep = inherent_error_estimate(
-        make_env(), part, fmap, theta_box_radius=1.0, m_state=m_state, m_action=9
+        make_env(), fmap, theta_box_radius=1.0, m_state=m_state, m_action=9
     )
     assert rep.estimate == pytest.approx(0.0, abs=1e-9)
 
@@ -733,7 +733,7 @@ def test_inherent_error_rejects_vanishing_density():
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     with pytest.raises(ValueError, match="vanished"):
-        inherent_error_estimate(dead, part, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
+        inherent_error_estimate(dead, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
 
 
 def _per_step_audit(env, partition, fmap, radius, m_state, m_action, seed):
@@ -768,9 +768,9 @@ def test_one_kernel_audit_matches_per_step_kernels(env_name):
     env, calls = _counting_density(ENVS_H3[env_name]())
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
-    rep = inherent_error_estimate(env, part, fmap, 2.0, m_state=17, m_action=9, seed=4)
+    rep = inherent_error_estimate(env, fmap, 2.0, m_state=17, m_action=9, seed=4)
     assert len(calls) == 1
-    want = _per_step_audit(env, part, fmap, 2.0, 17, 9, seed=4)
+    want = _per_step_audit(env, fmap.partition, fmap, 2.0, 17, 9, seed=4)
     np.testing.assert_array_equal(rep.per_step.view(np.int64), want.view(np.int64))
 
 
@@ -781,7 +781,7 @@ def test_inherent_error_shrinks_with_finer_partition():
         part = build_partition(2, eps)
         fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
         rep = inherent_error_estimate(
-            env, part, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=5
+            env, fmap, theta_box_radius=2.0 * env.c_t, m_state=33, m_action=17, seed=5
         )
         estimates[eps] = rep.estimate
     assert estimates[0.25] < estimates[0.5]
@@ -794,7 +794,7 @@ def test_inherent_error_monotone_in_degree():
     for degree in (0, 1):
         fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
         rep = inherent_error_estimate(
-            env, part, fmap, theta_box_radius=4.0, m_state=17, m_action=9, seed=3
+            env, fmap, theta_box_radius=4.0, m_state=17, m_action=9, seed=3
         )
         estimates.append(rep.estimate)
     assert estimates[1] <= estimates[0] + 1e-9
@@ -808,18 +808,18 @@ def test_inherent_error_rejects_bad_radius(horizon, radius):
     part = build_partition(2, 1.0)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
     with pytest.raises(ValueError, match="theta box radius must be finite and >= 0"):
-        inherent_error_estimate(env, part, fmap, radius, m_state=17, m_action=9)
+        inherent_error_estimate(env, fmap, radius, m_state=17, m_action=9)
 
 
 def test_inherent_error_report_shape():
     env = env_uniform_shift(0.5, horizon=2)
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 0))
-    rep = inherent_error_estimate(env, part, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
+    rep = inherent_error_estimate(env, fmap, theta_box_radius=1.0, m_state=17, m_action=9)
     assert rep.estimate == pytest.approx(rep.per_step.max())
     assert 1 <= rep.witness_step <= 2
     with pytest.raises(ValueError, match="at least 2"):
-        inherent_error_estimate(env, part, fmap, 1.0, m_state=1, m_action=9)
+        inherent_error_estimate(env, fmap, 1.0, m_state=1, m_action=9)
 
 
 def test_inherent_error_refuses_an_oversized_kernel_before_allocating():
@@ -833,14 +833,14 @@ def test_inherent_error_refuses_an_oversized_kernel_before_allocating():
         for m_state, m_action in [(513, 257), (1025, 513)]:
             with pytest.raises(ValueError, match="too large"):
                 inherent_error_estimate(
-                    env_uniform_shift(0.5, horizon=2), part, fmap, 1.0, m_state, m_action
+                    env_uniform_shift(0.5, horizon=2), fmap, 1.0, m_state, m_action
                 )
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1e6
     with pytest.raises(ValueError, match="too large"):
-        inherent_error_estimate(env_uniform_shift(0.5, horizon=1), part, fmap, 1.0, 4097, 2049)
+        inherent_error_estimate(env_uniform_shift(0.5, horizon=1), fmap, 1.0, 4097, 2049)
 
 
 # -- Taylor remainder ---------------------------------------------------------

@@ -58,10 +58,7 @@ def _learner(
     schedule = BonusSchedule(
         delta=0.1,
         lam_reg=1.0,
-        l_phi=fmap.norm_bound,
         r_max=1.0,
-        n_regions=part.n_regions,
-        d_feat=fmap.dim_features,
         episodes=HOT_VISITS + SPREAD_VISITS,  # history rows per step that _feed writes
         horizon=horizon,
         inherent_bound=0.01,
@@ -109,7 +106,7 @@ class _Reference:
         for h in range(1, H + 1):
             for n in range(N):
                 self.alpha[h, n] = (
-                    beta_radius(sch, k)
+                    beta_radius(sch, self.fmap, k)
                     + math.sqrt(counts[h, n]) * sch.inherent_bound
                     + sch.r_max / sch.lam_reg
                 )

@@ -24,10 +24,7 @@ def _fresh_learner(degree, lam_reg):
     schedule = BonusSchedule(
         delta=0.1,
         lam_reg=lam_reg,
-        l_phi=fmap.norm_bound,
         r_max=1.0,
-        n_regions=part.n_regions,
-        d_feat=fmap.dim_features,
         episodes=4,
         horizon=2,
     )

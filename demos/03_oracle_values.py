@@ -18,7 +18,6 @@ from cinderella import (
     inherent_error_estimate,
     policy_eval_tables,
     policy_value,
-    policy_values,
     random_policy_gap,
 )
 
@@ -31,10 +30,10 @@ for env in (env_uniform_shift(0.5, horizon=2), env_smooth_drift(0.5, 0.3, horizo
     v_rand = vstar - random_policy_gap(env, dp, s1)
     rewards, kernel = policy_eval_tables(env, dp, dp.action_points)
     greedy = dp.q.argmax(axis=2)  # one action index per (step, grid state)
-    # V^pi(s1): the step-1 backup at (s1, a1) of V^pi_2; s1 = 0 is the middle grid state.
+    # V^pi(s1) of the policy playing a1 at s1, then the greedy table; s1 = 0 is the middle
+    # grid state.
     z1 = np.concatenate([s1, dp.action_points[greedy[1, len(dp.state_points) // 2]]])
-    v_2 = policy_values(rewards[1:], kernel, greedy[1:])
-    v_greedy = policy_value(env, dp.state_points, z1, v_2)
+    v_greedy = policy_value(env, rewards, kernel, z1, greedy)
     print(f"{env.name}: V*(0) = {vstar:.4f}, random policy {v_rand:.4f}, "
           f"greedy-from-oracle {v_greedy:.4f}")
 

@@ -50,7 +50,8 @@ from .features import TaylorFeatureMap
 from .geometry import assign_regions, axis_cell, axis_cells, grid_pairs, uniform_grid
 from .regression import ridge_update
 
-# Grid points per uncertainty coordinate in the exact-grid planner.
+# Grid points per uncertainty coordinate in the exact-grid planner; odd, so
+# each coordinate's grid has 0.0 in the middle.
 _EXACT_GRID_RESOLUTION = 5
 
 
@@ -84,7 +85,7 @@ class BonusSchedule:
         if self.r_max < 0 or self.inherent_bound < 0 or self.bonus_scale < 0:
             raise ValueError("radii, misspecification bound and scale must be >= 0")
         if min(self.episodes, self.horizon) < 1:
-            raise ValueError("episode/horizon counts must be >= 1")
+            raise ValueError("episodes and horizon must be >= 1")
 
 
 def beta_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int) -> float:
@@ -230,8 +231,6 @@ class CinderellaLearner:
         partition = fmap.partition
         if partition.dim != Z_DIM:
             raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
-        if not math.isfinite(fmap.norm_bound):
-            raise ValueError(f"l_phi must be finite, got {fmap.norm_bound}")
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
         if planner == "exact-grid" and H * N * d > 6:
             raise ValueError(
@@ -422,7 +421,8 @@ class CinderellaLearner:
         alpha = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts)
         keys = [(h, n) for h in range(1, H + 1) for n in range(N)]
         # Feasible xi per (h, n): grid of the bounding box, filtered by the
-        # ellipsoid constraint; the zero vector is always kept.
+        # ellipsoid constraint. The resolution is odd, so the grid holds the
+        # zero vector, whose norm 0 is within every radius: it is always kept.
         candidates = []
         for h, n in keys:
             lam = self.lam_all[h, n]
@@ -430,10 +430,7 @@ class CinderellaLearner:
             mesh = np.meshgrid(*[np.linspace(-radius, radius, g)] * d, indexing="ij")
             pts = np.stack([m.ravel() for m in mesh], axis=-1)
             norms = np.sqrt(np.einsum("cd,de,ce->c", pts, lam, pts))
-            feas = pts[norms <= alpha[h, n] + 1e-12]
-            if feas.shape[0] == 0 or not np.any(np.all(feas == 0.0, axis=1)):
-                feas = np.vstack([np.zeros((1, d)), feas])
-            candidates.append(np.unique(feas, axis=0))
+            candidates.append(np.unique(pts[norms <= alpha[h, n] + 1e-12], axis=0))
 
         s1_feats, s1_regions = self._blocks(s1)
         self.alpha_all[:] = 0.0

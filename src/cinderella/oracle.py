@@ -142,14 +142,15 @@ class KernelRows:
 
     ``kernel[states, actions]`` gives the rows of the (state, action) index
     arrays, as fancy indexing of the whole (n_s, M, n_s) kernel would, with
-    its bits. Each row is built with ``_discretized_kernel`` on
-    its first read, so a density that vanishes raises there. Built rows are
-    kept in a compact store that grows as rows are built: ``slot`` holds each
-    (state, action) pair's store row, -1 until it is built.
+    its bits. Each row is built with ``_discretized_kernel`` on the
+    ``state_points`` at its first read, so a density that vanishes raises
+    there. Built rows are kept in a compact store that grows as rows are
+    built: ``slot`` holds each (state, action) pair's store row, -1 until it
+    is built.
     """
 
     def __init__(self, env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray, n_actions: int):
-        self._env, self._keys, self._sp, self._n_actions = env, keys, sp, n_actions
+        self._env, self._keys, self.state_points, self._n_actions = env, keys, sp, n_actions
         self.slot = np.full(keys.shape[0], -1, dtype=np.int64)
         self.built = 0
         self._store = np.empty((0, sp.shape[0]))
@@ -161,10 +162,10 @@ class KernelRows:
         missing = slots < 0
         if missing.any():
             new = np.unique(flat[missing])
-            rows = _discretized_kernel(self._env, self._keys[new], self._sp)
+            rows = _discretized_kernel(self._env, self._keys[new], self.state_points)
             end = self.built + new.size
             if end > self._store.shape[0]:
-                grown = np.empty((max(end, 2 * self._store.shape[0]), self._sp.shape[0]))
+                grown = np.empty((max(end, 2 * self._store.shape[0]), rows.shape[1]))
                 grown[: self.built] = self._store[: self.built]
                 self._store = grown
             self._store[self.built : end] = rows
@@ -195,9 +196,7 @@ def policy_values(rewards, kernel, action_idx) -> np.ndarray:
 
     A backward induction over ``policy_eval_tables``: ``action_idx[h]`` is
     (n_s,), the table action the policy plays at each grid state. The horizon
-    H is ``len(rewards) - 1``; ``kernel`` serves every step h < H. The kernel
-    takes no step, so ``policy_values(rewards[1:], kernel, action_idx[1:])``
-    is V^pi_2 (0 at H = 1).
+    H is ``len(rewards) - 1``; ``kernel`` serves every step h < H.
     """
     H, n_s = len(rewards) - 1, rewards.shape[1]
     rows = np.arange(n_s)
@@ -211,19 +210,22 @@ def policy_values(rewards, kernel, action_idx) -> np.ndarray:
     return v_next
 
 
-def policy_value(env: EnvironmentModel, sp: np.ndarray, z1, v_2) -> float:
-    """V^pi_1(s1) of a policy that plays a1 at s1: ``clip(r_1(z1) + E[V^pi_2 | z1], 0, 1)``.
+def policy_value(env: EnvironmentModel, rewards, kernel, z1, action_idx) -> float:
+    """V^pi_1(s1) of a policy that plays a1 at s1, then the table ``action_idx`` from step 2.
 
-    ``z1`` is (s1, a1) and ``v_2`` is V^pi_2 on the grid states ``sp``, as
-    ``policy_values`` gives it from step 2 on. The expectation is one
-    ``_discretized_kernel`` row with the oracle's one rule, so at a grid
-    state and a table action the value has the bits of ``policy_values``'
-    step-1 backup there.
+    ``rewards`` and ``kernel`` are ``policy_eval_tables``' output and ``z1`` is
+    (s1, a1); rows 0 and 1 of ``action_idx`` are not read. The value is
+    ``clip(r_1(z1) + E[V^pi_2 | z1], 0, 1)``: V^pi_2 is ``policy_values`` on
+    the tables' steps 2..H (the kernel takes no step), and the expectation
+    one ``_discretized_kernel`` row at z1 with the oracle's one rule, so at a
+    grid state and a table action the value has the bits of
+    ``policy_values``' step-1 backup there.
     """
+    v_2 = policy_values(rewards[1:], kernel, action_idx[1:])
     z1 = np.asarray(z1, dtype=float)[None, :]
     backup = env.reward_mean(1, z1)
     if env.horizon > 1:
-        row = _discretized_kernel(env, env.transition_key(z1), sp)
+        row = _discretized_kernel(env, env.transition_key(z1), kernel.state_points)
         backup = backup + np.einsum("ik,k->i", row, v_2)
     return float(np.clip(backup, 0.0, 1.0)[0])
 
@@ -364,10 +366,9 @@ def taylor_remainder_check(
     derivative,
     nu: float,
     epsilon: float,
-    n_grid: int = 4001,
     lipschitz: float | None = None,
 ) -> float:
-    """Max gap between ``f`` and its per-cell Taylor fit of degree ceil(nu - 1).
+    """Max gap between ``f`` and its per-cell Taylor fit of degree ceil(nu - 1), on 4001 points.
 
     ``f`` maps an (n, d) array to values; ``derivative(alpha, center)`` returns
     the mixed partial D^alpha f at a point. With ``lipschitz`` given, asserts
@@ -385,7 +386,7 @@ def taylor_remainder_check(
     for n in range(part.n_regions):
         c = part.centers[n]
         thetas[n] = np.array([derivative(tuple(alpha), c) for alpha in idx.indices]) / factorials
-    pts = uniform_grid(n_grid, dim)
+    pts = uniform_grid(4001, dim)
     regions = assign_regions(part, pts)
     feats = features_at_centers(fmap, pts, part.centers[regions])
     fit = np.einsum("zf,zf->z", feats, thetas[regions])

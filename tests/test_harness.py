@@ -14,7 +14,6 @@ from cinderella import harness
 from cinderella.checks import check_suite
 from cinderella.cli import main as cli_main
 from cinderella.envs import env_uniform_shift
-from cinderella.features import TaylorFeatureMap
 from cinderella.harness import (
     _TOP_KEYS,
     CSV_HEADER,
@@ -62,19 +61,14 @@ def _strip_ms(csv_text):
 
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 @pytest.mark.parametrize("horizon", [1, 2])
-@pytest.mark.parametrize("field", ["lam_reg", "l_phi", "r_max", "inherent_bound", "bonus_scale"])
+@pytest.mark.parametrize("field", ["lam_reg", "r_max", "inherent_bound", "bonus_scale"])
 def test_non_finite_schedule_constant_fails_before_oracle(monkeypatch, field, horizon, value):
     def oracle_reached(*args, **kwargs):
         raise AssertionError("dp_solve reached with an invalid schedule")
 
     monkeypatch.setattr("cinderella.harness.dp_solve", oracle_reached)
-    overrides = {field: value}
-    if field == "l_phi":  # derived from the feature map, not a config field
-        monkeypatch.setattr(TaylorFeatureMap, "norm_bound", property(lambda self: value))
-        overrides = {}
-    # Config fields are rejected when the RunConfig is built, l_phi by the learner.
     with pytest.raises(ValueError, match=f"{field} must be finite"):
-        run_experiment(_small_config(horizon=horizon, **overrides))
+        run_experiment(_small_config(horizon=horizon, **{field: value}))
 
 
 def test_oversized_exact_grid_fails_before_oracle(monkeypatch):
@@ -156,6 +150,11 @@ def test_config_validation():
         {"env": {"name": "exact_linear"}},
         {"nu": 0},
         {"nu": -1.0},
+        {"delta": 2.0},
+        {"lambda": 0},
+        {"bonus_scale": -0.1},
+        {"r_max": -1.0},
+        {"inherent_bound": -0.5},
     ],
 )
 def test_from_dict_rejects_mistyped_values(override):
@@ -286,10 +285,14 @@ _RUN = {"env": {"name": "uniform_shift"}, "episodes": 4}
         ("sweep", {"master_seed": 1.5, "runs": [_RUN]}, None),
         ("sweep", {"master_seed": -1, "runs": [_RUN]}, None),
         ("sweep", {"master_seed": True, "runs": [_RUN]}, None),
+        ("sweep", {"runs": [_RUN, _RUN, {**_RUN, "delta": 2.0}]}, None),
     ],
 )
 def test_malformed_documents_are_config_invalid(tmp_path, monkeypatch, command, doc, seed_env):
-    """Non-object documents, bad sweep runs or master seeds and a bad seed override fail fast."""
+    """Non-object documents, bad sweep runs or master seeds and a bad seed override fail fast.
+
+    A sweep whose last run has an out-of-range learner constant starts no run.
+    """
 
     def reached(*args, **kwargs):
         raise AssertionError("a run started")
@@ -346,7 +349,7 @@ def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
 
 def _recorded_run(monkeypatch, kept):
     """One run keeping ``kept`` policies' values: the key of each episode's played policy,
-    z1 = (s1, a1) and the greedy table of steps 2..H, and the run's evaluation count.
+    z1 = (s1, a1) and the plan's greedy table, and the run's evaluation count.
 
     Every vpi is checked against the played policy's direct value.
     """
@@ -354,7 +357,7 @@ def _recorded_run(monkeypatch, kept):
 
     def recording(*args):
         evaluations.append(args)
-        return policy_values(*args)
+        return policy_value(*args)
 
     monkeypatch.setattr(harness, "_played_policy_value", recording)
     monkeypatch.setattr(harness, "_POLICY_VALUES_KEPT", kept)
@@ -365,12 +368,9 @@ def _recorded_run(monkeypatch, kept):
     env, learner = build_env(cfg), build_learner(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
     rewards, kernel = policy_eval_tables(env, dp, learner.actions)
-    want = [
-        policy_value(env, dp.state_points, z1, policy_values(rewards[1:], kernel, table[1:]))
-        for z1, table in played
-    ]
+    want = [policy_value(env, rewards, kernel, z1, table) for z1, table in played]
     np.testing.assert_array_equal(trace.column("vpi"), want)
-    return [z1.tobytes() + table[2:].tobytes() for z1, table in played], len(evaluations)
+    return [z1.tobytes() + table.tobytes() for z1, table in played], len(evaluations)
 
 
 def test_each_played_policy_is_evaluated_once(monkeypatch):
@@ -623,7 +623,7 @@ def test_policy_eval_tables_reject_vanishing_density():
     """The first evaluation that reads a dead kernel row raises; the tables build none.
 
     At H = 2 the played policy's steps 2..H read no row, and its step-1 value at
-    (s1, a1) reads one.
+    (s1, a1) reads one; the whole table's values read the store's rows.
     """
     env = env_uniform_shift(beta=0.5, horizon=2)
     dp = dp_solve(env, 17, 9)
@@ -632,9 +632,8 @@ def test_policy_eval_tables_reject_vanishing_density():
     )
     rewards, kernel = _policy_eval_tables(dead, dp, np.linspace(-1.0, 1.0, 5)[:, None])
     played = np.full((3, 17), 2)
-    v_2 = _played_policy_value(rewards[1:], kernel, played[1:])
     with pytest.raises(ValueError, match="vanished"):
-        policy_value(dead, dp.state_points, [0.3, 0.0], v_2)
+        _played_policy_value(dead, rewards, kernel, [0.3, 0.0], played)
     with pytest.raises(ValueError, match="vanished"):
-        _played_policy_value(rewards, kernel, played)
+        policy_values(rewards, kernel, played)
     assert kernel.built == 0

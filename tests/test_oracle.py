@@ -305,8 +305,7 @@ def _value(env, dp, actions, action_idx, z1):
     """V^pi(s1) of the policy that plays a1 at s1, z1 = (s1, a1), then the table
     ``action_idx`` over ``actions`` at steps 2..H."""
     rewards, kernel = policy_eval_tables(env, dp, actions)
-    v_2 = policy_values(rewards[1:], kernel, action_idx[1:])
-    return policy_value(env, dp.state_points, z1, v_2)
+    return policy_value(env, rewards, kernel, z1, action_idx)
 
 
 @pytest.mark.parametrize(
@@ -564,7 +563,7 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
             assert np.array_equal(v_2, want_2)
         for j in range(17):
             z1 = np.concatenate([sp[j], actions[idx[1, j]]])
-            assert policy_value(env, sp, z1, v_2) == want[j]
+            assert policy_value(env, rewards, filled, z1, idx) == want[j]
     read = [np.arange(17) * M + idx[h] for idx in policies for h in range(1, horizon)]
     assert filled.built == (np.unique(read).size if read else 0)
 

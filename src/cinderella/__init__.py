@@ -6,7 +6,6 @@ optimistic ridge regression per (step, region). Grid-based dynamic
 programming oracles provide ground truth for regret measurement.
 """
 
-from .checks import check_suite
 from .envs import (
     EnvironmentModel,
     LearnerView,
@@ -78,7 +77,6 @@ __all__ = [
     "auto_epsilon",
     "beta_radius",
     "build_partition",
-    "check_suite",
     "dp_solve",
     "enumerate_multi_indices",
     "env_exact_linear",

@@ -1,4 +1,4 @@
-"""Command line front end: run, sweep, oracle and check subcommands."""
+"""Command line front end: run, sweep and oracle subcommands."""
 
 from __future__ import annotations
 
@@ -9,7 +9,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .checks import check_suite
 from .harness import RunConfig, build_env, load_config, run_experiment, run_sweep
 from .oracle import dp_solve, random_policy_gap
 
@@ -71,11 +70,6 @@ def _cmd_oracle(args) -> int:
     return 0
 
 
-def _cmd_check(args) -> int:
-    report = check_suite(args.level)
-    return 0 if report["passed"] else 1
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cinderella",
@@ -97,10 +91,6 @@ def main(argv=None) -> int:
     p_oracle = sub.add_parser("oracle", help="print the oracle value report for a config")
     p_oracle.add_argument("--config", required=True)
     p_oracle.set_defaults(fn=_cmd_oracle)
-
-    p_check = sub.add_parser("check", help="run the invariant check suite")
-    p_check.add_argument("--level", choices=["quick", "full"], default="quick")
-    p_check.set_defaults(fn=_cmd_check)
 
     args = parser.parse_args(argv)
     return args.fn(args)

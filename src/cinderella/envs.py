@@ -135,7 +135,8 @@ def _resolve_reward(spec, horizon: int):
     """Turn a reward spec into a vectorized mean-reward callable.
 
     ``spec`` is "default" (a smooth sinusoidal bump), "zero" or "constant"
-    (the maximal flat reward 1/H). Returns the callable and its slope bound.
+    (the maximal flat reward 1/H). Each is the same at every step and lies in
+    [0, 1/H] by construction. Returns the callable and its slope bound.
     """
     scale = 1.0 / horizon
     if spec == "default":
@@ -151,18 +152,6 @@ def _resolve_reward(spec, horizon: int):
     if spec == "constant":
         return (lambda h, Z: np.full(Z.shape[0], scale)), 0.0
     raise ValueError(f"unknown reward spec: {spec!r}")
-
-
-def _check_normalization(env: EnvironmentModel) -> None:
-    """Assert 0 <= H * reward_mean <= 1 on a dense 128 x 128 grid (Q in [0, 1])."""
-    Z = uniform_grid(128, Z_DIM)
-    for h in range(1, env.horizon + 1):
-        r = env.reward_mean(h, Z)
-        if np.any(r < -1e-12) or np.any(env.horizon * r > 1.0 + 1e-9):
-            raise ValueError(
-                f"reward at step {h} violates normalization: range "
-                f"[{r.min():.6f}, {r.max():.6f}] with H={env.horizon}"
-            )
 
 
 def _check_density_integral(env: EnvironmentModel):
@@ -224,7 +213,6 @@ def env_uniform_shift(
         reward_noise_sigma=reward_noise_sigma,
         c_t=c_t,
     )
-    _check_normalization(env)
     _check_density_integral(env)
     return env
 
@@ -295,7 +283,6 @@ def env_smooth_drift(
         reward_noise_sigma=reward_noise_sigma,
         c_t=c_t,
     )
-    _check_normalization(env)
     _check_density_integral(env)
     return env
 
@@ -336,7 +323,15 @@ def env_exact_linear(
     def density(keys, Sp):
         return np.full((keys.shape[0], Sp.shape[0]), 0.5)
 
-    env = EnvironmentModel(
+    Z = uniform_grid(128, Z_DIM)  # 0 <= H * reward <= 1 on a dense grid, so Q is in [0, 1]
+    for h in range(1, horizon + 1):
+        r = mean_reward(h, Z)
+        if np.any(r < -1e-12) or np.any(horizon * r > 1.0 + 1e-9):
+            raise ValueError(
+                f"invalid theta for exact-linear environment: reward at step {h} violates "
+                f"normalization: range [{r.min():.6f}, {r.max():.6f}] with H={horizon}"
+            )
+    return EnvironmentModel(
         name="exact_linear",
         horizon=horizon,
         transition_sample=sample,
@@ -346,8 +341,3 @@ def env_exact_linear(
         reward_noise_sigma=reward_noise_sigma,
         c_t=None,
     )
-    try:
-        _check_normalization(env)
-    except ValueError as exc:
-        raise ValueError(f"invalid theta for exact-linear environment: {exc}") from exc
-    return env

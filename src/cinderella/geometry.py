@@ -13,6 +13,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# Refuse arrays that would hold more float entries than this (128 MB): a
+# partition's centers here, the oracle's grids and kernels in oracle.
+MAX_HELD_ENTRIES = 16_000_000
+
 
 @dataclass(frozen=True)
 class Partition:
@@ -48,7 +52,11 @@ def build_partition(dim: int, epsilon: float) -> Partition:
     if not (0.0 < epsilon <= 1.0):
         raise ValueError(f"epsilon must be in (0, 1], got {epsilon}")
     # Guarded ceil: 1/epsilon can land a hair above an integer (e.g. 1/0.2).
-    m = int(math.ceil(1.0 / epsilon - 1e-12))
+    per_axis = 1.0 / epsilon - 1e-12
+    # Sized before any allocation (1/epsilon may be inf): the centers, and meshgrid's as many.
+    if per_axis > MAX_HELD_ENTRIES or 2 * dim * math.ceil(per_axis) ** dim > MAX_HELD_ENTRIES:
+        raise ValueError(f"partition too large at dim={dim}, epsilon={epsilon}")
+    m = int(math.ceil(per_axis))
     axis = -1.0 + (2.0 * np.arange(1, m + 1) - 1.0) / m
     grids = np.meshgrid(*([axis] * dim), indexing="ij")
     centers = np.stack([g.ravel() for g in grids], axis=-1)

@@ -1,4 +1,4 @@
-"""Experiment orchestration: configs, regret traces, sweeps and self-checks.
+"""Experiment orchestration: configs, regret traces and sweeps.
 
 A run is fully described by a JSON config (unknown keys are a hard error).
 Randomness is drawn from counter-style streams keyed by
@@ -171,6 +171,10 @@ class RunConfig:
             raise ValueError("config invalid: seed must be >= 0")
         if self.action_grid < 2 or self.oracle_m_state < 2 or self.oracle_m_action < 2:
             raise ValueError("config invalid: grids need at least 2 points")
+        try:  # the env params' ranges are the env builder's
+            build_env(self)
+        except (ValueError, OverflowError) as exc:  # OverflowError: episodes beyond a float
+            raise ValueError(f"config invalid: {exc}") from None
 
     def bonus_schedule(self) -> BonusSchedule:
         """The learner's radius constants, each a field of this config under its name."""

@@ -26,11 +26,9 @@ import numpy as np
 
 from .envs import EnvironmentModel
 from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
-from .geometry import assign_regions, build_partition, grid_pairs, uniform_grid
+from .geometry import MAX_HELD_ENTRIES, assign_regions, build_partition, grid_pairs, uniform_grid
 
-# Refuse grids whose solve would hold more float entries than this (128 MB):
-# dp_solve's n_s * n_a rows and kernel blocks, the audit's whole kernel.
-MAX_HELD_ENTRIES = 16_000_000
+# MAX_HELD_ENTRIES bounds dp_solve's n_s * n_a rows and kernel blocks, and the audit's whole kernel.
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
 _BLOCK_ROWS = 1024  # distinct-key rows per kernel block in _grid_backup
 

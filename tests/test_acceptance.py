@@ -11,7 +11,6 @@ import time
 import numpy as np
 import pytest
 
-from cinderella.checks import optimism_rate
 from cinderella.envs import env_uniform_shift
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, feature_matrix
 from cinderella.geometry import assign_regions, build_partition
@@ -24,7 +23,7 @@ from cinderella.oracle import (
     taylor_remainder_check,
 )
 from cinderella.regression import ridge_update
-from conftest import sin2x, sin2x_derivative
+from conftest import optimism_rate, sin2x, sin2x_derivative
 
 
 def _verdict(num: int, ok: bool, detail: str):

@@ -113,7 +113,7 @@ def test_extension_dot_product_equivalence(rng):
     n_regions = fmap.partition.n_regions
     theta = rng.normal(size=(n_regions, fmap.dim_features))
     stacked = theta.ravel()
-    for _ in range(200):
+    for _ in range(2000):
         z = rng.uniform(-1, 1, size=2)
         lhs = extend_features(fmap, z) @ stacked
         rhs = taylor_features(fmap, z) @ theta[assign_regions(fmap.partition, z[None, :])[0]]

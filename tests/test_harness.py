@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 
 import cinderella
 from cinderella import harness
-from cinderella.checks import check_suite
 from cinderella.cli import main as cli_main
 from cinderella.envs import env_uniform_shift
 from cinderella.harness import (
@@ -155,6 +154,8 @@ def test_config_validation():
         {"bonus_scale": -0.1},
         {"r_max": -1.0},
         {"inherent_bound": -0.5},
+        # 2500^2 cells: building the env's feature map would pass MAX_HELD_ENTRIES
+        {"env": {"name": "exact_linear", "theta": [[0.5]]}, "horizon": 1, "epsilon": 4e-4},
     ],
 )
 def test_from_dict_rejects_mistyped_values(override):
@@ -269,6 +270,12 @@ def test_load_config_env_override(tmp_path, monkeypatch):
 
 
 _RUN = {"env": {"name": "uniform_shift"}, "episodes": 4}
+# Env params of the right type whose ranges only the env builders know.
+_BAD_ENVS = [
+    {"name": "uniform_shift", "beta": 5.0},
+    {"name": "smooth_drift", "noise_sigma": -0.1},
+    {"name": "exact_linear", "theta": [[0.5], [0.5, 0.1]]},  # ragged
+]
 
 
 @pytest.mark.parametrize(
@@ -286,12 +293,13 @@ _RUN = {"env": {"name": "uniform_shift"}, "episodes": 4}
         ("sweep", {"master_seed": -1, "runs": [_RUN]}, None),
         ("sweep", {"master_seed": True, "runs": [_RUN]}, None),
         ("sweep", {"runs": [_RUN, _RUN, {**_RUN, "delta": 2.0}]}, None),
+        *[("sweep", {"runs": [_RUN, {**_RUN, "env": env}]}, None) for env in _BAD_ENVS],
     ],
 )
 def test_malformed_documents_are_config_invalid(tmp_path, monkeypatch, command, doc, seed_env):
     """Non-object documents, bad sweep runs or master seeds and a bad seed override fail fast.
 
-    A sweep whose last run has an out-of-range learner constant starts no run.
+    A sweep whose last run has an out-of-range learner constant or env param starts no run.
     """
 
     def reached(*args, **kwargs):
@@ -558,21 +566,7 @@ def test_make_rng_streams_are_keyed():
     assert not np.allclose(a, c)
 
 
-# -- check suite and CLI ----------------------------------------------------------
-
-
-def test_check_suite_quick_all_green(capsys):
-    report = check_suite("quick")
-    assert report["passed"]
-    names = {c["check"] for c in report["checks"]}
-    assert "optimism-negative-control" in names
-    out = capsys.readouterr().out
-    assert '"passed": true' in out
-
-
-def test_cli_check_quick(capsys):
-    assert cli_main(["check", "--level", "quick"]) == 0
-    assert '"passed": true' in capsys.readouterr().out
+# -- public names and CLI --------------------------------------------------------
 
 
 def test_public_names_resolve_sorted_and_unique():

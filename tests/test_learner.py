@@ -4,10 +4,9 @@ import re
 
 import numpy as np
 import pytest
-from conftest import clipped_q, naive_row
+from conftest import clipped_q, naive_row, optimism_rate, tiny_exact_linear_setup
 
 import cinderella.learner as learner_mod
-from cinderella.checks import tiny_exact_linear_setup
 from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
 from cinderella.geometry import assign_regions, build_partition, grid_pairs
@@ -362,6 +361,11 @@ def test_exact_grid_emits_feasible_tables():
     norm = math.sqrt(xi @ learner.lam_all[1, 0] @ xi)
     alpha = alpha_radius(learner.schedule, learner.fmap, k_next, int(learner.counts[1, 0]))
     assert norm <= alpha + 1e-9
+
+
+def test_exact_grid_zero_radius_control_breaks_optimism():
+    """Negative control of criterion 06: with every radius zero the plan is not optimistic."""
+    assert optimism_rate(3, 10, bonus_scale=0.0, r_max=0.0) < 0.9
 
 
 def test_exact_grid_guard_rejects_large_instances():

@@ -41,18 +41,16 @@ HOT_VISITS = REINVERT_EVERY + 8  # region 0 crosses one re-inversion at every st
 SPREAD_VISITS = 40
 
 
-def _learner(
-    degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, dim=2, points=9
-):
-    """A learner on a ``dim``-d partition with ``points`` grid actions per axis.
+def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, points=9):
+    """A learner on a 2-d partition with ``points`` grid actions per axis.
 
     ``general_path`` keeps a degree-0 learner off the cell path. The cell
     path is chosen when the learner is built, from the index set's degree;
     with that label cleared the same one constant feature runs through the
     general blocks, history and scoring rule.
     """
-    part = build_partition(dim, epsilon)
-    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, degree))
+    part = build_partition(2, epsilon)
+    fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
     if general_path:
         fmap = dataclasses.replace(fmap, index_set=dataclasses.replace(fmap.index_set, degree=None))
     schedule = BonusSchedule(
@@ -416,18 +414,17 @@ def test_refit_sums_rows_in_order_bit_for_bit(degree):
 
 
 @pytest.mark.parametrize("epsilon, points", [(0.5, 9), (0.4, 7)])  # 3 cells: inexact offsets
-@pytest.mark.parametrize("action_dim", [1])  # two factors per monomial
 @pytest.mark.parametrize("degree", [0, 1, 2, 3])
-def test_blocks_match_assign_regions_and_features_at_centers(degree, action_dim, epsilon, points):
+def test_blocks_match_assign_regions_and_features_at_centers(degree, epsilon, points):
     """Separable blocks, cell by cell, are the general rule's floats bit for bit.
 
     States cover -1, every cell edge, 0, +1 and random points; both action
     grids put actions on action-cell edges too. With 3 cells per axis the
     offsets from cell centers are inexact, so the product order shows.
     """
-    learner = _learner(degree, 1, epsilon, dim=1 + action_dim, points=points)
+    learner = _learner(degree, 1, epsilon, points=points)
     m = learner.partition.cells_per_axis
-    rng = np.random.default_rng(5000 + 10 * degree + action_dim)
+    rng = np.random.default_rng(5001 + 10 * degree)
     edges = -1.0 + 2.0 * np.arange(m + 1) / m
     states = np.concatenate([edges, [0.0, 1.0], rng.uniform(-1.0, 1.0, 400)])[:, None]
     feats, regions = learner._blocks(states)

@@ -8,13 +8,12 @@ exactly the per-cell Taylor polynomials of that degree.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import Partition, assign_regions
+from .geometry import MAX_HELD_ENTRIES, Partition, assign_regions
 
 
 def nu_star(nu: float) -> int:
@@ -50,11 +49,12 @@ def enumerate_multi_indices(dim: int, degree: int) -> MultiIndexSet:
         raise ValueError(f"dimension must be >= 1, got {dim}")
     if degree < 0:
         raise ValueError(f"degree must be >= 0, got {degree}")
-    all_tuples = [
-        t for t in itertools.product(range(degree + 1), repeat=dim) if sum(t) <= degree
-    ]
-    all_tuples.sort(key=lambda t: (sum(t), tuple(-x for x in t)))
-    return MultiIndexSet(dim=dim, degree=degree, indices=np.array(all_tuples, dtype=np.int64))
+    if (degree + 1) ** dim * (dim + 2) > MAX_HELD_ENTRIES:  # the box below, with its sums
+        raise ValueError(f"too many multi-indices at dim={dim}, degree={degree}")
+    box = np.indices((degree + 1,) * dim, dtype=np.int64).reshape(dim, -1).T
+    kept = box[box.sum(axis=1) <= degree]
+    order = np.lexsort((*(-kept.T[::-1]), kept.sum(axis=1)))  # last key first
+    return MultiIndexSet(dim=dim, degree=degree, indices=kept[order])
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .envs import Z_DIM, EnvironmentModel, env_exact_linear, env_smooth_drift, e
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import dp_solve, policy_eval_tables, policy_value
+from .oracle import check_dp_grid, dp_solve, policy_eval_tables, policy_value
 
 log = logging.getLogger(__name__)
 
@@ -136,8 +136,8 @@ class RunConfig:
             if kind is float and not _is_finite_real(value):
                 raise ValueError(f"config invalid: {name} must be finite and real, got {value!r}")
         eps = self.epsilon
-        if eps != "auto" and not (_is_finite_real(eps) and 0.0 < eps <= 1.0):
-            raise ValueError(f'config invalid: epsilon must be "auto" or in (0, 1], got {eps!r}')
+        if eps != "auto" and not _is_finite_real(eps):
+            raise ValueError(f'config invalid: epsilon must be "auto" or a number, got {eps!r}')
         clip = self.reward_clip
         ok = isinstance(clip, (tuple, list)) and len(clip) == 2 and all(map(_is_finite_real, clip))
         if not (ok and clip[0] < clip[1]):
@@ -155,31 +155,22 @@ class RunConfig:
         for key, default in params.items():
             if default is inspect.Parameter.empty and key not in self.env_params:
                 raise ValueError(f"config invalid: {self.env_name} needs env param {key}")
-        if self.nu <= 0:
-            raise ValueError(f"config invalid: nu must be positive, got {self.nu}")
-        try:  # the learner constants' ranges are the schedule's
-            self.bonus_schedule()
-        except ValueError as exc:
-            raise ValueError(f"config invalid: {exc}") from None
-        if self.planner not in ("relaxation", "exact-grid"):
-            raise ValueError(f"config invalid: unknown planner {self.planner!r}")
         if self.init_mode not in ("fixed", "uniform"):
             raise ValueError(f"config invalid: unknown init mode {self.init_mode!r}")
         if not -1.0 <= self.init_value <= 1.0:
             raise ValueError(f"config invalid: init_state value {self.init_value} outside [-1, 1]")
         if self.seed < 0:
             raise ValueError("config invalid: seed must be >= 0")
-        if self.action_grid < 2 or self.oracle_m_state < 2 or self.oracle_m_action < 2:
-            raise ValueError("config invalid: grids need at least 2 points")
-        try:  # the env params' ranges are the env builder's
+        if self.action_grid < 2:
+            raise ValueError("config invalid: action_grid must be at least 2")
+        # Each range and size limit is checked by what the run builds, once: the env, the
+        # oracle grid (before the learner allocates), the learner and its schedule and map.
+        try:
             build_env(self)
+            check_dp_grid(self.horizon, self.oracle_m_state, self.oracle_m_action)
+            build_learner(self)
         except (ValueError, OverflowError) as exc:  # OverflowError: episodes beyond a float
             raise ValueError(f"config invalid: {exc}") from None
-
-    def bonus_schedule(self) -> BonusSchedule:
-        """The learner's radius constants, each a field of this config under its name."""
-        fields = dataclasses.fields(BonusSchedule)
-        return BonusSchedule(**{f.name: getattr(self, f.name) for f in fields})
 
     def resolved_epsilon(self) -> float:
         if self.epsilon == "auto":
@@ -294,10 +285,11 @@ def build_env(config: RunConfig) -> EnvironmentModel:
 
 
 def build_learner(config: RunConfig) -> CinderellaLearner:
-    """A fresh learner on the config's partition and feature map."""
+    """A fresh learner on the config's feature map; each schedule constant is its namesake field."""
+    constants = {f.name: getattr(config, f.name) for f in dataclasses.fields(BonusSchedule)}
     return CinderellaLearner(
         _feature_map(config),
-        config.bonus_schedule(),
+        BonusSchedule(**constants),
         action_points_per_axis=config.action_grid,
         planner=config.planner,
         clip_bounds=config.reward_clip,

@@ -47,7 +47,9 @@ import numpy as np
 
 from .envs import Z_DIM, run_episode
 from .features import TaylorFeatureMap
-from .geometry import assign_regions, axis_cell, axis_cells, grid_pairs, uniform_grid
+from .geometry import (
+    MAX_HELD_ENTRIES, assign_regions, axis_cell, axis_cells, grid_pairs, uniform_grid
+)
 from .regression import ridge_update
 
 # Grid points per uncertainty coordinate in the exact-grid planner; odd, so
@@ -236,10 +238,19 @@ class CinderellaLearner:
             raise ValueError(
                 f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
             )
+        # Entries held, floats and int64s alike, counted before any allocation. Per step: the
+        # ridge matrices, tables, history and greedy row; per step < H the next-state store;
+        # the actions, their powers, and the m x M cell table with its temporaries.
+        M, K, m = action_points_per_axis, schedule.episodes, partition.cells_per_axis
+        next_store = K if fmap.index_set.degree == 0 else K * M * (d + 3) + N * (d + 1)
+        held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m) + (H - 1) * next_store
+        held += M * (d + 3) + 6 * m * M
+        if held > MAX_HELD_ENTRIES:
+            raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule
-        self.actions = uniform_grid(action_points_per_axis, 1)
+        self.actions = uniform_grid(M, 1)
         self.planner = planner
         self.clip_lo, self.clip_hi = clip_bounds
 
@@ -248,10 +259,8 @@ class CinderellaLearner:
         self.lam_all = np.tile(np.eye(d) * lam0, (H + 1, N, 1, 1))
         self.lam_inv_all = np.tile(np.eye(d) / lam0, (H + 1, N, 1, 1))
         self.counts = np.zeros((H + 1, N), dtype=np.int64)
-        M, K = self.actions.shape[0], schedule.episodes
         # The first center of each state cell: its action coordinate lies in
         # the first action cell, which repeats every m centers.
-        m = partition.cells_per_axis
         cell_centers = partition.centers[::m, :1]
         regions = assign_regions(partition, grid_pairs(cell_centers, self.actions))
         self._cell_regions = regions.reshape(-1, M)

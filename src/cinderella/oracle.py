@@ -110,18 +110,22 @@ def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_act
     return v, q
 
 
-def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
-    """Optimal value tables: ``_grid_backup`` with the max over actions on a uniform grid."""
+def check_dp_grid(horizon: int, m_state: int, m_action: int) -> None:
+    """Refuse a ``dp_solve`` grid whose held entries would pass ``MAX_HELD_ENTRIES``."""
+    # Counted with Python ints. Per (state, action) row: Z (2), the keys and their index (2),
+    # q (H + 1), and the backup with two temporaries (3). Then one kernel block
+    # _BLOCK_ROWS * n_s, and one density temporary as large.
     if m_state < 2 or m_action < 2:
         raise ValueError("grid resolutions must be at least 2")
-    # Sized with Python ints, before any allocation. Per (state, action) row:
-    # Z (2), the keys and their index (2), q (H + 1), and the backup
-    # with two temporaries of its size (3). Then one kernel block
-    # _BLOCK_ROWS * n_s, and one density temporary as large.
     n_rows = int(m_state) * int(m_action)
-    held = n_rows * (env.horizon + 8) + 2 * _BLOCK_ROWS * int(m_state)
+    held = n_rows * (horizon + 8) + 2 * _BLOCK_ROWS * int(m_state)
     if held > MAX_HELD_ENTRIES:
         raise ValueError("DP instance too large; reduce grid resolutions")
+
+
+def dp_solve(env: EnvironmentModel, m_state: int, m_action: int) -> GridDP:
+    """Optimal value tables: ``_grid_backup`` with the max over actions on a uniform grid."""
+    check_dp_grid(env.horizon, m_state, m_action)
     sp = uniform_grid(m_state, 1)
     ap = uniform_grid(m_action, 1)
     v, q = _grid_backup(env, sp, ap, np.max)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -50,6 +51,19 @@ def test_multi_index_count_is_binomial(dim, degree):
     seen = {tuple(map(int, row)) for row in idx.indices}
     assert len(seen) == idx.size
     assert all(sum(t) <= degree for t in seen)
+
+
+def test_multi_index_order_matches_sorted_product():
+    """The vectorized enumeration against the plain loop: the product, filtered and sorted."""
+    for dim in range(1, 5):
+        for degree in range(7):
+            want = sorted(
+                (t for t in itertools.product(range(degree + 1), repeat=dim) if sum(t) <= degree),
+                key=lambda t: (sum(t), tuple(-x for x in t)),
+            )
+            got = enumerate_multi_indices(dim, degree).indices
+            assert got.dtype == np.int64
+            assert [tuple(map(int, row)) for row in got] == want
 
 
 def test_nu_star():

@@ -76,9 +76,8 @@ def test_oversized_exact_grid_fails_before_oracle(monkeypatch):
 
     monkeypatch.setattr("cinderella.harness.dp_solve", oracle_reached)
     # epsilon "auto" at K=256 gives N=9 regions: 2 steps x 9 regions x 1 feature
-    cfg = RunConfig.from_dict({"env": {"name": "uniform_shift"}, "planner": "exact-grid"})
     with pytest.raises(ValueError, match="dims=18"):
-        run_experiment(cfg)
+        RunConfig.from_dict({"env": {"name": "uniform_shift"}, "planner": "exact-grid"})
 
 
 def test_from_dict_unknown_top_key_rejected():
@@ -105,6 +104,19 @@ def test_config_validation():
         _small_config(env_name="lunar_lander")
     with pytest.raises(ValueError, match="episodes"):
         _small_config(episodes=0)
+
+
+# Configs whose learner, partition, feature map or oracle grid is too large to build.
+_OVERSIZED = [
+    {"planner": "exact-grid"},  # N=9 regions at K=256: 18 uncertainty dims
+    {"epsilon": 1e-9},
+    {"episodes": 2**2000},
+    {"oracle": {"m_state": 5000, "m_action": 500}},
+    {"env": {"name": "smooth_drift"}, "epsilon": 0.001, "nu": 3},  # 1.7 GB of ridge matrices
+    {"action_grid": 10**7},
+    {"horizon": 2**64},
+    {"nu": 2.0**53},  # a degree-2**53 index set
+]
 
 
 @pytest.mark.parametrize(
@@ -156,12 +168,26 @@ def test_config_validation():
         {"inherent_bound": -0.5},
         # 2500^2 cells: building the env's feature map would pass MAX_HELD_ENTRIES
         {"env": {"name": "exact_linear", "theta": [[0.5]]}, "horizon": 1, "epsilon": 4e-4},
+        *_OVERSIZED,
     ],
 )
 def test_from_dict_rejects_mistyped_values(override):
     doc = {"env": {"name": "uniform_shift"}, **override}
     with pytest.raises(ValueError, match="^config invalid"):
         RunConfig.from_dict(doc)
+
+
+@pytest.mark.parametrize("override", _OVERSIZED)
+def test_oversized_configs_are_refused_before_allocating(monkeypatch, override):
+    """The learner's ridge matrices and the oracle's backup are never reached."""
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("an oversized config reached an allocation")
+
+    monkeypatch.setattr("cinderella.learner.np.tile", allocated)
+    monkeypatch.setattr("cinderella.oracle._grid_backup", allocated)
+    with pytest.raises(ValueError, match="^config invalid"):
+        RunConfig.from_dict({"env": {"name": "uniform_shift"}, **override})
 
 
 def test_config_hash_ignores_int_versus_float():
@@ -251,9 +277,11 @@ def test_config_hash_tracks_semantic_fields():
         dict(episodes=49),
         dict(bonus_scale=0.2),
         dict(env_params={"beta": 0.6}),
-        dict(planner="exact-grid"),
     ):
         assert _small_config(**change).config_hash() != a.config_hash()
+    # Both at one region, so the exact-grid planner can run the pair.
+    exact = _small_config(epsilon=1.0, planner="exact-grid")
+    assert exact.config_hash() != _small_config(epsilon=1.0).config_hash()
 
 
 def test_auto_epsilon_resolution():
@@ -269,7 +297,8 @@ def test_load_config_env_override(tmp_path, monkeypatch):
     assert load_config(path).seed == 99
 
 
-_RUN = {"env": {"name": "uniform_shift"}, "episodes": 4}
+_DEFAULT = {"env": {"name": "uniform_shift"}}
+_RUN = {**_DEFAULT, "episodes": 4}
 # Env params of the right type whose ranges only the env builders know.
 _BAD_ENVS = [
     {"name": "uniform_shift", "beta": 5.0},
@@ -294,12 +323,14 @@ _BAD_ENVS = [
         ("sweep", {"master_seed": True, "runs": [_RUN]}, None),
         ("sweep", {"runs": [_RUN, _RUN, {**_RUN, "delta": 2.0}]}, None),
         *[("sweep", {"runs": [_RUN, {**_RUN, "env": env}]}, None) for env in _BAD_ENVS],
+        ("sweep", {"runs": [_RUN, {**_DEFAULT, "planner": "exact-grid"}]}, None),
     ],
 )
 def test_malformed_documents_are_config_invalid(tmp_path, monkeypatch, command, doc, seed_env):
     """Non-object documents, bad sweep runs or master seeds and a bad seed override fail fast.
 
-    A sweep whose last run has an out-of-range learner constant or env param starts no run.
+    A sweep whose last run has an out-of-range learner constant or env param, or an
+    exact-grid instance too large to search, starts no run.
     """
 
     def reached(*args, **kwargs):
@@ -548,10 +579,17 @@ def test_cli_sweep_rejects_bad_jobs_before_any_run(monkeypatch, tmp_path, jobs):
     assert not out_dir.exists()
 
 
-def test_sweep_aggregates_errors_with_indices():
+def test_sweep_aggregates_errors_with_indices(monkeypatch):
     good = _small_config(episodes=4)
-    bad = _small_config(episodes=4, oracle_m_state=5000, oracle_m_action=500)
-    with pytest.raises(RuntimeError, match="run 1"):
+    bad = _small_config(episodes=4, oracle_m_state=17)
+
+    def failing_on_bad_grid(env, m_state, m_action):
+        if m_state == bad.oracle_m_state:
+            raise ValueError("oracle failed")
+        return dp_solve(env, m_state, m_action)
+
+    monkeypatch.setattr("cinderella.harness.dp_solve", failing_on_bad_grid)
+    with pytest.raises(RuntimeError, match="sweep failed for 1 run.*run 1: oracle failed"):
         run_sweep([good, bad])
 
 

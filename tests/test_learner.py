@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -413,6 +414,24 @@ def test_learner_refuses_partitions_not_on_rows_s_a():
         fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, 0))
         with pytest.raises(ValueError, match=re.escape(f"rows (s, a), got dim {dim}")):
             CinderellaLearner(fmap, _schedule())
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 2])
+def test_size_guard_counts_the_peak_it_holds(monkeypatch, degree, horizon):
+    """The learner's count bounds its construction's traced peak, next-state blocks and
+    cell-table temporaries included: a limit one float below the peak refuses it."""
+    fmap = TaylorFeatureMap(build_partition(2, 0.1), enumerate_multi_indices(2, degree))
+    schedule = _schedule(episodes=500, horizon=horizon)
+    tracemalloc.start()
+    try:
+        CinderellaLearner(fmap, schedule, action_points_per_axis=41)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    monkeypatch.setattr(learner_mod, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+    with pytest.raises(ValueError, match="learner too large"):
+        CinderellaLearner(fmap, schedule, action_points_per_axis=41)
 
 
 def test_schedule_validation():

@@ -24,11 +24,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .envs import Z_DIM, EnvironmentModel, env_exact_linear, env_smooth_drift, env_uniform_shift
+from .envs import Z_DIM, EnvironmentModel, LearnerView
+from .envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
-from .geometry import auto_epsilon, build_partition
+from .geometry import auto_epsilon, build_partition, uniform_grid
 from .learner import BonusSchedule, CinderellaLearner
-from .oracle import check_dp_grid, dp_solve, policy_eval_tables, policy_value
+from .oracle import check_dp_grid, check_policy_tables, dp_solve
+from .oracle import policy_eval_tables, policy_value
 
 log = logging.getLogger(__name__)
 
@@ -163,11 +165,13 @@ class RunConfig:
             raise ValueError("config invalid: seed must be >= 0")
         if self.action_grid < 2:
             raise ValueError("config invalid: action_grid must be at least 2")
-        # Each range and size limit is checked by what the run builds, once: the env, the
-        # oracle grid (before the learner allocates), the learner and its schedule and map.
+        # Each range and size limit is checked by what the run builds, once: the env, the oracle's
+        # counts (at H >= 3 played policies can read every pair's kernel row), the learner.
         try:
             build_env(self)
             check_dp_grid(self.horizon, self.oracle_m_state, self.oracle_m_action)
+            store = self.oracle_m_state * self.action_grid if self.horizon > 2 else 0
+            check_policy_tables(self.horizon, self.oracle_m_state, self.action_grid, store)
             build_learner(self)
         except (ValueError, OverflowError) as exc:  # OverflowError: episodes beyond a float
             raise ValueError(f"config invalid: {exc}") from None
@@ -290,6 +294,7 @@ def build_learner(config: RunConfig) -> CinderellaLearner:
     return CinderellaLearner(
         _feature_map(config),
         BonusSchedule(**constants),
+        uniform_grid(config.oracle_m_state, 1),  # probe states: dp_solve's state_points
         action_points_per_axis=config.action_grid,
         planner=config.planner,
         clip_bounds=config.reward_clip,
@@ -320,9 +325,8 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     # pages from being reused by the next large allocation.
     rows = np.empty((config.episodes, 7))
     env = build_env(config)
-    learner = build_learner(config)
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
-    learner.register_probe(dp.state_points)
+    learner = build_learner(config)
     rewards_pi, kernel_pi = _policy_eval_tables(env, dp, learner.actions)
 
     cum = 0.0
@@ -334,7 +338,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         else:
             s1 = np.full(1, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
-        transitions, ret = learner.plan_and_act_episode(env, s1, env_rng)
+        transitions, ret = learner.plan_and_act_episode(LearnerView(env), s1, env_rng)
         played = learner.last_policy_actions
         z1 = np.concatenate([s1, transitions[0].action])
         # A digest, not the bytes: kept 8 KB keys fragmented the heap of a process that keeps

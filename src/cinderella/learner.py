@@ -198,13 +198,13 @@ class CinderellaLearner:
 
     Each step holds ``schedule.episodes`` transitions, one per episode.
     ``plan`` writes the planned table ``theta_all`` (H+1, N, d) and
-    ``alpha_all`` (H+1, N), indexed by h starting at 1, and ``_scores`` is
-    the one scoring rule that reads them. Both planners score the history's
-    next-state blocks and the probe's blocks of steps h >= 2 through
-    ``_block_scores``, which caches their means ``phi . theta`` and bonus widths
+    ``alpha_all`` (H+1, N), indexed by h starting at 1, read by ``_scores``,
+    the one scoring rule, and its greedy indices of steps h >= 2 at the
+    ``probe_states`` (n, 1) into ``last_policy_actions``. Both planners score
+    the history's next-state blocks and the probe's through ``_block_scores``,
+    which caches their means ``phi . theta`` and bonus widths
     ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see ``_Blocks`` for when a cached
-    entry is valid). ``alpha`` stays outside the cache because it changes
-    with ``k``.
+    entry is valid); ``alpha`` changes with ``k`` and stays outside the cache.
 
     ``_cell_regions`` (C, M) holds the regions of every state cell x grid
     action, and ``_blocks`` reads a state's regions from it. At degree 0 a
@@ -224,6 +224,7 @@ class CinderellaLearner:
         self,
         fmap: TaylorFeatureMap,
         schedule: BonusSchedule,
+        probe_states: np.ndarray,
         action_points_per_axis: int = 21,
         planner: str = "relaxation",
         clip_bounds: tuple[float, float] = (-1.0, 2.0),
@@ -239,12 +240,20 @@ class CinderellaLearner:
                 f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
             )
         # Entries held, floats and int64s alike, counted before any allocation. Per step: the
-        # ridge matrices, tables, history and greedy row; per step < H the next-state store;
-        # the actions, their powers, and the m x M cell table with its temporaries.
+        # ridge matrices, tables, history, greedy row and two probe tables (the last plan's and
+        # the next); per step < H the next-state store; the probe, the largest temporaries of a
+        # plan, the actions, their powers, and the m x M cell table with its temporaries.
         M, K, m = action_points_per_axis, schedule.episodes, partition.cells_per_axis
-        next_store = K if fmap.index_set.degree == 0 else K * M * (d + 3) + N * (d + 1)
-        held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m) + (H - 1) * next_store
-        held += M * (d + 3) + 6 * m * M
+        n_s = self._n_probe = len(probe_states)
+        if fmap.index_set.degree == 0:  # cells; a plan's re-fit holds targets, ids and weights
+            next_store, probe, plan = K, n_s, 4 * K
+        else:  # blocks; per entry one _width holds its Lambda^-1 gather and three results, and
+            # on _Blocks.refresh's partial path the entry's gathered feats, region and flat index
+            next_store = K * M * (d + 3) + N * (d + 1)
+            probe = n_s * M * (d + 1) + (H - 1) * (2 * n_s * M + N * (d + 1))
+            plan = max(K, n_s) * M * (d * d + d + 5)
+        held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 2 * n_s)
+        held += (H - 1) * next_store + probe + plan + M * (d + 3) + 6 * m * M
         if held > MAX_HELD_ENTRIES:
             raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
         self.partition = partition
@@ -291,8 +300,13 @@ class CinderellaLearner:
         self.k = 0
         # The probe states' cells at degree 0, else one _Blocks per step h >= 2
         # (at index h), all sharing the states' feats and regions.
-        self._probe = None
-        self._n_probe = 0
+        if self._cells:
+            self._probe = self._state_cells(probe_states)
+        else:
+            feats, regions = self._blocks(probe_states)
+            feats.flags.writeable = False
+            regions.flags.writeable = False
+            self._probe = [None, None] + [_Blocks(feats, regions, N) for _ in range(H - 1)]
         self.last_policy_actions = None
 
     # -- feature plumbing ---------------------------------------------------
@@ -465,8 +479,7 @@ class CinderellaLearner:
         if self._cells:
             for h in range(1, self.H + 1):
                 self._greedy[h] = np.argmax(self._cell_scores(h), axis=1)
-        if self._probe is not None:
-            self.last_policy_actions = self.greedy_action_indices()
+        self.last_policy_actions = self.greedy_action_indices()
 
     # -- acting -------------------------------------------------------------
 
@@ -541,18 +554,6 @@ class CinderellaLearner:
 
     # -- policy probe (for oracle evaluation) --------------------------------
 
-    def register_probe(self, states: np.ndarray) -> None:
-        """Precompute the blocks, or at degree 0 the cells, of the probe states (n, 1)."""
-        if self._cells:
-            self._probe = self._state_cells(states)
-        else:
-            feats, regions = self._blocks(states)
-            feats.flags.writeable = False
-            regions.flags.writeable = False
-            steps = [_Blocks(feats, regions, self.N) for _ in range(self.H - 1)]
-            self._probe = [None, None] + steps
-        self._n_probe = len(states)
-
     def greedy_action_indices(self) -> np.ndarray:
         """Greedy grid-action index of each step h >= 2 at every probe state: (H+1, n).
 
@@ -560,8 +561,6 @@ class CinderellaLearner:
         s1, not at the probe states. At degree 0 each entry is a lookup in the
         plan's cell table.
         """
-        if self._probe is None:
-            raise ValueError("no probe registered")
         out = np.zeros((self.H + 1, self._n_probe), dtype=np.int64)
         for h in range(2, self.H + 1):
             if self._cells:

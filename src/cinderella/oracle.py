@@ -146,9 +146,9 @@ class KernelRows:
     arrays, as fancy indexing of the whole (n_s, M, n_s) kernel would, with
     its bits. Each row is built with ``_discretized_kernel`` on the
     ``state_points`` at its first read, so a density that vanishes raises
-    there. Built rows are kept in a compact store that grows as rows are
-    built: ``slot`` holds each (state, action) pair's store row, -1 until it
-    is built.
+    there. Built rows are kept in a store that doubles, up to one row per
+    pair, once ``check_policy_tables`` has counted it: ``slot`` holds each
+    (state, action) pair's store row, -1 until it is built.
     """
 
     def __init__(self, env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray, n_actions: int):
@@ -164,17 +164,30 @@ class KernelRows:
         missing = slots < 0
         if missing.any():
             new = np.unique(flat[missing])
-            rows = _discretized_kernel(self._env, self._keys[new], self.state_points)
-            end = self.built + new.size
+            end, sp = self.built + new.size, self.state_points
             if end > self._store.shape[0]:
-                grown = np.empty((max(end, 2 * self._store.shape[0]), rows.shape[1]))
+                size = min(max(end, 2 * self._store.shape[0]), self.slot.size)
+                check_policy_tables(self._env.horizon, len(sp), self._n_actions, size)
+                grown = np.empty((size, len(sp)))
                 grown[: self.built] = self._store[: self.built]
                 self._store = grown
-            self._store[self.built : end] = rows
+            self._store[self.built : end] = _discretized_kernel(self._env, self._keys[new], sp)
             self.slot[new] = np.arange(self.built, end)
             self.built = end
             slots = self.slot[flat]
         return self._store[slots]
+
+
+def check_policy_tables(horizon: int, m_state: int, n_actions: int, store_rows: int) -> None:
+    """Refuse policy tables on m_state x n_actions pairs, and store_rows kernel rows, too large."""
+    # Counted with Python ints. Per pair: Z (2), the keys and the store's slot (2), the rewards
+    # (H + 1), and one step's reward with two temporaries (3). Per store row: the row, and one
+    # more held at the store's last growth. With a store, one read of at most m_state new rows
+    # (a policy reads one pair per state): the rows, their density and the rows gathered.
+    store = 2 * store_rows + 3 * m_state if store_rows else 0
+    held = m_state * (n_actions * (horizon + 8) + store)
+    if held > MAX_HELD_ENTRIES:
+        raise ValueError("policy tables too large; reduce the oracle or the action grid")
 
 
 def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
@@ -184,9 +197,9 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     of every step h < H; none of its rows is built until a policy reads it.
     """
     sp = dp.state_points
-    n_s, M = sp.shape[0], actions.shape[0]
+    n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
+    check_policy_tables(H, n_s, M, 0)
     Z = grid_pairs(sp, actions)
-    H = env.horizon
     rewards = np.zeros((H + 1, n_s, M))
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)

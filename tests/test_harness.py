@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import cinderella
 from cinderella import harness
 from cinderella.cli import main as cli_main
-from cinderella.envs import env_uniform_shift
+from cinderella.envs import LearnerView, env_uniform_shift
 from cinderella.harness import (
     _TOP_KEYS,
     CSV_HEADER,
@@ -116,6 +116,17 @@ _OVERSIZED = [
     {"action_grid": 10**7},
     {"horizon": 2**64},
     {"nu": 2.0**53},  # a degree-2**53 index set
+    # 4097 probe states x 2001 grid actions: 57M probe block entries and 8.2M policy-table rows
+    {"env": {"name": "smooth_drift"}, "nu": 3, "epsilon": 0.5, "horizon": 3, "action_grid": 2001,
+     "oracle": {"m_state": 4097}},
+    # one plan's width gather: 70000 rows x 21 actions x 36 Lambda^-1 entries
+    {"env": {"name": "smooth_drift"}, "nu": 3, "epsilon": 1.0, "episodes": 70000},
+    # the kernel store at H = 3: up to 4097 x 21 rows of 4097
+    {"env": {"name": "smooth_drift"}, "nu": 2, "epsilon": 0.5, "horizon": 3,
+     "init_state": {"mode": "uniform"}, "oracle": {"m_state": 4097, "m_action": 2}},
+    # the probe alone: 4097 states x 201 grid actions, whose policy tables fit
+    {"env": {"name": "smooth_drift"}, "nu": 3, "epsilon": 0.5, "action_grid": 201,
+     "oracle": {"m_state": 4097}},
 ]
 
 
@@ -384,6 +395,21 @@ def test_closed_loop_runs_through_the_traced_learner_methods(monkeypatch):
     run_experiment(cfg)
     assert calls["act"] == calls["observe_transition"] == cfg.horizon * cfg.episodes
     assert calls["plan"] == calls["greedy_action_indices"] == cfg.episodes
+
+
+def test_the_learner_gets_only_the_sampling_view(monkeypatch):
+    """Every episode hands the learner a ``LearnerView``, never the env with its densities
+    and mean rewards."""
+    envs = []
+    episode = CinderellaLearner.__dict__["plan_and_act_episode"]
+
+    def recording(self, env, s1, rng):
+        envs.append(env)
+        return episode(self, env, s1, rng)
+
+    monkeypatch.setattr(CinderellaLearner, "plan_and_act_episode", recording)
+    run_experiment(_small_config(episodes=3))
+    assert len(envs) == 3 and all(type(env) is LearnerView for env in envs)
 
 
 def _recorded_run(monkeypatch, kept):

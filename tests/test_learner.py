@@ -36,6 +36,9 @@ def _schedule(**overrides):
     return BonusSchedule(**base)
 
 
+# Probe states of a learner whose probe no test reads.
+_PROBE = np.linspace(-1.0, 1.0, 5)[:, None]
+
 # One region and one constant feature (N = d = 1), with norm bound L_phi = 1 + 2 sqrt(1) = 3.
 _ONE_CELL = TaylorFeatureMap(
     partition=build_partition(2, 1.0), index_set=enumerate_multi_indices(2, 0)
@@ -80,7 +83,7 @@ def _fresh_learner(
     part = build_partition(2, eps)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, degree))
     sch = _schedule(episodes=episodes, horizon=horizon, bonus_scale=bonus_scale, delta=0.1)
-    learner = CinderellaLearner(fmap, sch, planner=planner)
+    learner = CinderellaLearner(fmap, sch, _PROBE, planner=planner)
     return learner
 
 
@@ -382,12 +385,11 @@ def test_exact_grid_reads_only_theta_at_d3():
     """
     config = RunConfig(
         env_name="uniform_shift", episodes=6, horizon=2, nu=2.0, epsilon=1.0,
-        planner="exact-grid", bonus_scale=1.0,
+        planner="exact-grid", bonus_scale=1.0, oracle_m_state=9,
     )
     env, learner = build_env(config), build_learner(config)
     assert learner.H * learner.N * learner.d == 6
-    states = np.linspace(-1.0, 1.0, 9)[:, None]
-    learner.register_probe(states)
+    states = np.linspace(-1.0, 1.0, 9)[:, None]  # the probe states, the oracle's 9-point grid
     for k in range(1, 6):
         learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(4, k, 0, 1))
     learner.plan(np.full(1, 0.3))
@@ -413,25 +415,38 @@ def test_learner_refuses_partitions_not_on_rows_s_a():
         part = build_partition(dim, 1.0)
         fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(dim, 0))
         with pytest.raises(ValueError, match=re.escape(f"rows (s, a), got dim {dim}")):
-            CinderellaLearner(fmap, _schedule())
+            CinderellaLearner(fmap, _schedule(), _PROBE)
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
 @pytest.mark.parametrize("degree", [0, 2])
 def test_size_guard_counts_the_peak_it_holds(monkeypatch, degree, horizon):
-    """The learner's count bounds its construction's traced peak, next-state blocks and
-    cell-table temporaries included: a limit one float below the peak refuses it."""
+    """The learner's count bounds the traced peak of its construction and of two plans on a
+    full history, next-state and probe blocks, cell-table temporaries and the plans' width
+    gathers included: a limit one float below the peak refuses it. The probe has fewer
+    states than the history has rows, then more.
+
+    The history's rows are zeros, all in region 0: the first plan scores every row in full,
+    and the second, after region 0 alone moved, every row again on the partial path."""
     fmap = TaylorFeatureMap(build_partition(2, 0.1), enumerate_multi_indices(2, degree))
     schedule = _schedule(episodes=500, horizon=horizon)
-    tracemalloc.start()
-    try:
-        CinderellaLearner(fmap, schedule, action_points_per_axis=41)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    monkeypatch.setattr(learner_mod, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
-    with pytest.raises(ValueError, match="learner too large"):
-        CinderellaLearner(fmap, schedule, action_points_per_axis=41)
+    for n_probe in (129, 1025):
+        probe = np.linspace(-1.0, 1.0, n_probe)[:, None]
+        tracemalloc.start()
+        try:
+            learner = CinderellaLearner(fmap, schedule, probe, action_points_per_axis=41)
+            for hist in learner.history[1:]:
+                hist.size = schedule.episodes
+            learner.plan()
+            learner.counts[:, 0] += 1
+            learner.plan()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        with monkeypatch.context() as patch:
+            patch.setattr(learner_mod, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+            with pytest.raises(ValueError, match="learner too large"):
+                CinderellaLearner(fmap, schedule, probe, action_points_per_axis=41)
 
 
 def test_schedule_validation():
@@ -488,8 +503,8 @@ def test_partition_centers_and_probe_blocks_are_read_only():
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     schedule = _schedule(horizon=2)
-    learner = CinderellaLearner(fmap, schedule, action_points_per_axis=5)
-    learner.register_probe(np.linspace(-1.0, 1.0, 7)[:, None])
+    probe = np.linspace(-1.0, 1.0, 7)[:, None]
+    learner = CinderellaLearner(fmap, schedule, probe, action_points_per_axis=5)
     for arr in (part.centers, learner._probe[2].feats, learner._probe[2].regions):
         with pytest.raises(ValueError, match="read-only"):
             arr[0] = 0
@@ -501,9 +516,10 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
 
     At degree 0 (nu = 1) it computes none: a state's cell gives its regions.
     """
-    cfg = RunConfig(env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5)
+    cfg = RunConfig(
+        env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5, oracle_m_state=5
+    )
     env, learner = build_env(cfg), build_learner(cfg)
-    learner.register_probe(np.linspace(-1.0, 1.0, 5)[:, None])
     learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
     calls = {"_blocks": 0, "assign_regions": 0}
 
@@ -556,8 +572,8 @@ def test_state_cells_reject_what_assign_regions_rejects(state):
         assign_regions(learner.partition, np.array([[state, 0.0]]))
     with pytest.raises(ValueError, match=match):
         learner.act(1, np.array([state]))
-    with pytest.raises(ValueError, match=match):
-        learner.register_probe(np.array([[0.0], [state]]))
+    with pytest.raises(ValueError, match=match):  # a probe state, refused at construction
+        CinderellaLearner(learner.fmap, learner.schedule, np.array([[0.0], [state]]))
     with pytest.raises(ValueError, match=match):  # degree >= 1: the one-state path of _blocks
         _fresh_learner(degree=1, eps=0.5).act(1, np.array([state]))
 

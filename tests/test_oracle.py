@@ -18,6 +18,7 @@ from cinderella.oracle import (
     _chebyshev_fit_residual,
     _discretized_kernel,
     _grid_backup,
+    check_policy_tables,
     dp_solve,
     inherent_error_estimate,
     policy_eval_tables,
@@ -501,6 +502,35 @@ def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
             policy_values(rewards, kernel, np.full(rewards.shape[:2], j))
     assert calls == [17] * (calls_per_action * M)
     assert kernel.built == 17 * calls_per_action * M
+
+
+@pytest.mark.parametrize("env_name", ["exact_linear", "smooth_drift", "uniform_shift"])
+def test_policy_tables_count_the_peak_they_hold(monkeypatch, env_name):
+    """``check_policy_tables`` bounds the traced peak of the tables and of a kernel store that
+    constant policies fill, one action's rows at a time, up to every (state, action) row:
+    with a limit one float below that peak, the count of a full store refuses it, and so does
+    the store's growth before it allocates."""
+    env, actions = _env(env_name, 3), uniform_grid(21, 1)
+    dp = dp_solve(env, 65, 9)
+
+    def fill():
+        rewards, kernel = policy_eval_tables(env, dp, actions)
+        for j in range(actions.shape[0]):
+            policy_values(rewards, kernel, np.full(rewards.shape[:2], j))
+        return kernel
+
+    tracemalloc.start()
+    try:
+        kernel = fill()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kernel.built == kernel.slot.size == 65 * 21
+    monkeypatch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+    with pytest.raises(ValueError, match="policy tables too large"):
+        check_policy_tables(3, 65, 21, 65 * 21)
+    with pytest.raises(ValueError, match="policy tables too large"):
+        fill()
 
 
 def _env(name, horizon):

@@ -39,10 +39,15 @@ from cinderella.regression import REINVERT_EVERY
 
 HOT_VISITS = REINVERT_EVERY + 8  # region 0 crosses one re-inversion at every step
 SPREAD_VISITS = 40
+PROBE_STATES = np.linspace(-1.0, 1.0, 9)[:, None]
 
 
-def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, points=9):
-    """A learner on a 2-d partition with ``points`` grid actions per axis.
+def _learner(
+    degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, points=9,
+    probe_states=PROBE_STATES,
+):
+    """A learner on a 2-d partition with ``points`` grid actions per axis and the given
+    probe states.
 
     ``general_path`` keeps a degree-0 learner off the cell path. The cell
     path is chosen when the learner is built, from the index set's degree;
@@ -62,7 +67,9 @@ def _learner(degree, horizon, epsilon=0.5, planner="relaxation", general_path=Fa
         inherent_bound=0.01,
         bonus_scale=0.3,
     )
-    return CinderellaLearner(fmap, schedule, action_points_per_axis=points, planner=planner)
+    return CinderellaLearner(
+        fmap, schedule, probe_states, action_points_per_axis=points, planner=planner
+    )
 
 
 def _feed(learner, rng, hot=HOT_VISITS, spread=SPREAD_VISITS):
@@ -206,9 +213,8 @@ ROUNDS = [(REINVERT_EVERY - 12, 0), (20, 0), (0, 30), (0, 0)]
 @pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
 def test_cached_widths_match_uncached_scores(degree, horizon):
     rng = np.random.default_rng(2000 + 10 * degree + horizon)
-    learner = _learner(degree, horizon)
     probe_states = np.sort(rng.uniform(-1.0, 1.0, size=(23, 1)), axis=0)
-    learner.register_probe(probe_states)
+    learner = _learner(degree, horizon, probe_states=probe_states)
     for i, (hot, spread) in enumerate(ROUNDS):
         before = learner.counts[1:, 0].copy()
         _feed(learner, rng, hot, spread)
@@ -243,9 +249,8 @@ def test_probe_greedy_indices_match_act(degree):
     """The probe's greedy indices of steps 2..H, whose value the harness measures, are the
     actions ``act`` plays there, from the keys ``act`` computes."""
     rng = np.random.default_rng(3000 + 10 * degree + 1)
-    learner = _learner(degree, 3)
     states = np.sort(rng.uniform(-1.0, 1.0, size=(17, 1)), axis=0)
-    learner.register_probe(states)
+    learner = _learner(degree, 3, probe_states=states)
     for i, s in enumerate(states):
         key = learner.act(2, s)[3]
         if learner._cells:
@@ -283,15 +288,13 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
     next-state blocks, and those must agree through the cell regions.
     """
     seed = 4000 + 10 * horizon + (planner == "exact-grid")
-    cell = _learner(0, horizon, epsilon, planner)
-    general = _learner(0, horizon, epsilon, planner, general_path=True)
+    rng = np.random.default_rng(seed)
+    probe_states = np.sort(rng.uniform(-1.0, 1.0, size=(19, 1)), axis=0)
+    cell = _learner(0, horizon, epsilon, planner, probe_states=probe_states)
+    general = _learner(0, horizon, epsilon, planner, general_path=True, probe_states=probe_states)
     learners = (cell, general)
     assert cell._cells and not general._cells and cell.d == general.d == 1
     env = build_env(RunConfig(env_name="uniform_shift", horizon=horizon))
-    rng = np.random.default_rng(seed)
-    probe_states = np.sort(rng.uniform(-1.0, 1.0, size=(19, 1)), axis=0)
-    for learner in learners:
-        learner.register_probe(probe_states)
     for i, (hot, spread) in enumerate(ROUNDS):
         for learner in learners:
             _feed(learner, np.random.default_rng([seed, i]), hot, spread)
@@ -348,13 +351,12 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
 def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planner):
     """The episode path's reused rollout keys give the floats of rows computed afresh."""
     cfg = RunConfig(
-        env_name=env_name, episodes=40, horizon=horizon, nu=nu, epsilon=epsilon, planner=planner
+        env_name=env_name, episodes=40, horizon=horizon, nu=nu, epsilon=epsilon, planner=planner,
+        oracle_m_state=9,  # probe states np.linspace(-1, 1, 9)
     )
     env = build_env(cfg)
     episode, public = build_learner(cfg), build_learner(cfg)
     assert episode.d == {1.0: 1, 2.0: 3, 3.0: 6}[nu]
-    for learner in (episode, public):
-        learner.register_probe(np.linspace(-1.0, 1.0, 9)[:, None])
     for k in range(1, cfg.episodes + 1):
         s1 = make_rng(7, k, 0, 0).uniform(-1.0, 1.0, 1)
         got, got_total = episode.plan_and_act_episode(env, s1, make_rng(7, k, 0, 1))
@@ -489,10 +491,10 @@ def test_cached_block_scores_match_uncached_scores(
     every region), a plan of unchanged data (in none), and rows in region 0
     alone at the same ``k`` (in some, where there are several regions).
     """
-    learner = _learner(degree, horizon, epsilon, planner, general_path)
-    assert not learner._cells
     rng = np.random.default_rng(6000 + 10 * degree + horizon)
-    learner.register_probe(np.sort(rng.uniform(-1.0, 1.0, size=(13, 1)), axis=0))
+    probe_states = np.sort(rng.uniform(-1.0, 1.0, size=(13, 1)), axis=0)
+    learner = _learner(degree, horizon, epsilon, planner, general_path, probe_states=probe_states)
+    assert not learner._cells
     moves = set()
     monkeypatch.setattr(learner, "_block_scores", _checked_block_scores(learner, moves))
     s1 = rng.uniform(-1.0, 1.0, size=1)
@@ -501,9 +503,6 @@ def test_cached_block_scores_match_uncached_scores(
         learner.k += k_step
         learner.plan(s1)
     assert moves == ({"all", "none"} if learner.N == 1 else {"all", "some", "none"})
-
-
-PROBE_STATES = np.linspace(-1.0, 1.0, 9)[:, None]
 
 
 @pytest.mark.parametrize("s1", [-1.0, 1.0, 0.25, 0.3], ids=["minus_one", "one", "grid", "off_grid"])
@@ -520,7 +519,6 @@ def test_played_step_1_is_the_planned_greedy_around_s1(monkeypatch, degree, hori
     """
     learner = _learner(degree, horizon)
     env = build_env(RunConfig(env_name="uniform_shift", horizon=horizon))
-    learner.register_probe(PROBE_STATES)
     plan, planned = learner.plan, []
     start = np.full(1, s1)
 

@@ -28,7 +28,7 @@ def _fresh_learner(degree, lam_reg):
         episodes=4,
         horizon=2,
     )
-    return CinderellaLearner(fmap, schedule)
+    return CinderellaLearner(fmap, schedule, np.linspace(-1.0, 1.0, 5)[:, None])
 
 
 def test_init_identity():

@@ -62,11 +62,15 @@ def _cmd_oracle(args) -> int:
     env = build_env(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
     s1 = np.full(1, float(cfg.init_value))
-    report = dp.report(s1)
-    report["random_policy_gap"] = random_policy_gap(env, dp, s1)
-    report["env"] = cfg.env_name
-    report["horizon"] = cfg.horizon
-    print(json.dumps(report))
+    print(json.dumps({
+        "v_star_at_s1": dp.value_at(s1),
+        "s1": s1.tolist(),
+        "m_state": len(dp.state_points),
+        "m_action": len(dp.action_points),
+        "random_policy_gap": random_policy_gap(env, dp, s1),
+        "env": cfg.env_name,
+        "horizon": cfg.horizon,
+    }))
     return 0
 
 

@@ -311,8 +311,10 @@ def env_exact_linear(
     if fmap.partition.dim != Z_DIM:
         raise ValueError(f"feature map must partition rows (s, a), got dim {fmap.partition.dim}")
 
-    def mean_reward(h, Z):  # einsum, not BLAS, so a row's bits do not depend on the batch
-        return np.einsum("zf,f->z", feature_matrix(fmap, Z), theta[h - 1])
+    def mean_reward(h, Z):  # einsum, not BLAS, so a row's bits do not depend on the batch;
+        # features in blocks of 1024 rows, as the oracle's counts allow 3 floats per row
+        feats = (feature_matrix(fmap, z) for z in np.split(Z, range(1024, len(Z), 1024)))
+        return np.concatenate([np.einsum("zf,f->z", f, theta[h - 1]) for f in feats])
 
     def sample(Z, rng):
         return rng.uniform(-1.0, 1.0, size=(Z.shape[0], 1))

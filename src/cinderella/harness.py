@@ -28,7 +28,7 @@ from .envs import Z_DIM, EnvironmentModel, LearnerView
 from .envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
 from .geometry import auto_epsilon, build_partition, uniform_grid
-from .learner import BonusSchedule, CinderellaLearner
+from .learner import BonusSchedule, CinderellaLearner, check_learner
 from .oracle import check_dp_grid, check_policy_tables, dp_solve
 from .oracle import policy_eval_tables, policy_value
 
@@ -165,14 +165,15 @@ class RunConfig:
             raise ValueError("config invalid: seed must be >= 0")
         if self.action_grid < 2:
             raise ValueError("config invalid: action_grid must be at least 2")
-        # Each range and size limit is checked by what the run builds, once: the env, the oracle's
-        # counts (at H >= 3 played policies can read every pair's kernel row), the learner.
+        # Each range and size limit is checked once, by its owner: the env it builds, the oracle's
+        # counts (at H >= 3 played policies can read every pair's kernel row), the learner's count.
         try:
             build_env(self)
             check_dp_grid(self.horizon, self.oracle_m_state, self.oracle_m_action)
             store = self.oracle_m_state * self.action_grid if self.horizon > 2 else 0
             check_policy_tables(self.horizon, self.oracle_m_state, self.action_grid, store)
-            build_learner(self)
+            fmap, schedule = _learner_inputs(self)
+            check_learner(fmap, schedule, self.oracle_m_state, self.action_grid, self.planner)
         except (ValueError, OverflowError) as exc:  # OverflowError: episodes beyond a float
             raise ValueError(f"config invalid: {exc}") from None
 
@@ -274,10 +275,7 @@ class RegretTrace:
 
 def _feature_map(config: RunConfig) -> TaylorFeatureMap:
     partition = build_partition(Z_DIM, config.resolved_epsilon())
-    return TaylorFeatureMap(
-        partition=partition,
-        index_set=enumerate_multi_indices(Z_DIM, nu_star(config.nu)),
-    )
+    return TaylorFeatureMap(partition, enumerate_multi_indices(Z_DIM, nu_star(config.nu)))
 
 
 def build_env(config: RunConfig) -> EnvironmentModel:
@@ -288,12 +286,16 @@ def build_env(config: RunConfig) -> EnvironmentModel:
     return builder(horizon=config.horizon, **config.env_params)
 
 
-def build_learner(config: RunConfig) -> CinderellaLearner:
-    """A fresh learner on the config's feature map; each schedule constant is its namesake field."""
+def _learner_inputs(config: RunConfig) -> tuple[TaylorFeatureMap, BonusSchedule]:
+    """The learner's feature map and schedule; each schedule constant is its namesake field."""
     constants = {f.name: getattr(config, f.name) for f in dataclasses.fields(BonusSchedule)}
+    return _feature_map(config), BonusSchedule(**constants)
+
+
+def build_learner(config: RunConfig) -> CinderellaLearner:
+    """A fresh learner on the config's feature map and schedule."""
     return CinderellaLearner(
-        _feature_map(config),
-        BonusSchedule(**constants),
+        *_learner_inputs(config),
         uniform_grid(config.oracle_m_state, 1),  # probe states: dp_solve's state_points
         action_points_per_axis=config.action_grid,
         planner=config.planner,

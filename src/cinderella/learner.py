@@ -190,6 +190,38 @@ class _StepHistory:
         self.size += 1
 
 
+def check_learner(fmap, schedule, n_probe: int, action_points_per_axis: int, planner: str) -> None:
+    """Refuse, allocating nothing, the ``CinderellaLearner`` with these arguments and
+    ``n_probe`` probe states; its ``__init__`` calls this first."""
+    if planner not in ("relaxation", "exact-grid"):
+        raise ValueError(f"unknown planner: {planner!r}")
+    partition = fmap.partition
+    if partition.dim != Z_DIM:
+        raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
+    H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
+    if planner == "exact-grid" and H * N * d > 6:
+        raise ValueError(
+            f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
+        )
+    # Entries held, floats and int64s alike, counted with Python ints. Per step: the ridge
+    # matrices, tables, history, greedy row and two probe tables (the last plan's and the next);
+    # per step < H the next-state store; the probe, the largest temporaries of a plan, the
+    # actions, their powers, and the m x M cell table with its temporaries.
+    M, K, m, n_s = action_points_per_axis, schedule.episodes, partition.cells_per_axis, n_probe
+    if fmap.index_set.degree == 0:  # cells; a plan's re-fit holds targets, ids and weights
+        next_store, probe, plan = K, n_s, 4 * K
+    else:  # blocks; per entry one _width holds its Lambda^-1 gather and three results, and on
+        # _Blocks.refresh's partial path the entry's gathered feats, region and flat index. The
+        # probe and the scored blocks are of steps h >= 2: at H = 1 a plan is its re-fit alone
+        next_store = K * M * (d + 3) + N * (d + 1)
+        probe = n_s * M * (d + 1) + (H - 1) * (2 * n_s * M + N * (d + 1)) if H > 1 else 0
+        plan = max(K, n_s) * M * (d * d + d + 5) if H > 1 else 4 * K * d
+    held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 2 * n_s)
+    held += (H - 1) * next_store + probe + plan + M * (d + 3) + 6 * m * M
+    if held > MAX_HELD_ENTRIES:
+        raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
+
+
 class CinderellaLearner:
     """Episodic learner state: partition, features, per-(h, n) regressions.
 
@@ -229,33 +261,11 @@ class CinderellaLearner:
         planner: str = "relaxation",
         clip_bounds: tuple[float, float] = (-1.0, 2.0),
     ):
-        if planner not in ("relaxation", "exact-grid"):
-            raise ValueError(f"unknown planner: {planner!r}")
+        check_learner(fmap, schedule, len(probe_states), action_points_per_axis, planner)
         partition = fmap.partition
-        if partition.dim != Z_DIM:
-            raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
-        if planner == "exact-grid" and H * N * d > 6:
-            raise ValueError(
-                f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
-            )
-        # Entries held, floats and int64s alike, counted before any allocation. Per step: the
-        # ridge matrices, tables, history, greedy row and two probe tables (the last plan's and
-        # the next); per step < H the next-state store; the probe, the largest temporaries of a
-        # plan, the actions, their powers, and the m x M cell table with its temporaries.
         M, K, m = action_points_per_axis, schedule.episodes, partition.cells_per_axis
-        n_s = self._n_probe = len(probe_states)
-        if fmap.index_set.degree == 0:  # cells; a plan's re-fit holds targets, ids and weights
-            next_store, probe, plan = K, n_s, 4 * K
-        else:  # blocks; per entry one _width holds its Lambda^-1 gather and three results, and
-            # on _Blocks.refresh's partial path the entry's gathered feats, region and flat index
-            next_store = K * M * (d + 3) + N * (d + 1)
-            probe = n_s * M * (d + 1) + (H - 1) * (2 * n_s * M + N * (d + 1))
-            plan = max(K, n_s) * M * (d * d + d + 5)
-        held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 2 * n_s)
-        held += (H - 1) * next_store + probe + plan + M * (d + 3) + 6 * m * M
-        if held > MAX_HELD_ENTRIES:
-            raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
+        self._n_probe = len(probe_states)
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule
@@ -300,13 +310,14 @@ class CinderellaLearner:
         self.k = 0
         # The probe states' cells at degree 0, else one _Blocks per step h >= 2
         # (at index h), all sharing the states' feats and regions.
+        self._probe = [None, None]
         if self._cells:
             self._probe = self._state_cells(probe_states)
-        else:
+        elif H > 1:
             feats, regions = self._blocks(probe_states)
             feats.flags.writeable = False
             regions.flags.writeable = False
-            self._probe = [None, None] + [_Blocks(feats, regions, N) for _ in range(H - 1)]
+            self._probe += [_Blocks(feats, regions, N) for _ in range(H - 1)]
         self.last_policy_actions = None
 
     # -- feature plumbing ---------------------------------------------------
@@ -340,17 +351,10 @@ class CinderellaLearner:
         """Mean ``phi . theta`` under the step-h table."""
         return np.einsum("...d,...d->...", feats, self.theta_all[h].take(regions, 0))
 
-    def _scores(self, h: int, feats, regions: np.ndarray, width=None, mean=None) -> np.ndarray:
-        """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape.
-
-        ``width`` and ``mean`` are the blocks' cached values; each is computed
-        from ``feats`` when None.
-        """
-        if mean is None:
-            mean = self._mean(h, feats, regions)
-        if width is None:
-            width = self._width(h, feats, regions)
-        return mean + self.alpha_all[h][regions] * width
+    def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
+        """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape."""
+        mean = self._mean(h, feats, regions)
+        return mean + self.alpha_all[h][regions] * self._width(h, feats, regions)
 
     def _block_scores(self, h: int, blocks: _Blocks, rows: int) -> np.ndarray:
         """Raw optimistic step-h scores (rows, M) of the first ``rows`` block rows.
@@ -369,7 +373,7 @@ class CinderellaLearner:
         blocks.theta[:] = theta
         blocks.seen[:] = self.counts[h]
         blocks.fresh = rows
-        return self._scores(h, None, blocks.regions[:rows], blocks.width[:rows], blocks.mean[:rows])
+        return blocks.mean[:rows] + self.alpha_all[h][blocks.regions[:rows]] * blocks.width[:rows]
 
     def _cell_scores(self, h: int) -> np.ndarray:
         """Raw optimistic step-h scores (C, M) of every state cell x grid action, at degree 0.

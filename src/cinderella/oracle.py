@@ -51,14 +51,6 @@ class GridDP:
         s = np.atleast_1d(np.asarray(s, dtype=float))
         return float(np.interp(s[0], self.state_points[:, 0], self.v[1]))
 
-    def report(self, s1: np.ndarray) -> dict:
-        return {
-            "v_star_at_s1": self.value_at(s1),
-            "s1": np.atleast_1d(s1).tolist(),
-            "m_state": len(self.state_points),
-            "m_action": len(self.action_points),
-        }
-
 
 def _discretized_kernel(env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray):
     """Row-normalized quadrature weights for E[f(s') | z] on the state grid.
@@ -262,7 +254,6 @@ class InherentErrorReport:
     witness_step: int
     witness_point: np.ndarray
     per_step: np.ndarray
-    n_candidates: int
     m_state: int
     m_action: int
 
@@ -341,13 +332,11 @@ def inherent_error_estimate(
     kernel = _discretized_kernel(env, env.transition_key(Z), sp) if H > 1 else None  # h < H
     per_step = np.zeros(H + 1)
     best = (0.0, 1, Z[0])
-    n_cands = 0
     for h in range(1, H + 1):
         if h == H:
             candidates = [np.zeros((N, d_feat))]
         else:
             candidates = _candidate_thetas(N, d_feat, theta_box_radius, rng)
-        n_cands = max(n_cands, len(candidates))
         reward = env.reward_mean(h, Z)
         worst = 0.0
         for theta_next in candidates:
@@ -370,7 +359,6 @@ def inherent_error_estimate(
         witness_step=best[1],
         witness_point=np.asarray(best[2]),
         per_step=per_step[1:],
-        n_candidates=n_cands,
         m_state=m_state,
         m_action=m_action,
     )

@@ -201,6 +201,25 @@ def test_oversized_configs_are_refused_before_allocating(monkeypatch, override):
         RunConfig.from_dict({"env": {"name": "uniform_shift"}, **override})
 
 
+def test_accepted_configs_build_no_learner(monkeypatch):
+    """``RunConfig`` counts its learner with ``check_learner`` and allocates none: the shipped
+    configs, and the workload configs that perfbench derives with ``dataclasses.replace``,
+    are accepted with the learner's constructor and its ridge tiles out of reach."""
+
+    def built(*args, **kwargs):
+        raise AssertionError("an accepted config built a learner")
+
+    monkeypatch.setattr("cinderella.learner.np.tile", built)
+    monkeypatch.setattr(CinderellaLearner, "__init__", built)
+    RunConfig.from_dict(json.loads((ROOT / "configs/uniform_shift.json").read_text()))
+    for run in json.loads((ROOT / "configs/sweep_epsilon.json").read_text())["runs"]:
+        RunConfig.from_dict(run)
+    workloads = runpy.run_path(str(ROOT / "perfbench" / "workloads.py"))["WORKLOADS"]
+    assert len(workloads) == 3
+    for workload in workloads.values():
+        workload.config(1)
+
+
 def test_config_hash_ignores_int_versus_float():
     doc = {"env": {"name": "uniform_shift"}, "nu": 1.0, "lambda": 2.0, "epsilon": 0.5}
     same = {**doc, "nu": 1, "lambda": 2, "epsilon": 0.5, "reward_clip": [-1, 2]}

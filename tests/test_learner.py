@@ -424,7 +424,8 @@ def test_size_guard_counts_the_peak_it_holds(monkeypatch, degree, horizon):
     """The learner's count bounds the traced peak of its construction and of two plans on a
     full history, next-state and probe blocks, cell-table temporaries and the plans' width
     gathers included: a limit one float below the peak refuses it. The probe has fewer
-    states than the history has rows, then more.
+    states than the history has rows, then more. At H = 1, where no step keeps probe
+    blocks, construction builds none: its peak stays within 1.5x what the learner holds.
 
     The history's rows are zeros, all in region 0: the first plan scores every row in full,
     and the second, after region 0 alone moved, every row again on the partial path."""
@@ -435,6 +436,7 @@ def test_size_guard_counts_the_peak_it_holds(monkeypatch, degree, horizon):
         tracemalloc.start()
         try:
             learner = CinderellaLearner(fmap, schedule, probe, action_points_per_axis=41)
+            held, built = tracemalloc.get_traced_memory()
             for hist in learner.history[1:]:
                 hist.size = schedule.episodes
             learner.plan()
@@ -443,6 +445,7 @@ def test_size_guard_counts_the_peak_it_holds(monkeypatch, degree, horizon):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+        assert horizon > 1 or built <= 1.5 * held, (built, held)
         with monkeypatch.context() as patch:
             patch.setattr(learner_mod, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
             with pytest.raises(ValueError, match="learner too large"):

@@ -533,6 +533,37 @@ def test_policy_tables_count_the_peak_they_hold(monkeypatch, env_name):
         fill()
 
 
+@pytest.mark.parametrize("degree", [1, 3], ids=["d3", "d10"])
+def test_exact_linear_reward_stays_within_the_oracle_counts(monkeypatch, degree):
+    """``exact_linear``'s reward builds its features in blocks of rows, so at H = 2 and 201
+    actions the policy tables on 129 and 1025 states and ``dp_solve`` on 1025 states peak
+    within their counts: a limit one float below each traced peak refuses the grid."""
+    fmap = TaylorFeatureMap(build_partition(2, 0.5), enumerate_multi_indices(2, degree))
+    theta = np.zeros((2, fmap.dim_features))
+    theta[:, 0] = 0.25
+    env, actions = env_exact_linear(theta, fmap, horizon=2), uniform_grid(201, 1)
+
+    def peak_of(call):
+        tracemalloc.start()
+        try:
+            call()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for m_state in (129, 1025):
+        dp = dp_solve(env, m_state, 2)
+        peak = peak_of(lambda: policy_eval_tables(env, dp, actions))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+            with pytest.raises(ValueError, match="policy tables too large"):
+                check_policy_tables(2, m_state, 201, 0)
+    peak = peak_of(lambda: dp_solve(env, 1025, 201))
+    monkeypatch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+    with pytest.raises(ValueError, match="DP instance too large"):
+        oracle.check_dp_grid(2, 1025, 201)
+
+
 def _env(name, horizon):
     if name == "exact_linear":
         fmap = TaylorFeatureMap(

@@ -138,6 +138,8 @@ def _resolve_reward(spec, horizon: int):
     (the maximal flat reward 1/H). Each is the same at every step and lies in
     [0, 1/H] by construction. Returns the callable and its slope bound.
     """
+    if horizon < 1:
+        raise ValueError(f"horizon must be >= 1, got {horizon}")
     scale = 1.0 / horizon
     if spec == "default":
 
@@ -311,10 +313,10 @@ def env_exact_linear(
     if fmap.partition.dim != Z_DIM:
         raise ValueError(f"feature map must partition rows (s, a), got dim {fmap.partition.dim}")
 
-    def mean_reward(h, Z):  # einsum, not BLAS, so a row's bits do not depend on the batch;
-        # features in blocks of 1024 rows, as the oracle's counts allow 3 floats per row
+    def rewards(Z, steps):  # (steps, rows); einsum, not BLAS, so a row's bits do not depend on
+        # the batch; features in blocks of 1024 rows, as the oracle's counts allow 3 floats a row
         feats = (feature_matrix(fmap, z) for z in np.split(Z, range(1024, len(Z), 1024)))
-        return np.concatenate([np.einsum("zf,f->z", f, theta[h - 1]) for f in feats])
+        return np.hstack([[np.einsum("zf,f->z", f, theta[h - 1]) for h in steps] for f in feats])
 
     def sample(Z, rng):
         return rng.uniform(-1.0, 1.0, size=(Z.shape[0], 1))
@@ -325,9 +327,8 @@ def env_exact_linear(
     def density(keys, Sp):
         return np.full((keys.shape[0], Sp.shape[0]), 0.5)
 
-    Z = uniform_grid(128, Z_DIM)  # 0 <= H * reward <= 1 on a dense grid, so Q is in [0, 1]
-    for h in range(1, horizon + 1):
-        r = mean_reward(h, Z)
+    steps = range(1, horizon + 1)  # 0 <= H * reward <= 1 on a dense grid, so Q is in [0, 1]
+    for h, r in zip(steps, rewards(uniform_grid(128, Z_DIM), steps)):
         if np.any(r < -1e-12) or np.any(horizon * r > 1.0 + 1e-9):
             raise ValueError(
                 f"invalid theta for exact-linear environment: reward at step {h} violates "
@@ -339,7 +340,7 @@ def env_exact_linear(
         transition_sample=sample,
         transition_key=key,
         transition_density=density,
-        reward_mean=mean_reward,
+        reward_mean=lambda h, Z: rewards(Z, [h])[0],
         reward_noise_sigma=reward_noise_sigma,
         c_t=None,
     )

@@ -27,7 +27,7 @@ import numpy as np
 from .envs import Z_DIM, EnvironmentModel, LearnerView
 from .envs import env_exact_linear, env_smooth_drift, env_uniform_shift
 from .features import TaylorFeatureMap, enumerate_multi_indices, nu_star
-from .geometry import auto_epsilon, build_partition, uniform_grid
+from .geometry import auto_epsilon, build_partition
 from .learner import BonusSchedule, CinderellaLearner, check_learner
 from .oracle import check_dp_grid, check_policy_tables, dp_solve
 from .oracle import policy_eval_tables, policy_value
@@ -140,10 +140,10 @@ class RunConfig:
         eps = self.epsilon
         if eps != "auto" and not _is_finite_real(eps):
             raise ValueError(f'config invalid: epsilon must be "auto" or a number, got {eps!r}')
-        clip = self.reward_clip
-        ok = isinstance(clip, (tuple, list)) and len(clip) == 2 and all(map(_is_finite_real, clip))
-        if not (ok and clip[0] < clip[1]):
-            raise ValueError(f"config invalid: reward clip {clip!r} is not two increasing numbers")
+        clip = self.reward_clip  # a pair of reals; the learner checks the bounds themselves
+        pair = isinstance(clip, (tuple, list)) and len(clip) == 2
+        if not (pair and all(map(_is_finite_real, clip))):
+            raise ValueError(f"config invalid: reward clip {clip!r} is not two finite numbers")
         self.reward_clip = tuple(clip)
         # The env params are the builder's keyword parameters; it holds their defaults.
         signature = inspect.signature(_ENVS[self.env_name]).parameters.values()
@@ -163,17 +163,14 @@ class RunConfig:
             raise ValueError(f"config invalid: init_state value {self.init_value} outside [-1, 1]")
         if self.seed < 0:
             raise ValueError("config invalid: seed must be >= 0")
-        if self.action_grid < 2:
-            raise ValueError("config invalid: action_grid must be at least 2")
         # Each range and size limit is checked once, by its owner: the env it builds, the oracle's
-        # counts (at H >= 3 played policies can read every pair's kernel row), the learner's count.
+        # counts (at H >= 3 played policies can read every pair's kernel row), the learner's inputs.
         try:
             build_env(self)
             check_dp_grid(self.horizon, self.oracle_m_state, self.oracle_m_action)
             store = self.oracle_m_state * self.action_grid if self.horizon > 2 else 0
             check_policy_tables(self.horizon, self.oracle_m_state, self.action_grid, store)
-            fmap, schedule = _learner_inputs(self)
-            check_learner(fmap, schedule, self.oracle_m_state, self.action_grid, self.planner)
+            check_learner(*_learner_args(self, self.oracle_m_state))
         except (ValueError, OverflowError) as exc:  # OverflowError: episodes beyond a float
             raise ValueError(f"config invalid: {exc}") from None
 
@@ -286,21 +283,17 @@ def build_env(config: RunConfig) -> EnvironmentModel:
     return builder(horizon=config.horizon, **config.env_params)
 
 
-def _learner_inputs(config: RunConfig) -> tuple[TaylorFeatureMap, BonusSchedule]:
-    """The learner's feature map and schedule; each schedule constant is its namesake field."""
+def _learner_args(config: RunConfig, probe) -> tuple:
+    """The positional arguments of ``CinderellaLearner`` and ``check_learner``, with ``probe``
+    its probe states or their count; each schedule constant is its namesake field."""
     constants = {f.name: getattr(config, f.name) for f in dataclasses.fields(BonusSchedule)}
-    return _feature_map(config), BonusSchedule(**constants)
+    rest = config.action_grid, config.planner, config.reward_clip
+    return _feature_map(config), BonusSchedule(**constants), probe, *rest
 
 
-def build_learner(config: RunConfig) -> CinderellaLearner:
-    """A fresh learner on the config's feature map and schedule."""
-    return CinderellaLearner(
-        *_learner_inputs(config),
-        uniform_grid(config.oracle_m_state, 1),  # probe states: dp_solve's state_points
-        action_points_per_axis=config.action_grid,
-        planner=config.planner,
-        clip_bounds=config.reward_clip,
-    )
+def build_learner(config: RunConfig, probe_states: np.ndarray) -> CinderellaLearner:
+    """A fresh learner on the config's feature map and schedule, probing ``probe_states``."""
+    return CinderellaLearner(*_learner_args(config, probe_states))
 
 
 # Bound under these names because the benchmark traces them here as oracle.policy_eval.
@@ -328,9 +321,10 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     rows = np.empty((config.episodes, 7))
     env = build_env(config)
     dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
-    learner = build_learner(config)
+    learner = build_learner(config, dp.state_points)
     rewards_pi, kernel_pi = _policy_eval_tables(env, dp, learner.actions)
 
+    view = LearnerView(env)
     cum = 0.0
     values = {}  # V^pi(s1) by the digest of z1 and the greedy table, oldest first
     for k in range(1, config.episodes + 1):
@@ -340,7 +334,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
         else:
             s1 = np.full(1, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
-        transitions, ret = learner.plan_and_act_episode(LearnerView(env), s1, env_rng)
+        transitions, ret = learner.plan_and_act_episode(view, s1, env_rng)
         played = learner.last_policy_actions
         z1 = np.concatenate([s1, transitions[0].action])
         # A digest, not the bytes: kept 8 KB keys fragmented the heap of a process that keeps

@@ -190,11 +190,16 @@ class _StepHistory:
         self.size += 1
 
 
-def check_learner(fmap, schedule, n_probe: int, action_points_per_axis: int, planner: str) -> None:
+def check_learner(fmap, schedule, n_probe, action_points_per_axis, planner, clip_bounds) -> None:
     """Refuse, allocating nothing, the ``CinderellaLearner`` with these arguments and
     ``n_probe`` probe states; its ``__init__`` calls this first."""
     if planner not in ("relaxation", "exact-grid"):
         raise ValueError(f"unknown planner: {planner!r}")
+    if action_points_per_axis < 2:
+        raise ValueError(f"action grid needs at least 2 points, got {action_points_per_axis}")
+    lo, hi = clip_bounds  # a pair, or a ValueError
+    if not -math.inf < lo < hi < math.inf:  # a NaN fails every <
+        raise ValueError(f"clip bounds must be finite and increasing, got {clip_bounds}")
     partition = fmap.partition
     if partition.dim != Z_DIM:
         raise ValueError(f"partition must cover rows (s, a), got dim {partition.dim}")
@@ -261,11 +266,11 @@ class CinderellaLearner:
         planner: str = "relaxation",
         clip_bounds: tuple[float, float] = (-1.0, 2.0),
     ):
-        check_learner(fmap, schedule, len(probe_states), action_points_per_axis, planner)
+        self._n_probe = len(probe_states)
+        check_learner(fmap, schedule, self._n_probe, action_points_per_axis, planner, clip_bounds)
         partition = fmap.partition
         H, N, d = schedule.horizon, partition.n_regions, fmap.dim_features
         M, K, m = action_points_per_axis, schedule.episodes, partition.cells_per_axis
-        self._n_probe = len(probe_states)
         self.partition = partition
         self.fmap = fmap
         self.schedule = schedule

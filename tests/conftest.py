@@ -64,7 +64,8 @@ def tiny_exact_linear_setup(
         oracle_m_action=21,
     )
     env = build_env(config)
-    return env, build_learner(config), dp_solve(env, config.oracle_m_state, config.oracle_m_action)
+    dp = dp_solve(env, config.oracle_m_state, config.oracle_m_action)
+    return env, build_learner(config, dp.state_points), dp
 
 
 def optimism_rate(

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import ndtr
 
+import cinderella.envs as envs
 from cinderella.envs import (
     LearnerView,
     env_exact_linear,
@@ -9,7 +10,7 @@ from cinderella.envs import (
     env_uniform_shift,
     run_episode,
 )
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices
+from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, feature_matrix
 from cinderella.geometry import build_partition
 from cinderella.oracle import dp_solve
 
@@ -120,6 +121,24 @@ def test_exact_linear_rejects_unnormalized_theta():
         env_exact_linear(np.array([[2.0, 0.0, 0.0]]), fmap, horizon=1)
     with pytest.raises(ValueError, match="invalid theta"):
         env_exact_linear(np.array([[0.1, 0.0, 0.5]]), fmap, horizon=1)  # negative at a=-1
+
+
+def test_exact_linear_builds_its_check_grids_features_once(monkeypatch):
+    """At H = 3 the build computes the features of each row of its 128 x 128 check grid once,
+    in blocks of 1024 rows; each step is still checked against its own theta row."""
+    rows = []
+
+    def counting(fmap, points):
+        rows.append(len(points))
+        return feature_matrix(fmap, points)
+
+    monkeypatch.setattr(envs, "feature_matrix", counting)
+    theta = np.array([[0.1, 0.01, 0.05], [0.2, 0.0, 0.1], [0.15, 0.05, 0.0]])
+    env_exact_linear(theta, _linear_fmap(), horizon=3)
+    assert sum(rows) == 128 * 128 and max(rows) == 1024
+    theta[2] = [0.1, 0.0, 0.5]  # negative at a = -1
+    with pytest.raises(ValueError, match="at step 3"):
+        env_exact_linear(theta, _linear_fmap(), horizon=3)
 
 
 def test_exact_linear_rejects_a_three_dimensional_feature_map():

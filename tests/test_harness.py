@@ -180,6 +180,12 @@ _OVERSIZED = [
         # 2500^2 cells: building the env's feature map would pass MAX_HELD_ENTRIES
         {"env": {"name": "exact_linear", "theta": [[0.5]]}, "horizon": 1, "epsilon": 4e-4},
         *_OVERSIZED,
+        {"action_grid": 1},
+        {"action_grid": 0},
+        {"reward_clip": [2.0, -1.0]},
+        {"reward_clip": [1.0, 1.0]},
+        {"horizon": 0},  # the env refuses it before its reward divides by H
+        {"env": {"name": "smooth_drift"}, "horizon": 0},
     ],
 )
 def test_from_dict_rejects_mistyped_values(override):
@@ -431,6 +437,24 @@ def test_the_learner_gets_only_the_sampling_view(monkeypatch):
     assert len(envs) == 3 and all(type(env) is LearnerView for env in envs)
 
 
+def test_the_learner_probes_the_oracle_grid(monkeypatch):
+    """``run_experiment`` builds its learner on the oracle's own state points, one array."""
+    solved, probes = [], []
+
+    def solve(*args):
+        solved.append(dp_solve(*args))
+        return solved[-1]
+
+    def build(cfg, probe_states):
+        probes.append(probe_states)
+        return build_learner(cfg, probe_states)
+
+    monkeypatch.setattr(harness, "dp_solve", solve)
+    monkeypatch.setattr(harness, "build_learner", build)
+    run_experiment(_small_config(episodes=2))
+    assert len(probes) == len(solved) == 1 and probes[0] is solved[0].state_points
+
+
 def _recorded_run(monkeypatch, kept):
     """One run keeping ``kept`` policies' values: the key of each episode's played policy,
     z1 = (s1, a1) and the plan's greedy table, and the run's evaluation count.
@@ -449,8 +473,9 @@ def _recorded_run(monkeypatch, kept):
     trace = run_experiment(cfg)
 
     assert len(played) == cfg.episodes
-    env, learner = build_env(cfg), build_learner(cfg)
+    env = build_env(cfg)
     dp = dp_solve(env, cfg.oracle_m_state, cfg.oracle_m_action)
+    learner = build_learner(cfg, dp.state_points)
     rewards, kernel = policy_eval_tables(env, dp, learner.actions)
     want = [policy_value(env, rewards, kernel, z1, table) for z1, table in played]
     np.testing.assert_array_equal(trace.column("vpi"), want)

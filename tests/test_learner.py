@@ -10,7 +10,7 @@ from conftest import clipped_q, naive_row, optimism_rate, tiny_exact_linear_setu
 import cinderella.learner as learner_mod
 from cinderella.envs import LearnerView, env_exact_linear
 from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, taylor_features
-from cinderella.geometry import assign_regions, build_partition, grid_pairs
+from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
 from cinderella.harness import RunConfig, build_env, build_learner, make_rng, run_experiment
 from cinderella.learner import (
     BonusSchedule,
@@ -387,7 +387,7 @@ def test_exact_grid_reads_only_theta_at_d3():
         env_name="uniform_shift", episodes=6, horizon=2, nu=2.0, epsilon=1.0,
         planner="exact-grid", bonus_scale=1.0, oracle_m_state=9,
     )
-    env, learner = build_env(config), build_learner(config)
+    env, learner = build_env(config), build_learner(config, uniform_grid(config.oracle_m_state, 1))
     assert learner.H * learner.N * learner.d == 6
     states = np.linspace(-1.0, 1.0, 9)[:, None]  # the probe states, the oracle's 9-point grid
     for k in range(1, 6):
@@ -408,6 +408,31 @@ def test_exact_grid_reads_only_theta_at_d3():
     for state in states:
         want = float(np.clip(by_hand(1, state).max(), 0.0, 1.0))
         assert learner.value_estimate(state) == pytest.approx(want, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "kwargs, match",
+    [
+        ({"action_points_per_axis": 1}, "action grid needs at least 2 points, got 1"),
+        ({"action_points_per_axis": 0}, "action grid needs at least 2 points, got 0"),
+        ({"clip_bounds": (2.0, -1.0)}, "clip bounds must be finite and increasing"),
+        ({"clip_bounds": (1.0, 1.0)}, "clip bounds must be finite and increasing"),
+        ({"clip_bounds": (math.nan, 1.0)}, "clip bounds must be finite and increasing"),
+        ({"clip_bounds": (0.0, math.inf)}, "clip bounds must be finite and increasing"),
+    ],
+    ids=["grid-1", "grid-0", "clip-decreasing", "clip-equal", "clip-nan", "clip-inf"],
+)
+def test_learner_refuses_a_degenerate_action_grid_or_clip(monkeypatch, kwargs, match):
+    """A learner built directly refuses, allocating nothing, an action grid of fewer than 2
+    points and clip bounds that are not finite and increasing."""
+    fmap = TaylorFeatureMap(build_partition(2, 1.0), enumerate_multi_indices(2, 1))
+
+    def allocated(*args, **kwargs):
+        raise AssertionError("a refused learner reached an allocation")
+
+    monkeypatch.setattr("cinderella.learner.np.tile", allocated)
+    with pytest.raises(ValueError, match=re.escape(match)):
+        CinderellaLearner(fmap, _schedule(), _PROBE, **kwargs)
 
 
 def test_learner_refuses_partitions_not_on_rows_s_a():
@@ -522,7 +547,7 @@ def test_episode_computes_each_visited_states_blocks_once(monkeypatch, nu, horiz
     cfg = RunConfig(
         env_name="uniform_shift", episodes=4, horizon=horizon, nu=nu, epsilon=0.5, oracle_m_state=5
     )
-    env, learner = build_env(cfg), build_learner(cfg)
+    env, learner = build_env(cfg), build_learner(cfg, uniform_grid(cfg.oracle_m_state, 1))
     learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, 1, 0, 1))
     calls = {"_blocks": 0, "assign_regions": 0}
 
@@ -626,7 +651,7 @@ def test_failed_episode_changes_nothing(episodes, make_env, nu, s1, match):
     """An episode that is refused up front, or fails in its rollout or at any step's absorb,
     leaves the learner as it was."""
     cfg = RunConfig(env_name="uniform_shift", episodes=episodes, horizon=2, nu=nu, epsilon=0.5)
-    env, learner = build_env(cfg), build_learner(cfg)
+    env, learner = build_env(cfg), build_learner(cfg, uniform_grid(cfg.oracle_m_state, 1))
     for k in range(1, 3):
         learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(0, k, 0, 1))
     before = {name: getattr(learner, name).copy() for name in ("counts", "lam_all", "lam_inv_all")}

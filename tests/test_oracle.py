@@ -639,8 +639,9 @@ def test_vpi_is_the_naive_value_of_the_played_policy(monkeypatch):
         oracle_m_state=17, oracle_m_action=9, init_mode="uniform", seed=4,
     )
     trace = harness.run_experiment(config)
-    env, learner = harness.build_env(config), harness.build_learner(config)
+    env = harness.build_env(config)
     dp = dp_solve(env, 17, 9)
+    learner = harness.build_learner(config, dp.state_points)
     want = [
         _naive_backup(env, dp, 1, z1, _naive_grid_values(env, dp, learner.actions, table, 2))
         for z1, table in played
@@ -658,7 +659,7 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
         env_name="smooth_drift", episodes=1, horizon=2, nu=3.0, epsilon=1.0,
         oracle_m_state=5, oracle_m_action=9, init_value=0.27,
     )
-    learner = harness.build_learner(config)
+    learner = harness.build_learner(config, uniform_grid(config.oracle_m_state, 1))
     assert learner.N == 1 and learner.fmap.index_set.indices.tolist() == [
         [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]
     ]
@@ -668,7 +669,7 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
         learner.alpha_all[:] = 0.0
 
     monkeypatch.setattr(learner, "_plan_relaxation", plan)
-    monkeypatch.setattr(harness, "build_learner", lambda cfg: learner)
+    monkeypatch.setattr(harness, "build_learner", lambda cfg, probe_states: learner)
     trace = harness.run_experiment(config)
 
     env = harness.build_env(config)

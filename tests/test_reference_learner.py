@@ -355,7 +355,7 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
         oracle_m_state=9,  # probe states np.linspace(-1, 1, 9)
     )
     env = build_env(cfg)
-    episode, public = build_learner(cfg), build_learner(cfg)
+    episode, public = build_learner(cfg, PROBE_STATES), build_learner(cfg, PROBE_STATES)
     assert episode.d == {1.0: 1, 2.0: 3, 3.0: 6}[nu]
     for k in range(1, cfg.episodes + 1):
         s1 = make_rng(7, k, 0, 0).uniform(-1.0, 1.0, 1)

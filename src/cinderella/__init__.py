@@ -23,6 +23,7 @@ from .features import (
     feature_matrix,
     nu_star,
     taylor_features,
+    taylor_remainder_check,
 )
 from .geometry import (
     Partition,
@@ -53,7 +54,6 @@ from .oracle import (
     policy_value,
     policy_values,
     random_policy_gap,
-    taylor_remainder_check,
 )
 from .regression import mahalanobis_inv_norm, ridge_update
 

@@ -314,9 +314,15 @@ def env_exact_linear(
         raise ValueError(f"feature map must partition rows (s, a), got dim {fmap.partition.dim}")
 
     def rewards(Z, steps):  # (steps, rows); einsum, not BLAS, so a row's bits do not depend on
-        # the batch; features in blocks of 1024 rows, as the oracle's counts allow 3 floats a row
-        feats = (feature_matrix(fmap, z) for z in np.split(Z, range(1024, len(Z), 1024)))
-        return np.hstack([[np.einsum("zf,f->z", f, theta[h - 1]) for h in steps] for f in feats])
+        # the batch. A block holds 3k + 6 floats a row for k features, so blocks of n / (3k + 6)
+        # rows (at most 1024) keep it and the output within the oracle's count of 3 floats a row
+        rows = min(1024, max(1, len(Z) // (3 * fmap.dim_features + 6)))
+        out = np.empty((len(steps), len(Z)))
+        for i in range(0, len(Z), rows):
+            f = feature_matrix(fmap, Z[i : i + rows])
+            for j, h in enumerate(steps):
+                out[j, i : i + rows] = np.einsum("zf,f->z", f, theta[h - 1])
+        return out
 
     def sample(Z, rng):
         return rng.uniform(-1.0, 1.0, size=(Z.shape[0], 1))

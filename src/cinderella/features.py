@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import MAX_HELD_ENTRIES, Partition, assign_regions
+from .geometry import MAX_HELD_ENTRIES, Partition, assign_regions, build_partition, uniform_grid
 
 
 def nu_star(nu: float) -> int:
@@ -112,3 +112,32 @@ def extend_features(fmap: TaylorFeatureMap, z: np.ndarray) -> np.ndarray:
     out = np.zeros(fmap.partition.n_regions * k)
     out[region * k : (region + 1) * k] = taylor_features(fmap, z)
     return out
+
+
+def taylor_remainder_check(
+    f, derivative, nu: float, epsilon: float, lipschitz: float | None = None
+) -> float:
+    """Max gap between ``f`` and its per-cell Taylor fit of degree ceil(nu - 1), on 4001 points.
+
+    ``f`` maps an (n, d) array to values; ``derivative(alpha, center)`` returns
+    the mixed partial D^alpha f at a point. With ``lipschitz`` given, asserts
+    the measured error stays below lipschitz * epsilon^nu.
+    """
+    part, idx = build_partition(1, epsilon), enumerate_multi_indices(1, nu_star(nu))
+    fmap = TaylorFeatureMap(partition=part, index_set=idx)
+    factorials = np.array(
+        [np.prod([math.factorial(int(a)) for a in alpha]) for alpha in idx.indices]
+    )
+    thetas = np.zeros((part.n_regions, idx.size))
+    for n, c in enumerate(part.centers):
+        thetas[n] = np.array([derivative(tuple(alpha), c) for alpha in idx.indices]) / factorials
+    pts = uniform_grid(4001, 1)
+    regions = assign_regions(part, pts)
+    feats = features_at_centers(fmap, pts, part.centers[regions])
+    fit = np.einsum("zf,zf->z", feats, thetas[regions])
+    err = float(np.max(np.abs(np.asarray(f(pts), dtype=float) - fit)))
+    if lipschitz is not None:
+        bound = lipschitz * epsilon**nu
+        if err > bound:
+            raise AssertionError(f"Taylor remainder {err:.6g} exceeds bound {bound:.6g}")
+    return err

@@ -164,7 +164,7 @@ class RunConfig:
         if self.seed < 0:
             raise ValueError("config invalid: seed must be >= 0")
         # Each range and size limit is checked once, by its owner: the env it builds, the oracle's
-        # counts (at H >= 3 played policies can read every pair's kernel row), the learner's inputs.
+        # counts (at H >= 3 the pairs bound the distinct keys' kernel rows), the learner's inputs.
         try:
             build_env(self)
             check_dp_grid(self.horizon, self.oracle_m_state, self.oracle_m_action)

@@ -6,11 +6,11 @@ rows are renormalized to sum to one so that constant functions propagate
 exactly through the backup. Every expectation E[v | z] is one rule: plain
 ``np.einsum`` (no BLAS) of a kernel row with v, so its bits depend on that
 row and v only, not on the batch, the BLAS library or its thread count.
-One kernel serves every step h < H, and its rows are built from the env's
-``transition_key``: the audit builds it whole once per grid, the policy
-evaluator each (state, action) row on its first read and the one row at the
-played (s1, a1), and the grid backup each distinct key's row once per step,
-in blocks, so it never holds a whole kernel. One grid backup gives both V*
+One kernel serves every step h < H, with one row per distinct
+``transition_key`` (``_distinct_keys``): the audit builds every row once per
+grid, the policy evaluator each row on its first read and the one row at the
+played (s1, a1), and the grid backup every row once per step, in blocks, so
+it never holds a whole kernel. One grid backup gives both V*
 (max over actions, ``dp_solve``) and the uniform-random policy's value
 (mean, ``random_policy_gap``).
 Every oracle output is reported together with the grid resolution that
@@ -19,14 +19,13 @@ produced it.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .envs import EnvironmentModel
-from .features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers, nu_star
-from .geometry import MAX_HELD_ENTRIES, assign_regions, build_partition, grid_pairs, uniform_grid
+from .features import TaylorFeatureMap, features_at_centers
+from .geometry import MAX_HELD_ENTRIES, assign_regions, grid_pairs, uniform_grid
 
 # MAX_HELD_ENTRIES bounds dp_solve's n_s * n_a rows and kernel blocks, and the audit's whole kernel.
 _N_RANDOM_CANDIDATES = 6  # random corner and interior draws per audited step
@@ -68,6 +67,14 @@ def _discretized_kernel(env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray)
     return dens
 
 
+def _distinct_keys(env: EnvironmentModel, Z: np.ndarray):
+    """The distinct ``env.transition_key`` values of the rows of Z, by bit pattern, and each
+    row's index into them: every kernel row is built once per distinct key."""
+    keys = env.transition_key(Z)
+    _, first, index = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
+    return keys[first], index
+
+
 def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_actions):
     """Backward induction on the (state, action) grid; ``v[h] = over_actions(q[h], axis=1)``.
 
@@ -82,9 +89,7 @@ def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_act
     """
     n_s, n_a = sp.shape[0], ap.shape[0]
     Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
-    keys = env.transition_key(Z)
-    _, first, inverse = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
-    distinct = keys[first]
+    distinct, inverse = _distinct_keys(env, Z)
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
@@ -136,47 +141,41 @@ class KernelRows:
 
     ``kernel[states, actions]`` gives the rows of the (state, action) index
     arrays, as fancy indexing of the whole (n_s, M, n_s) kernel would, with
-    its bits. Each row is built with ``_discretized_kernel`` on the
+    its bits. As in ``_grid_backup``, ``index`` maps each pair to its distinct
+    transition key, whose row ``_discretized_kernel`` builds on the
     ``state_points`` at its first read, so a density that vanishes raises
-    there. Built rows are kept in a store that doubles, up to one row per
-    pair, once ``check_policy_tables`` has counted it: ``slot`` holds each
-    (state, action) pair's store row, -1 until it is built.
+    there. The store, one row per key, is counted by ``check_policy_tables``
+    and allocated at the first read; ``has_row`` marks the keys built, ``built`` counts them.
     """
 
-    def __init__(self, env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray, n_actions: int):
-        self._env, self._keys, self.state_points, self._n_actions = env, keys, sp, n_actions
-        self.slot = np.full(keys.shape[0], -1, dtype=np.int64)
-        self.built = 0
-        self._store = np.empty((0, sp.shape[0]))
+    def __init__(self, env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray, n_actions: int):
+        self._env, self.state_points, self._n_actions = env, sp, n_actions
+        self._keys, self.index = _distinct_keys(env, Z)
+        self.has_row = np.zeros(self._keys.shape[0], dtype=bool)
+        self.built, self._store = 0, None
 
-    def __getitem__(self, index) -> np.ndarray:
-        states, actions = index
-        flat = states * self._n_actions + actions
-        slots = self.slot[flat]
-        missing = slots < 0
+    def __getitem__(self, pairs) -> np.ndarray:
+        states, actions = pairs
+        rows = self.index[states * self._n_actions + actions]
+        missing = ~self.has_row[rows]
         if missing.any():
-            new = np.unique(flat[missing])
-            end, sp = self.built + new.size, self.state_points
-            if end > self._store.shape[0]:
-                size = min(max(end, 2 * self._store.shape[0]), self.slot.size)
-                check_policy_tables(self._env.horizon, len(sp), self._n_actions, size)
-                grown = np.empty((size, len(sp)))
-                grown[: self.built] = self._store[: self.built]
-                self._store = grown
-            self._store[self.built : end] = _discretized_kernel(self._env, self._keys[new], sp)
-            self.slot[new] = np.arange(self.built, end)
-            self.built = end
-            slots = self.slot[flat]
-        return self._store[slots]
+            new, sp = np.unique(rows[missing]), self.state_points
+            if self._store is None:
+                check_policy_tables(self._env.horizon, len(sp), self._n_actions, self.has_row.size)
+                self._store = np.empty((self.has_row.size, len(sp)))
+            self._store[new] = _discretized_kernel(self._env, self._keys[new], sp)
+            self.has_row[new] = True
+            self.built += new.size
+        return self._store[rows]
 
 
 def check_policy_tables(horizon: int, m_state: int, n_actions: int, store_rows: int) -> None:
     """Refuse policy tables on m_state x n_actions pairs, and store_rows kernel rows, too large."""
-    # Counted with Python ints. Per pair: Z (2), the keys and the store's slot (2), the rewards
-    # (H + 1), and one step's reward with two temporaries (3). Per store row: the row, and one
-    # more held at the store's last growth. With a store, one read of at most m_state new rows
-    # (a policy reads one pair per state): the rows, their density and the rows gathered.
-    store = 2 * store_rows + 3 * m_state if store_rows else 0
+    # Counted with Python ints. Per pair: Z (2), the distinct keys and their index (2), the
+    # rewards (H + 1), and one step's reward with two temporaries (3). Per store row: the row.
+    # With a store, one read of at most m_state new rows (a policy reads one pair per state):
+    # the rows, their density and the rows gathered.
+    store = store_rows + 3 * m_state if store_rows else 0
     held = m_state * (n_actions * (horizon + 8) + store)
     if held > MAX_HELD_ENTRIES:
         raise ValueError("policy tables too large; reduce the oracle or the action grid")
@@ -192,10 +191,11 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
     check_policy_tables(H, n_s, M, 0)
     Z = grid_pairs(sp, actions)
+    kernel = KernelRows(env, Z, sp, M)  # before the rewards, so np.unique's temporaries are freed
     rewards = np.zeros((H + 1, n_s, M))
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)
-    return rewards, KernelRows(env, env.transition_key(Z), sp, M)
+    return rewards, kernel
 
 
 def policy_values(rewards, kernel, action_idx) -> np.ndarray:
@@ -318,7 +318,7 @@ def inherent_error_estimate(
     N, d_feat = partition.n_regions, fmap.dim_features
     n_s, n_a = int(m_state), int(m_action)
     # Sized before any allocation: Z (2) and its features per (state, action)
-    # row, and the whole kernel of the steps h < H.
+    # row, and the kernel of the steps h < H, at most one row per pair.
     held = n_s * n_a * (2 + d_feat + (n_s if H > 1 else 0))
     if held > MAX_HELD_ENTRIES:
         raise ValueError("audit grid too large; reduce grid resolutions")
@@ -329,7 +329,8 @@ def inherent_error_estimate(
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])
 
-    kernel = _discretized_kernel(env, env.transition_key(Z), sp) if H > 1 else None  # h < H
+    keys, index = _distinct_keys(env, Z)
+    kernel = _discretized_kernel(env, keys, sp) if H > 1 else None  # h < H, a row per key
     per_step = np.zeros(H + 1)
     best = (0.0, 1, Z[0])
     for h in range(1, H + 1):
@@ -344,7 +345,7 @@ def inherent_error_estimate(
             if h < H:
                 q_next = np.einsum("zf,zf->z", z_feats, theta_next[z_regions])
                 w_vals = np.clip(q_next.reshape(n_s, n_a), 0.0, 1.0).max(axis=1)
-                target = reward + np.einsum("ij,j->i", kernel, w_vals)
+                target = reward + np.einsum("ij,j->i", kernel, w_vals)[index]
             for n in range(N):
                 mask = z_regions == n
                 if not np.any(mask):
@@ -362,40 +363,3 @@ def inherent_error_estimate(
         m_state=m_state,
         m_action=m_action,
     )
-
-
-def taylor_remainder_check(
-    f,
-    derivative,
-    nu: float,
-    epsilon: float,
-    lipschitz: float | None = None,
-) -> float:
-    """Max gap between ``f`` and its per-cell Taylor fit of degree ceil(nu - 1), on 4001 points.
-
-    ``f`` maps an (n, d) array to values; ``derivative(alpha, center)`` returns
-    the mixed partial D^alpha f at a point. With ``lipschitz`` given, asserts
-    the measured error stays below lipschitz * epsilon^nu.
-    """
-    dim = 1
-    part = build_partition(dim, epsilon)
-    degree = nu_star(nu)
-    idx = enumerate_multi_indices(dim, degree)
-    fmap = TaylorFeatureMap(partition=part, index_set=idx)
-    factorials = np.array(
-        [np.prod([math.factorial(int(a)) for a in alpha]) for alpha in idx.indices]
-    )
-    thetas = np.zeros((part.n_regions, idx.size))
-    for n in range(part.n_regions):
-        c = part.centers[n]
-        thetas[n] = np.array([derivative(tuple(alpha), c) for alpha in idx.indices]) / factorials
-    pts = uniform_grid(4001, dim)
-    regions = assign_regions(part, pts)
-    feats = features_at_centers(fmap, pts, part.centers[regions])
-    fit = np.einsum("zf,zf->z", feats, thetas[regions])
-    err = float(np.max(np.abs(np.asarray(f(pts), dtype=float) - fit)))
-    if lipschitz is not None:
-        bound = lipschitz * epsilon**nu
-        if err > bound:
-            raise AssertionError(f"Taylor remainder {err:.6g} exceeds bound {bound:.6g}")
-    return err

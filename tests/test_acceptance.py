@@ -12,7 +12,12 @@ import numpy as np
 import pytest
 
 from cinderella.envs import env_uniform_shift
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, feature_matrix
+from cinderella.features import (
+    TaylorFeatureMap,
+    enumerate_multi_indices,
+    feature_matrix,
+    taylor_remainder_check,
+)
 from cinderella.geometry import assign_regions, build_partition
 from cinderella.harness import RunConfig, build_env, run_experiment, run_sweep
 from cinderella.oracle import (
@@ -20,7 +25,6 @@ from cinderella.oracle import (
     dp_solve,
     inherent_error_estimate,
     random_policy_gap,
-    taylor_remainder_check,
 )
 from cinderella.regression import ridge_update
 from conftest import optimism_rate, sin2x, sin2x_derivative

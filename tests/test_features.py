@@ -13,9 +13,9 @@ from cinderella.features import (
     feature_matrix,
     nu_star,
     taylor_features,
+    taylor_remainder_check,
 )
 from cinderella.geometry import assign_regions, build_partition
-from cinderella.oracle import taylor_remainder_check
 from conftest import sin2x, sin2x_derivative
 
 

@@ -11,7 +11,12 @@ import pytest
 
 from cinderella import harness, oracle
 from cinderella.envs import env_exact_linear, env_smooth_drift, env_uniform_shift
-from cinderella.features import TaylorFeatureMap, enumerate_multi_indices, features_at_centers
+from cinderella.features import (
+    TaylorFeatureMap,
+    enumerate_multi_indices,
+    features_at_centers,
+    taylor_remainder_check,
+)
 from cinderella.geometry import assign_regions, build_partition, grid_pairs, uniform_grid
 from cinderella.oracle import (
     _candidate_thetas,
@@ -25,7 +30,6 @@ from cinderella.oracle import (
     policy_value,
     policy_values,
     random_policy_gap,
-    taylor_remainder_check,
 )
 from conftest import record_played, sin2x, sin2x_derivative
 
@@ -487,10 +491,16 @@ def _counting_density(env):
     return dataclasses.replace(env, transition_density=density), calls
 
 
+def _distinct_key_count(env, Z):
+    """The number of distinct transition keys, by bit pattern, of the pairs Z."""
+    return np.unique(env.transition_key(Z).view(np.int64)).size
+
+
 @pytest.mark.parametrize("horizon, calls_per_action", [(1, 0), (3, 1)])
 def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
-    """The tables build no kernel row. Every constant policy, evaluated twice, builds each
-    of its rows once, in one call of n_s rows (none at H = 1)."""
+    """The tables build no kernel row. Every constant policy, evaluated twice, builds the rows
+    of the distinct keys it reads first, in one call (none at H = 1): on smooth_drift at
+    17 x 9 the key s + a / 2 takes 25 values on 153 pairs, 17 of them at the first action."""
     env, calls = _counting_density(env_smooth_drift(horizon=horizon))
     dp = dp_solve(env, 17, 9)
     calls.clear()
@@ -500,18 +510,36 @@ def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
     for _ in range(2):
         for j in range(M):
             policy_values(rewards, kernel, np.full(rewards.shape[:2], j))
-    assert calls == [17] * (calls_per_action * M)
-    assert kernel.built == 17 * calls_per_action * M
+    assert calls == ([17] + [1] * (M - 1)) * calls_per_action
+    Z = grid_pairs(dp.state_points, dp.action_points)
+    assert kernel.built == sum(calls) == _distinct_key_count(env, Z) * calls_per_action
+
+
+def _traced_peak(call):
+    """The traced peak, in bytes, of ``call()``."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("env_name", ["exact_linear", "smooth_drift", "uniform_shift"])
 def test_policy_tables_count_the_peak_they_hold(monkeypatch, env_name):
-    """``check_policy_tables`` bounds the traced peak of the tables and of a kernel store that
-    constant policies fill, one action's rows at a time, up to every (state, action) row:
-    with a limit one float below that peak, the count of a full store refuses it, and so does
-    the store's growth before it allocates."""
-    env, actions = _env(env_name, 3), uniform_grid(21, 1)
-    dp = dp_solve(env, 65, 9)
+    """``check_policy_tables`` bounds the traced peak of the tables, and of a kernel store that
+    constant policies fill, one action's rows at a time, up to the row of every distinct key:
+    with a limit one float below the peak, the count refuses the tables without a store (at
+    H = 2 and 3) and with a full one, and the store's first read refuses before it allocates."""
+    actions = uniform_grid(21, 1)
+    for horizon in (2, 3):
+        env = _env(env_name, horizon)
+        dp = dp_solve(env, 65, 9)
+        peak = _traced_peak(lambda: policy_eval_tables(env, dp, actions))
+        with monkeypatch.context() as patch:
+            patch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
+            with pytest.raises(ValueError, match="policy tables too large"):
+                check_policy_tables(horizon, 65, 21, 0)
 
     def fill():
         rewards, kernel = policy_eval_tables(env, dp, actions)
@@ -519,16 +547,12 @@ def test_policy_tables_count_the_peak_they_hold(monkeypatch, env_name):
             policy_values(rewards, kernel, np.full(rewards.shape[:2], j))
         return kernel
 
-    tracemalloc.start()
-    try:
-        kernel = fill()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert kernel.built == kernel.slot.size == 65 * 21
+    peak, kernel = _traced_peak(fill), fill()
+    keys = _distinct_key_count(env, grid_pairs(dp.state_points, actions))
+    assert kernel.built == kernel.has_row.size == keys
     monkeypatch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
     with pytest.raises(ValueError, match="policy tables too large"):
-        check_policy_tables(3, 65, 21, 65 * 21)
+        check_policy_tables(3, 65, 21, keys)
     with pytest.raises(ValueError, match="policy tables too large"):
         fill()
 
@@ -543,22 +567,14 @@ def test_exact_linear_reward_stays_within_the_oracle_counts(monkeypatch, degree)
     theta[:, 0] = 0.25
     env, actions = env_exact_linear(theta, fmap, horizon=2), uniform_grid(201, 1)
 
-    def peak_of(call):
-        tracemalloc.start()
-        try:
-            call()
-            return tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-
     for m_state in (129, 1025):
         dp = dp_solve(env, m_state, 2)
-        peak = peak_of(lambda: policy_eval_tables(env, dp, actions))
+        peak = _traced_peak(lambda: policy_eval_tables(env, dp, actions))
         with monkeypatch.context() as patch:
             patch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
             with pytest.raises(ValueError, match="policy tables too large"):
                 check_policy_tables(2, m_state, 201, 0)
-    peak = peak_of(lambda: dp_solve(env, 1025, 201))
+    peak = _traced_peak(lambda: dp_solve(env, 1025, 201))
     monkeypatch.setattr(oracle, "MAX_HELD_ENTRIES", math.ceil(peak / 8) - 1)
     with pytest.raises(ValueError, match="DP instance too large"):
         oracle.check_dp_grid(2, 1025, 201)
@@ -625,8 +641,9 @@ def test_row_store_policy_values_match_whole_kernel_bit_for_bit(env_name, horizo
         for j in range(17):
             z1 = np.concatenate([sp[j], actions[idx[1, j]]])
             assert policy_value(env, rewards, filled, z1, idx) == want[j]
-    read = [np.arange(17) * M + idx[h] for idx in policies for h in range(1, horizon)]
-    assert filled.built == (np.unique(read).size if read else 0)
+    Z = grid_pairs(sp, actions)
+    read = [Z[np.arange(17) * M + idx[h]] for idx in policies for h in range(1, horizon)]
+    assert filled.built == (_distinct_key_count(env, np.concatenate(read)) if read else 0)
 
 
 def test_vpi_is_the_naive_value_of_the_played_policy(monkeypatch):
@@ -684,17 +701,28 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
 
 
 def test_played_policies_build_each_kernel_row_once(monkeypatch):
-    """A short H = 3, uniform-s1 run builds each kernel row it reads once, and not every row."""
-    stores, built = [], []
+    """A short H = 3, uniform-s1 run builds the kernel row of each distinct transition key its
+    played policies read, once, and not every key's row: 80 rows for the 130 (state, action)
+    pairs read."""
+    reads, stores, built = [], [], []
+
+    class Recorded:  # the run's kernel rows, recording the pairs of each read
+        def __init__(self, kernel):
+            self.kernel, self.state_points = kernel, kernel.state_points
+
+        def __getitem__(self, index):
+            reads.append(index)
+            return self.kernel[index]
 
     def tables(env, dp, actions):
         def density(keys, sp):
             built.append(keys.shape[0])
             return env.transition_density(keys, sp)
 
-        out = policy_eval_tables(dataclasses.replace(env, transition_density=density), dp, actions)
-        stores.append(out[1])
-        return out
+        counted = dataclasses.replace(env, transition_density=density)
+        rewards, kernel = policy_eval_tables(counted, dp, actions)
+        stores.append((kernel, grid_pairs(dp.state_points, actions), actions.shape[0]))
+        return rewards, Recorded(kernel)
 
     monkeypatch.setattr(harness, "_policy_eval_tables", tables)
     config = harness.RunConfig(
@@ -702,10 +730,11 @@ def test_played_policies_build_each_kernel_row_once(monkeypatch):
         oracle_m_state=33, oracle_m_action=17, init_mode="uniform",
     )
     harness.run_experiment(config)
-    (kernel,) = stores
-    slots = kernel.slot[kernel.slot >= 0]
-    assert sum(built) == kernel.built == slots.size < kernel.slot.size
-    np.testing.assert_array_equal(np.sort(slots), np.arange(kernel.built))
+    ((kernel, Z, M),) = stores
+    pairs = np.unique(np.concatenate([states * M + actions for states, actions in reads]))
+    keys = _distinct_key_count(harness.build_env(config), Z[pairs])
+    assert sum(built) == kernel.built == kernel.has_row.sum() == keys < pairs.size
+    assert kernel.built < kernel.has_row.size
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -826,11 +855,14 @@ def _per_step_audit(env, partition, fmap, radius, m_state, m_action, seed):
 
 @pytest.mark.parametrize("env_name", sorted(ENVS_H3))
 def test_one_kernel_audit_matches_per_step_kernels(env_name):
+    """The audit's one density call takes the distinct keys of its 17 x 9 pairs, and its
+    ``per_step`` has the bits of a kernel built on every pair at each step."""
     env, calls = _counting_density(ENVS_H3[env_name]())
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
     rep = inherent_error_estimate(env, fmap, 2.0, m_state=17, m_action=9, seed=4)
-    assert len(calls) == 1
+    Z = grid_pairs(uniform_grid(17, 1), uniform_grid(9, 1))
+    assert calls == [_distinct_key_count(env, Z)] and calls[0] < 17 * 9
     want = _per_step_audit(env, fmap.partition, fmap, 2.0, 17, 9, seed=4)
     np.testing.assert_array_equal(rep.per_step.view(np.int64), want.view(np.int64))
 

@@ -31,6 +31,14 @@ width, and a plan recomputes only the entries whose inputs moved. The
 floats are those of the general rule. The probe covers steps h >= 2 only:
 the oracle values step 1 at the action the episode played.
 
+Blocks are feature-major: features ``(d, n, M)`` of n states x M grid
+actions, so each scoring einsum runs its inner loop over entries, not over
+the d features. ``_mean`` and ``_width`` take a region array of the
+entries' shape, gathering each entry's theta and Lambda^-1, or one region
+index, whose theta ``(d,)`` and Lambda^-1 ``(d, d)`` broadcast over every
+entry; both forms give the same bits. The mean adds ``f_d * theta_d`` in
+feature order, and the width ``(f_d * L_de) * f_e`` over d, then e.
+
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
 configured clip bounds. Action selection uses the unclipped optimistic score,
@@ -122,7 +130,7 @@ def alpha_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int, counts
 
 
 class _Blocks:
-    """Feature blocks ``feats`` (rows, M, d) and ``regions`` (rows, M) of one step's scores.
+    """Feature blocks ``feats`` (d, rows, M) and ``regions`` (rows, M) of one step's scores.
 
     ``mean`` and ``width`` cache each entry's ``phi . theta`` and bonus width
     for the rows below ``fresh``. A cached mean is valid iff its region's
@@ -130,7 +138,8 @@ class _Blocks:
     the blocks were last scored; a cached width iff its region's count equals
     ``seen``. ``counts[h, n]`` is the version of region n's step-h inverse:
     it is bumped with every ``ridge_update``, the only writer of
-    ``lam_inv_all``. ``blocks[i] = (feats, regions)`` writes one row.
+    ``lam_inv_all``. ``blocks[i] = (feats, regions)`` writes the one-state
+    blocks (d, 1, M) and (1, M) of ``act`` as row i.
     """
 
     def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int):
@@ -138,31 +147,35 @@ class _Blocks:
         self.regions = regions
         self.mean = np.zeros(regions.shape)
         self.width = np.zeros(regions.shape)
-        self.theta = np.zeros((n_regions, feats.shape[-1]))
+        self.theta = np.zeros((n_regions, feats.shape[0]))
         self.seen = np.zeros(n_regions, dtype=np.int64)
         self.fresh = 0
 
     def __setitem__(self, i: int, blocks) -> None:
-        self.feats[i], self.regions[i] = blocks
+        feats, regions = blocks
+        self.feats[:, i], self.regions[i] = feats[:, 0], regions[0]
 
     def refresh(self, cache: np.ndarray, stale: np.ndarray, rows: int, entries) -> None:
         """Make ``cache`` current for ``rows`` rows, given the (N,) mask of ``stale`` regions.
 
         Rows below ``fresh`` are recomputed only at entries of stale regions,
-        gathered by flat index, and later rows in full; when every region is
-        stale all rows are recomputed at once. ``entries(feats, regions)``
-        gives the cached value of blocks of any leading shape.
+        one region at a time: its entries' features (d, E), gathered by flat
+        index, with the one region index. Later rows are recomputed in full;
+        when every region is stale all rows are recomputed at once. Those two
+        pass a region array. ``entries(feats, regions)`` gives the cached
+        value of feature-major blocks in either form.
         """
         fresh, n_stale = self.fresh, np.count_nonzero(stale)
         if n_stale == stale.size:
-            cache[:rows] = entries(self.feats[:rows], self.regions[:rows])
+            cache[:rows] = entries(self.feats[:, :rows], self.regions[:rows])
             return
         if fresh and n_stale:
-            flat = np.flatnonzero(stale.take(self.regions[:fresh]))
-            feats = self.feats.reshape(-1, self.feats.shape[-1]).take(flat, 0)
-            cache.put(flat, entries(feats, self.regions.take(flat)))
+            feats = self.feats.reshape(len(self.feats), -1)
+            for n in np.flatnonzero(stale):
+                flat = np.flatnonzero(self.regions[:fresh] == n)
+                cache.put(flat, entries(feats.take(flat, 1), n))
         if rows > fresh:
-            cache[fresh:rows] = entries(self.feats[fresh:rows], self.regions[fresh:rows])
+            cache[fresh:rows] = entries(self.feats[:, fresh:rows], self.regions[fresh:rows])
 
 
 class _StepHistory:
@@ -215,9 +228,10 @@ def check_learner(fmap, schedule, n_probe, action_points_per_axis, planner, clip
     M, K, m, n_s = action_points_per_axis, schedule.episodes, partition.cells_per_axis, n_probe
     if fmap.index_set.degree == 0:  # cells; a plan's re-fit holds targets, ids and weights
         next_store, probe, plan = K, n_s, 4 * K
-    else:  # blocks; per entry one _width holds its Lambda^-1 gather and three results, and on
-        # _Blocks.refresh's partial path the entry's gathered feats, region and flat index. The
-        # probe and the scored blocks are of steps h >= 2: at H = 1 a plan is its re-fit alone
+    else:  # blocks; per entry a plan holds at most a _width over a region array, its Lambda^-1
+        # gather and three results, plus _Blocks.refresh's partial path, one region's gathered
+        # feats, its mask and flat index and no Lambda^-1. The probe and the scored blocks are of
+        # steps h >= 2: at H = 1 a plan is its re-fit alone
         next_store = K * M * (d + 3) + N * (d + 1)
         probe = n_s * M * (d + 1) + (H - 1) * (2 * n_s * M + N * (d + 1)) if H > 1 else 0
         plan = max(K, n_s) * M * (d * d + d + 5) if H > 1 else 4 * K * d
@@ -294,8 +308,8 @@ class CinderellaLearner:
         # its cell center is the same in every state cell.
         exps = fmap.index_set.indices
         offsets = self.actions[:, 0] - partition.centers[self._cell_regions[0], 1]
-        self._state_exps = exps[:, 0]
-        self._action_powers = offsets[:, None] ** exps[:, 1]  # (M, d)
+        self._state_exps = exps[:, :1]  # (d, 1)
+        self._action_powers = offsets ** exps[:, 1:]  # (d, M)
         self._cells = fmap.index_set.degree == 0
         if self._cells:
             self._greedy = np.zeros((H + 1, m), dtype=np.int64)
@@ -305,7 +319,7 @@ class CinderellaLearner:
         def next_keys():  # the history's record of next states, at steps that have one
             if self._cells:
                 return np.zeros(K, dtype=np.int64)
-            return _Blocks(np.zeros((K, M, d)), np.zeros((K, M), dtype=np.int64), N)
+            return _Blocks(np.zeros((d, K, M)), np.zeros((K, M), dtype=np.int64), N)
 
         self.history = [
             _StepHistory(K, d, next_keys() if 1 <= h < H else None) for h in range(H + 1)
@@ -328,14 +342,14 @@ class CinderellaLearner:
     # -- feature plumbing ---------------------------------------------------
 
     def _blocks(self, states: np.ndarray):
-        """Features (n, M, d) and regions (n, M) of (s, a) for every grid action.
+        """Features (d, n, M), feature-major, and regions (n, M) of (s, a) for every grid action.
 
         ``states`` is (n, 1), or one state of shape (1,) giving n = 1. The
         floats are those of ``features_at_centers`` on ``assign_regions``.
         """
         cells = self._state_cells(states)
         offsets = np.reshape(states, -1) - self._cell_centers[cells]
-        feats = (offsets[:, None] ** self._state_exps)[:, None, :] * self._action_powers
+        feats = (offsets ** self._state_exps)[:, :, None] * self._action_powers[:, None]
         return feats, self._cell_regions[cells]
 
     def _state_cells(self, states: np.ndarray):
@@ -346,18 +360,31 @@ class CinderellaLearner:
 
     # -- scoring ------------------------------------------------------------
 
-    def _width(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the step-h inverses."""
-        li = self.lam_inv_all[h].take(regions, 0)  # as [regions], faster on large blocks
-        quad = np.einsum("...d,...de,...e->...", feats, li, feats)
+    def _width(self, h: int, feats: np.ndarray, regions) -> np.ndarray:
+        """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the step-h inverses.
+
+        ``feats`` is (d, ...), feature-major, and ``regions`` an int array of
+        its entries' shape, each entry's Lambda^-1 gathered as (d, d, ...),
+        or one region index, whose (d, d) inverse broadcasts. Either way
+        ``(f_d * L_de) * f_e`` is summed over d, then e.
+        """
+        li = self.lam_inv_all[h].transpose(1, 2, 0).take(regions, 2)
+        quad = np.einsum("d...,de...,e...->...", feats, li, feats)
         return np.sqrt(np.maximum(quad, 0.0))
 
-    def _mean(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """Mean ``phi . theta`` under the step-h table."""
-        return np.einsum("...d,...d->...", feats, self.theta_all[h].take(regions, 0))
+    def _mean(self, h: int, feats: np.ndarray, regions) -> np.ndarray:
+        """Mean ``phi . theta`` under the step-h table, its products added in feature order.
+
+        ``feats`` and ``regions`` are as for ``_width``: a region array
+        gathers each entry's theta as (d, ...), one region index broadcasts
+        its (d,) theta. The feature axis must be outermost in memory, as
+        ``_blocks`` and ``take`` lay it out: over a feature axis of the
+        smallest stride einsum adds the products in its SIMD order.
+        """
+        return np.einsum("d...,d...->...", feats, self.theta_all[h].T.take(regions, 1))
 
     def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
-        """Raw optimistic scores ``phi . theta + alpha * width`` of blocks of any leading shape."""
+        """Raw optimistic scores ``phi . theta + alpha * width`` of feature-major blocks."""
         mean = self._mean(h, feats, regions)
         return mean + self.alpha_all[h][regions] * self._width(h, feats, regions)
 
@@ -506,7 +533,8 @@ class CinderellaLearner:
             return self._one, int(self._cell_regions[cell, i]), i, cell
         feats, regions = self._blocks(state)
         i = int(np.argmax(self._scores(h, feats, regions)))
-        return feats[0, i], int(regions[0, i]), i, (feats, regions)
+        # A contiguous row: BLAS sums a strided dot product in another order.
+        return feats[:, 0, i].copy(), int(regions[0, i]), i, (feats, regions)
 
     def _check_transition(self, h: int, reward, next_key) -> None:
         """Raise unless ``observe_transition`` can absorb this step-h row."""

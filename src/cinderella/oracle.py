@@ -67,10 +67,9 @@ def _discretized_kernel(env: EnvironmentModel, keys: np.ndarray, sp: np.ndarray)
     return dens
 
 
-def _distinct_keys(env: EnvironmentModel, Z: np.ndarray):
-    """The distinct ``env.transition_key`` values of the rows of Z, by bit pattern, and each
-    row's index into them: every kernel row is built once per distinct key."""
-    keys = env.transition_key(Z)
+def _distinct_keys(keys: np.ndarray):
+    """The distinct ``env.transition_key`` values ``keys``, by bit pattern, and each key's
+    index into them: every kernel row is built once per distinct key."""
     _, first, index = np.unique(keys.view(np.int64), return_index=True, return_inverse=True)
     return keys[first], index
 
@@ -89,7 +88,7 @@ def _grid_backup(env: EnvironmentModel, sp: np.ndarray, ap: np.ndarray, over_act
     """
     n_s, n_a = sp.shape[0], ap.shape[0]
     Z = grid_pairs(sp, ap)  # (n_s * n_a, d)
-    distinct, inverse = _distinct_keys(env, Z)
+    distinct, inverse = _distinct_keys(env.transition_key(Z))
     H = env.horizon
     v = np.zeros((H + 2, n_s))
     q = np.zeros((H + 1, n_s, n_a))
@@ -146,15 +145,25 @@ class KernelRows:
     ``state_points`` at its first read, so a density that vanishes raises
     there. The store, one row per key, is counted by ``check_policy_tables``
     and allocated at the first read; ``has_row`` marks the keys built, ``built`` counts them.
+    The key index is built here at H >= 3. At H <= 2 ``policy_value`` reads no stored row
+    (its V^pi_2 is the last step's reward), so the index waits for a first read, which only
+    ``policy_values`` on the whole tables makes.
     """
 
     def __init__(self, env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray, n_actions: int):
         self._env, self.state_points, self._n_actions = env, sp, n_actions
-        self._keys, self.index = _distinct_keys(env, Z)
+        self.built, self._store, self._pair_keys = 0, None, env.transition_key(Z)
+        if env.horizon >= 3:
+            self._index_keys()
+
+    def _index_keys(self) -> None:
+        self._keys, self.index = _distinct_keys(self._pair_keys)
         self.has_row = np.zeros(self._keys.shape[0], dtype=bool)
-        self.built, self._store = 0, None
+        self._pair_keys = None
 
     def __getitem__(self, pairs) -> np.ndarray:
+        if self._pair_keys is not None:
+            self._index_keys()
         states, actions = pairs
         rows = self.index[states * self._n_actions + actions]
         missing = ~self.has_row[rows]
@@ -171,8 +180,9 @@ class KernelRows:
 
 def check_policy_tables(horizon: int, m_state: int, n_actions: int, store_rows: int) -> None:
     """Refuse policy tables on m_state x n_actions pairs, and store_rows kernel rows, too large."""
-    # Counted with Python ints. Per pair: Z (2), the distinct keys and their index (2), the
-    # rewards (H + 1), and one step's reward with two temporaries (3). Per store row: the row.
+    # Counted with Python ints. Per pair: Z (2), the distinct keys and their index (2; at H <= 2
+    # built at the first read, over the rewards), the rewards (H + 1), and one step's reward with
+    # two temporaries (3). Per store row: the row.
     # With a store, one read of at most m_state new rows (a policy reads one pair per state):
     # the rows, their density and the rows gathered.
     store = store_rows + 3 * m_state if store_rows else 0
@@ -329,7 +339,7 @@ def inherent_error_estimate(
     z_regions = assign_regions(partition, Z)
     z_feats = features_at_centers(fmap, Z, partition.centers[z_regions])
 
-    keys, index = _distinct_keys(env, Z)
+    keys, index = _distinct_keys(env.transition_key(Z))
     kernel = _discretized_kernel(env, keys, sp) if H > 1 else None  # h < H, a row per key
     per_step = np.zeros(H + 1)
     best = (0.0, 1, Z[0])

@@ -28,7 +28,7 @@ def naive_row(fmap, s, a):
 def clipped_q(learner, h, z):
     """The learner's optimistic step-h Q at the point ``z``, clipped to [0, 1]."""
     phi, region = naive_row(learner.fmap, z[:1], z[1:])
-    return float(np.clip(learner._scores(h, phi[None, :], np.array([region]))[0], 0.0, 1.0))
+    return float(np.clip(learner._scores(h, phi[:, None], np.array([region]))[0], 0.0, 1.0))
 
 
 def record_played(monkeypatch):

@@ -207,9 +207,9 @@ def test_horizon_one_acts_like_linucb():
     learner.plan()
     s = np.zeros(1)
     feats, regions = learner._blocks(s)
-    assert feats.shape == (1, learner.actions.shape[0], learner.d)
-    assert regions.shape == feats.shape[:2]
-    feats, regions = feats[0], regions[0]
+    assert feats.shape == (learner.d, 1, learner.actions.shape[0])
+    assert regions.shape == feats.shape[1:]
+    feats, regions = np.ascontiguousarray(feats[:, 0].T), regions[0]
     mean = feats @ learner.theta_all[1, 0]
     bonuses = np.array(
         [
@@ -218,7 +218,7 @@ def test_horizon_one_acts_like_linucb():
         ]
     )
     want = int(np.argmax(mean + bonuses))
-    got = np.argmax([learner._scores(1, feats[i : i + 1], regions[i : i + 1])[0] for i in range(len(feats))])
+    got = np.argmax([learner._scores(1, feats[i, :, None], regions[i : i + 1])[0] for i in range(len(feats))])
     assert want == got
     assert learner.act(1, s)[2] == want
 
@@ -397,7 +397,7 @@ def test_exact_grid_reads_only_theta_at_d3():
 
     def by_hand(h, state):
         feats, regions = learner._blocks(state)
-        return np.array([f @ theta[h, n] for f, n in zip(feats[0], regions[0])])
+        return np.array([f @ theta[h, n] for f, n in zip(feats[:, 0].T, regions[0])])
 
     greedy = learner.greedy_action_indices()
     assert not greedy[:2].any()

@@ -515,6 +515,31 @@ def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
     assert kernel.built == sum(calls) == _distinct_key_count(env, Z) * calls_per_action
 
 
+@pytest.mark.parametrize("env_name", ["smooth_drift", "uniform_shift"])
+def test_h2_policy_value_builds_no_key_index(monkeypatch, env_name):
+    """At H = 2 the played policy reads no stored kernel row, so neither the tables nor
+    ``policy_value`` index the transition keys; its values keep the bits of ``policy_values``'
+    step-1 backup, whose whole-table reads index them at the first read."""
+    env = _env(env_name, 2)
+    dp = dp_solve(env, 17, 9)
+    actions = uniform_grid(5, 1)
+    rng = np.random.default_rng(41)
+    idx = rng.integers(0, 5, size=(3, 17))
+    want = policy_values(*policy_eval_tables(env, dp, actions), idx)
+
+    def refuse(keys):
+        raise AssertionError("key index built")
+
+    monkeypatch.setattr(oracle, "_distinct_keys", refuse)
+    rewards, kernel = policy_eval_tables(env, dp, actions)
+    for j in range(17):
+        z1 = np.concatenate([dp.state_points[j], actions[idx[1, j]]])
+        assert policy_value(env, rewards, kernel, z1, idx) == want[j]
+    assert kernel.built == 0
+    with pytest.raises(AssertionError, match="key index built"):
+        policy_values(rewards, kernel, idx)
+
+
 def _traced_peak(call):
     """The traced peak, in bytes, of ``call()``."""
     tracemalloc.start()

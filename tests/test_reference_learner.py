@@ -20,7 +20,11 @@ the table in no region, in some or in all. An eighth holds the re-fit's
 per-region sums to a loop that adds the history rows in order, bit for bit,
 and a ninth the played policy, its step-1 action at s1 and its probe picks
 of steps 2..H, to the greedy picks of the planned table before the episode
-absorbs its transitions.
+absorbs its transitions. A tenth holds the feature-major ``_mean`` and
+``_width``, over a region array and over one region index, to a loop that
+adds in feature order and to the row-major width rule, bit for bit, and an
+eleventh bounds a plan's width work after one absorb to the absorbed
+region's entries and the new rows.
 """
 
 import dataclasses
@@ -178,7 +182,7 @@ def _uncached_plan(learner, probe_states):
             m = learner.partition.cells_per_axis
             blocks = learner._blocks(learner.partition.centers[keys[:p] * m, :1])
         else:
-            blocks = keys.feats[:p], keys.regions[:p]
+            blocks = keys.feats[:, :p], keys.regions[:p]
         return np.clip(learner._scores(h, *blocks), 0.0, 1.0).max(axis=1)
 
     cached = learner.theta_all
@@ -187,7 +191,7 @@ def _uncached_plan(learner, probe_states):
         for h in range(learner.H, 0, -1):
             theta[h] = learner._refit(h, lambda keys, p: next_values(h + 1, keys, p))
         feats, regions = learner._blocks(probe_states)
-        greedy = np.zeros((learner.H + 1, feats.shape[0]), dtype=np.int64)
+        greedy = np.zeros((learner.H + 1, feats.shape[1]), dtype=np.int64)
         for h in range(1, learner.H + 1):
             greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
     finally:
@@ -240,7 +244,7 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
             nxt, p = learner.history[h].next, learner.history[h].size
             assert nxt.fresh == p
             np.testing.assert_array_equal(
-                nxt.width[:p], learner._width(h + 1, nxt.feats[:p], nxt.regions[:p])
+                nxt.width[:p], learner._width(h + 1, nxt.feats[:, :p], nxt.regions[:p])
             )
 
 
@@ -256,7 +260,7 @@ def test_probe_greedy_indices_match_act(degree):
         if learner._cells:
             assert learner._probe[i] == key
         else:
-            np.testing.assert_array_equal(learner._probe[2].feats[i], key[0][0])
+            np.testing.assert_array_equal(learner._probe[2].feats[:, i], key[0][:, 0])
             np.testing.assert_array_equal(learner._probe[2].regions[i], key[1][0])
     for (hot, spread), s1 in zip([(30, 10), (0, 20)], [states[5], np.zeros(1)]):
         _feed(learner, rng, hot, spread)
@@ -335,7 +339,7 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for name in ("feats", "rewards", "regions"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
         if a.next is not None:
-            np.testing.assert_array_equal(b.next.feats[:p], 1.0)
+            np.testing.assert_array_equal(b.next.feats[:, :p], 1.0)
             np.testing.assert_array_equal(cell._cell_regions[a.next[:p]], b.next.regions[:p])
 
 
@@ -435,14 +439,15 @@ def test_blocks_match_assign_regions_and_features_at_centers(degree, epsilon, po
     want_regions = assign_regions(learner.partition, pairs)
     want = features_at_centers(learner.fmap, pairs, learner.partition.centers[want_regions])
     M = learner.actions.shape[0]
-    assert feats.shape == (len(states), M, learner.d) and regions.shape == (len(states), M)
+    assert feats.shape == (learner.d, len(states), M) and regions.shape == (len(states), M)
     np.testing.assert_array_equal(regions.reshape(-1), want_regions)
     # Compared as bits, so a zero of the other sign counts as a difference.
-    np.testing.assert_array_equal(feats.reshape(want.shape).view(np.int64), want.view(np.int64))
+    rows = feats.reshape(learner.d, -1).T
+    np.testing.assert_array_equal(rows.view(np.int64), want.view(np.int64))
     # One state of shape (1,), as act passes it: -1, every edge, 0, +1 and one random point.
     for i in range(m + 4):
         one, one_regions = learner._blocks(states[i])
-        np.testing.assert_array_equal(one.view(np.int64), feats[i : i + 1].view(np.int64))
+        np.testing.assert_array_equal(one.view(np.int64), feats[:, i : i + 1].view(np.int64))
         np.testing.assert_array_equal(one_regions, regions[i : i + 1])
     with pytest.raises(ValueError, match="outside"):
         learner._blocks(np.array([np.nan]))
@@ -461,7 +466,7 @@ def _checked_block_scores(learner, moves):
             moved = [not np.array_equal(a, b) for a, b in zip(learner.theta_all[h], blocks.theta)]
             moves.add("all" if all(moved) else "some" if any(moved) else "none")
         got = cached(h, blocks, rows)
-        feats, regions = blocks.feats[:rows], blocks.regions[:rows]
+        feats, regions = blocks.feats[:, :rows], blocks.regions[:rows]
         for name, fresh in [("mean", learner._mean), ("width", learner._width)]:
             np.testing.assert_array_equal(
                 getattr(blocks, name)[:rows].view(np.int64),
@@ -533,3 +538,84 @@ def test_played_step_1_is_the_planned_greedy_around_s1(monkeypatch, degree, hori
         _assert_probe_picks(learner.last_policy_actions, want[:, :-1])
         np.testing.assert_array_equal(transitions[0].action, learner.actions[want[1, -1]])
     assert len(planned) == 8
+
+
+def _row_major_width(lam_inv, rows, regions):
+    """The width rule on row-major blocks ``rows`` (..., d): each entry's Lambda^-1 gathered
+    as (..., d, d), or the one (d, d) of a region index, then summed over d, then e."""
+    quad = np.einsum("...d,...de,...e->...", rows, lam_inv.take(regions, 0), rows)
+    return np.sqrt(np.maximum(quad, 0.0))
+
+
+def _assert_bits(got, want):
+    np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@pytest.mark.parametrize("degree", [0, 1, 2, 3])  # d = 1, 3, 6, 10 features in two dimensions
+def test_feature_major_mean_and_width_match_references(degree):
+    """``_width`` of feature-major blocks (d, n, M) is the row-major rule's, and ``_mean`` a
+    loop adding ``f_d * theta_d`` in feature order, bit for bit; one region index gives the
+    floats of the region array over the same entries."""
+    learner = _learner(degree, 2, general_path=degree == 0)
+    d, N = learner.d, learner.N
+    assert d == (1, 3, 6, 10)[degree] and N == 4
+    rng = np.random.default_rng(8000 + degree)
+    root = rng.standard_normal((N, d, d))
+    learner.lam_inv_all[2] = root @ root.transpose(0, 2, 1) / d
+    learner.theta_all[2] = rng.standard_normal((N, d))
+    feats = rng.uniform(-1.0, 1.0, size=(d, 17, 9))
+    regions = rng.integers(0, N, size=(17, 9))
+    rows = np.ascontiguousarray(np.moveaxis(feats, 0, -1))  # (17, 9, d)
+    lam_inv, theta = learner.lam_inv_all[2], learner.theta_all[2]
+
+    width = learner._width(2, feats, regions)
+    _assert_bits(width, _row_major_width(lam_inv, rows, regions))
+    mean = learner._mean(2, feats, regions)
+    loop = np.zeros(regions.shape)
+    for i in range(d):
+        loop = loop + feats[i] * theta[regions, i]
+    _assert_bits(mean, loop)
+
+    for n in range(N):
+        flat = np.flatnonzero(regions == n)
+        one = feats.reshape(d, -1).take(flat, 1)  # feature-major, as _Blocks.refresh gathers
+        _assert_bits(learner._width(2, one, n), width.reshape(-1)[flat])
+        row_major = _row_major_width(lam_inv, rows.reshape(-1, d)[flat], n)
+        _assert_bits(learner._width(2, one, n), row_major)
+        _assert_bits(learner._mean(2, one, n), mean.reshape(-1)[flat])
+
+
+@pytest.mark.parametrize("step", [2, 3])
+@pytest.mark.parametrize("degree", [1, 2])  # d = 3, 6
+def test_one_absorb_rescores_only_its_regions_widths(monkeypatch, degree, step):
+    """After one step-h absorb in region r, the next plan computes the bonus width only at
+    region r's entries of the step-h probe and of the step-(h - 1) history's next states,
+    one region at a time, and at the absorbed row's new next-state entries, once. The
+    probe's greedy indices are still ``act``'s picks."""
+    rng = np.random.default_rng(9000 + 10 * degree + step)
+    states = np.sort(rng.uniform(-1.0, 1.0, size=(11, 1)), axis=0)
+    learner = _learner(degree, 3, probe_states=states)
+    _feed(learner, rng, 0, 12)
+    learner.plan()
+    phi, r = naive_row(learner.fmap, rng.uniform(-1.0, 1.0, 1), rng.uniform(-1.0, 1.0, 1))
+    next_key = learner.act(step + 1, rng.uniform(-1.0, 1.0, 1))[3] if step < 3 else None
+    learner.observe_transition(step, phi, r, 0.5, next_key)
+
+    width, calls = learner._width, []
+
+    def counting(h, feats, regions):
+        calls.append((h, int(regions) if np.ndim(regions) == 0 else None, feats[0].size))
+        return width(h, feats, regions)
+
+    monkeypatch.setattr(learner, "_width", counting)
+    learner.plan()
+    monkeypatch.undo()
+    hist = learner.history[step - 1]
+    in_history = np.count_nonzero(hist.next.regions[: hist.size] == r)
+    in_probe = np.count_nonzero(learner._probe[step].regions == r)
+    assert in_history and in_probe
+    new_row = [(step + 1, None, learner.actions.shape[0])] if step < 3 else []
+    assert calls == new_row + [(step, r, in_history), (step, r, in_probe)]
+    for h in (2, 3):
+        for i, s in enumerate(states):
+            assert learner.act(h, s)[2] == learner.last_policy_actions[h, i]

@@ -8,11 +8,11 @@ exactly through the backup. Every expectation E[v | z] is one rule: plain
 row and v only, not on the batch, the BLAS library or its thread count.
 One kernel serves every step h < H, with one row per distinct
 ``transition_key`` (``_distinct_keys``): the audit builds every row once per
-grid, the policy evaluator each row on its first read and the one row at the
-played (s1, a1), and the grid backup every row once per step, in blocks, so
-it never holds a whole kernel. One grid backup gives both V*
-(max over actions, ``dp_solve``) and the uniform-random policy's value
-(mean, ``random_policy_gap``).
+grid, the policy evaluator its key index and store at its first read and each
+row at that row's first read, and the one row at the played (s1, a1), and the
+grid backup every row once per step, in blocks, so it never holds a whole
+kernel. One grid backup gives both V* (max over actions, ``dp_solve``) and the
+uniform-random policy's value (mean, ``random_policy_gap``).
 Every oracle output is reported together with the grid resolution that
 produced it.
 """
@@ -143,35 +143,27 @@ class KernelRows:
     its bits. As in ``_grid_backup``, ``index`` maps each pair to its distinct
     transition key, whose row ``_discretized_kernel`` builds on the
     ``state_points`` at its first read, so a density that vanishes raises
-    there. The store, one row per key, is counted by ``check_policy_tables``
-    and allocated at the first read; ``has_row`` marks the keys built, ``built`` counts them.
-    The key index is built here at H >= 3. At H <= 2 ``policy_value`` reads no stored row
-    (its V^pi_2 is the last step's reward), so the index waits for a first read, which only
-    ``policy_values`` on the whole tables makes.
+    there. The key index, the store's count (one row per key, by ``check_policy_tables``)
+    and the store are built at the first read, and a first read that the count refuses
+    changes nothing; ``has_row`` marks the keys built, ``built`` counts them.
     """
 
     def __init__(self, env: EnvironmentModel, Z: np.ndarray, sp: np.ndarray, n_actions: int):
         self._env, self.state_points, self._n_actions = env, sp, n_actions
         self.built, self._store, self._pair_keys = 0, None, env.transition_key(Z)
-        if env.horizon >= 3:
-            self._index_keys()
-
-    def _index_keys(self) -> None:
-        self._keys, self.index = _distinct_keys(self._pair_keys)
-        self.has_row = np.zeros(self._keys.shape[0], dtype=bool)
-        self._pair_keys = None
 
     def __getitem__(self, pairs) -> np.ndarray:
-        if self._pair_keys is not None:
-            self._index_keys()
+        sp = self.state_points
+        if self._store is None:
+            keys, index = _distinct_keys(self._pair_keys)
+            check_policy_tables(self._env.horizon, len(sp), self._n_actions, len(keys))
+            self._store, self.has_row = np.empty((len(keys), len(sp))), np.zeros(len(keys), bool)
+            self._keys, self.index, self._pair_keys = keys, index, None
         states, actions = pairs
         rows = self.index[states * self._n_actions + actions]
         missing = ~self.has_row[rows]
         if missing.any():
-            new, sp = np.unique(rows[missing]), self.state_points
-            if self._store is None:
-                check_policy_tables(self._env.horizon, len(sp), self._n_actions, self.has_row.size)
-                self._store = np.empty((self.has_row.size, len(sp)))
+            new = np.unique(rows[missing])
             self._store[new] = _discretized_kernel(self._env, self._keys[new], sp)
             self.has_row[new] = True
             self.built += new.size
@@ -180,9 +172,9 @@ class KernelRows:
 
 def check_policy_tables(horizon: int, m_state: int, n_actions: int, store_rows: int) -> None:
     """Refuse policy tables on m_state x n_actions pairs, and store_rows kernel rows, too large."""
-    # Counted with Python ints. Per pair: Z (2), the distinct keys and their index (2; at H <= 2
-    # built at the first read, over the rewards), the rewards (H + 1), and one step's reward with
-    # two temporaries (3). Per store row: the row.
+    # Counted with Python ints. Per pair: Z (2), the distinct keys and their index (2; built at
+    # the first read, over the rewards), the rewards (H + 1), and one step's reward with two
+    # temporaries (3). Per store row: the row.
     # With a store, one read of at most m_state new rows (a policy reads one pair per state):
     # the rows, their density and the rows gathered.
     store = store_rows + 3 * m_state if store_rows else 0
@@ -195,13 +187,13 @@ def policy_eval_tables(env: EnvironmentModel, dp: GridDP, actions: np.ndarray):
     """Reward tables and the kernel's rows on (oracle states x the given actions).
 
     ``rewards[h]`` is (n_s, M) for h = 1..H. ``kernel`` is the ``KernelRows``
-    of every step h < H; none of its rows is built until a policy reads it.
+    of every step h < H; neither its key index nor any row is built until a policy reads it.
     """
     sp = dp.state_points
     n_s, M, H = sp.shape[0], actions.shape[0], env.horizon
     check_policy_tables(H, n_s, M, 0)
     Z = grid_pairs(sp, actions)
-    kernel = KernelRows(env, Z, sp, M)  # before the rewards, so np.unique's temporaries are freed
+    kernel = KernelRows(env, Z, sp, M)
     rewards = np.zeros((H + 1, n_s, M))
     for h in range(1, H + 1):
         rewards[h] = env.reward_mean(h, Z).reshape(n_s, M)

@@ -515,29 +515,64 @@ def test_policy_eval_tables_build_one_kernel(horizon, calls_per_action):
     assert kernel.built == sum(calls) == _distinct_key_count(env, Z) * calls_per_action
 
 
+def _counting_distinct_keys(monkeypatch):
+    """Record the key count of each ``oracle._distinct_keys`` call from now on."""
+    calls, distinct_keys = [], oracle._distinct_keys
+
+    def counted(keys):
+        calls.append(keys.shape[0])
+        return distinct_keys(keys)
+
+    monkeypatch.setattr(oracle, "_distinct_keys", counted)
+    return calls
+
+
+@pytest.mark.parametrize("horizon", [2, 3])
 @pytest.mark.parametrize("env_name", ["smooth_drift", "uniform_shift"])
-def test_h2_policy_value_builds_no_key_index(monkeypatch, env_name):
-    """At H = 2 the played policy reads no stored kernel row, so neither the tables nor
-    ``policy_value`` index the transition keys; its values keep the bits of ``policy_values``'
-    step-1 backup, whose whole-table reads index them at the first read."""
-    env = _env(env_name, 2)
+def test_kernel_store_indexes_the_keys_once_at_its_first_read(monkeypatch, env_name, horizon):
+    """The tables index no transition key; the store's first read indexes every pair's, once,
+    at every horizon. At H = 2 the played policy reads no stored row (its V^pi_2 is the last
+    step's reward), so ``policy_value`` indexes nothing and the whole table's first read does;
+    at H = 3 its first call does. Its values keep the bits of ``policy_values``' step-1 backup."""
+    env = _env(env_name, horizon)
     dp = dp_solve(env, 17, 9)
     actions = uniform_grid(5, 1)
     rng = np.random.default_rng(41)
-    idx = rng.integers(0, 5, size=(3, 17))
+    idx = rng.integers(0, 5, size=(horizon + 1, 17))
     want = policy_values(*policy_eval_tables(env, dp, actions), idx)
 
-    def refuse(keys):
-        raise AssertionError("key index built")
-
-    monkeypatch.setattr(oracle, "_distinct_keys", refuse)
+    calls = _counting_distinct_keys(monkeypatch)
     rewards, kernel = policy_eval_tables(env, dp, actions)
+    assert calls == []
     for j in range(17):
         z1 = np.concatenate([dp.state_points[j], actions[idx[1, j]]])
         assert policy_value(env, rewards, kernel, z1, idx) == want[j]
-    assert kernel.built == 0
-    with pytest.raises(AssertionError, match="key index built"):
-        policy_values(rewards, kernel, idx)
+        assert calls == [17 * 5] * (horizon - 2)
+    assert (kernel.built == 0) == (horizon == 2)
+    for _ in range(2):
+        assert np.array_equal(policy_values(rewards, kernel, idx), want)
+    assert calls == [17 * 5]
+
+
+def test_refused_first_read_leaves_the_store_as_it_was(monkeypatch):
+    """A first read that ``check_policy_tables`` refuses for the store's exact key count builds
+    nothing, and a second read is refused the same way, not by a half-built store. With the
+    limit restored, the next read gives a fresh store's bits."""
+    env = env_smooth_drift(horizon=3)
+    dp = dp_solve(env, 17, 9)
+    actions = uniform_grid(5, 1)
+    idx = np.random.default_rng(43).integers(0, 5, size=(4, 17))
+    want = policy_values(*policy_eval_tables(env, dp, actions), idx)
+    keys = _distinct_key_count(env, grid_pairs(dp.state_points, actions))
+    rewards, kernel = policy_eval_tables(env, dp, actions)
+    with monkeypatch.context() as patch:  # one float below the count of a store of every key
+        patch.setattr(oracle, "MAX_HELD_ENTRIES", 17 * (5 * (3 + 8) + keys + 3 * 17) - 1)
+        check_policy_tables(3, 17, 5, keys - 1)
+        for _ in range(2):
+            with pytest.raises(ValueError, match="policy tables too large"):
+                policy_values(rewards, kernel, idx)
+            assert kernel.built == 0
+    assert np.array_equal(policy_values(rewards, kernel, idx), want)
 
 
 def _traced_peak(call):
@@ -728,8 +763,9 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
 def test_played_policies_build_each_kernel_row_once(monkeypatch):
     """A short H = 3, uniform-s1 run builds the kernel row of each distinct transition key its
     played policies read, once, and not every key's row: 80 rows for the 130 (state, action)
-    pairs read."""
-    reads, stores, built = [], [], []
+    pairs read. The store indexes the keys once, after set-up, at its first read."""
+    reads, stores, built, set_up = [], [], [], []
+    distinct = _counting_distinct_keys(monkeypatch)
 
     class Recorded:  # the run's kernel rows, recording the pairs of each read
         def __init__(self, kernel):
@@ -747,6 +783,7 @@ def test_played_policies_build_each_kernel_row_once(monkeypatch):
         counted = dataclasses.replace(env, transition_density=density)
         rewards, kernel = policy_eval_tables(counted, dp, actions)
         stores.append((kernel, grid_pairs(dp.state_points, actions), actions.shape[0]))
+        set_up.append(len(distinct))
         return rewards, Recorded(kernel)
 
     monkeypatch.setattr(harness, "_policy_eval_tables", tables)
@@ -760,6 +797,7 @@ def test_played_policies_build_each_kernel_row_once(monkeypatch):
     keys = _distinct_key_count(harness.build_env(config), Z[pairs])
     assert sum(built) == kernel.built == kernel.has_row.sum() == keys < pairs.size
     assert kernel.built < kernel.has_row.size
+    assert distinct[set_up[0] :] == [Z.shape[0]]  # the store's one index, built in an episode
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])

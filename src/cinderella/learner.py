@@ -20,16 +20,21 @@ built at set-up, and its features are separable: ``(s - c_s)^i`` times
 per-grid-action powers ``(a - c_a)^j`` precomputed at set-up, multiplied in
 the order of the general monomial rule, so the floats are the same.
 
-At degree 0 (``nu <= 1``) the one feature is the constant 1, so a score
-depends only on (state cell, grid action). Each plan gathers the N region
-scores into one (state cell x grid action) table per step, which gives the
-re-fit targets and every cell's greedy index; ``act`` and the probe look
-that up, and history rows keep their next state's cell, so acting,
-absorbing and re-fitting compute no features. At degree >= 1 the history's
-next-state blocks and the probe's blocks cache each entry's mean and bonus
-width, and a plan recomputes only the entries whose inputs moved. The
-floats are those of the general rule. The probe covers steps h >= 2 only:
-the oracle values step 1 at the action the episode played.
+Each plan scores every step once. At degree 0 (``nu <= 1``) the one
+feature is the constant 1, so a score depends only on (state cell, grid
+action). Each plan gathers the N region scores into one (state cell x grid
+action) table per step, which gives the re-fit targets and every cell's
+greedy index; ``act`` and the probe look that up, and history rows keep
+their next state's cell, so acting, absorbing and re-fitting compute no
+features. At degree >= 1 each step h >= 2 keeps one block: the probe
+states' rows, then the next states of the step-(h-1) history. One scoring
+of it gives the plan's greedy picks at the probe and the re-fit values;
+it caches each entry's mean and bonus width, and a plan recomputes only
+the entries whose inputs moved. The floats are those of the general rule.
+The probe covers steps h >= 2 only: the oracle values step 1 at the action
+the episode played. The last step's targets are its clipped rewards, fixed
+once absorbed, so ``observe_transition`` sums them as they arrive and a
+plan re-sums only steps h < H.
 
 Blocks are feature-major: features ``(d, n, M)`` of n states x M grid
 actions, so each scoring einsum runs its inner loop over entries, not over
@@ -132,19 +137,23 @@ def alpha_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int, counts
 class _Blocks:
     """Feature blocks ``feats`` (d, rows, M) and ``regions`` (rows, M) of one step's scores.
 
-    ``mean`` and ``width`` cache each entry's ``phi . theta`` and bonus width
-    for the rows below ``fresh``. A cached mean is valid iff its region's
-    theta row has the bits of that row in ``theta``, the step's table when
-    the blocks were last scored; a cached width iff its region's count equals
-    ``seen``. ``counts[h, n]`` is the version of region n's step-h inverse:
-    it is bumped with every ``ridge_update``, the only writer of
-    ``lam_inv_all``. ``blocks[i] = (feats, regions)`` writes the one-state
-    blocks (d, 1, M) and (1, M) of ``act`` as row i.
+    Step h >= 2 keeps one: its first ``base`` rows are the probe states'
+    blocks, written once, and row ``base + i`` is the next state of
+    step-(h-1) history row i. ``mean`` and ``width`` cache each entry's
+    ``phi . theta`` and bonus width for the rows below ``fresh``. A cached
+    mean is valid iff its region's theta row has the bits of that row in
+    ``theta``, the step's table when the blocks were last scored; a cached
+    width iff its region's count equals ``seen``. ``counts[h, n]`` is the
+    version of region n's step-h inverse: it is bumped with every
+    ``ridge_update``, the only writer of ``lam_inv_all``.
+    ``blocks[i] = (feats, regions)`` writes the one-state blocks (d, 1, M)
+    and (1, M) of ``act`` as row ``base + i``.
     """
 
-    def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int):
+    def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int, base: int):
         self.feats = feats
         self.regions = regions
+        self.base = base
         self.mean = np.zeros(regions.shape)
         self.width = np.zeros(regions.shape)
         self.theta = np.zeros((n_regions, feats.shape[0]))
@@ -153,6 +162,7 @@ class _Blocks:
 
     def __setitem__(self, i: int, blocks) -> None:
         feats, regions = blocks
+        i += self.base
         self.feats[:, i], self.regions[i] = feats[:, 0], regions[0]
 
     def refresh(self, cache: np.ndarray, stale: np.ndarray, rows: int, entries) -> None:
@@ -222,21 +232,23 @@ def check_learner(fmap, schedule, n_probe, action_points_per_axis, planner, clip
             f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
         )
     # Entries held, floats and int64s alike, counted with Python ints. Per step: the ridge
-    # matrices, tables, history, greedy row and two probe tables (the last plan's and the next);
-    # per step < H the next-state store; the probe, the largest temporaries of a plan, the
+    # matrices, tables, history, greedy row and three probe tables (the picks a plan records,
+    # the last plan's copy and the next); per step h >= 2 the store of what it scores; the
+    # probe's cells, the last step's running sums, the largest temporaries of a plan, the
     # actions, their powers, and the m x M cell table with its temporaries.
     M, K, m, n_s = action_points_per_axis, schedule.episodes, partition.cells_per_axis, n_probe
-    if fmap.index_set.degree == 0:  # cells; a plan's re-fit holds targets, ids and weights
-        next_store, probe, plan = K, n_s, 4 * K
-    else:  # blocks; per entry a plan holds at most a _width over a region array, its Lambda^-1
-        # gather and three results, plus _Blocks.refresh's partial path, one region's gathered
-        # feats, its mask and flat index and no Lambda^-1. The probe and the scored blocks are of
-        # steps h >= 2: at H = 1 a plan is its re-fit alone
-        next_store = K * M * (d + 3) + N * (d + 1)
-        probe = n_s * M * (d + 1) + (H - 1) * (2 * n_s * M + N * (d + 1)) if H > 1 else 0
-        plan = max(K, n_s) * M * (d * d + d + 5) if H > 1 else 4 * K * d
-    held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 2 * n_s)
-    held += (H - 1) * next_store + probe + plan + M * (d + 3) + 6 * m * M
+    if fmap.index_set.degree == 0:  # cells; a re-fit at h < H holds targets, ids and weights
+        store, cells, plan = K, n_s, 4 * K
+    else:  # one block of the probe's n_s rows and the step-(h-1) history's K next states. Per
+        # entry a plan holds at most a _width over a region array, its Lambda^-1 gather and three
+        # results, plus _Blocks.refresh's partial path, one region's gathered feats, its mask and
+        # flat index and no Lambda^-1; the probe's blocks are built once, before their copies
+        store, cells = (n_s + K) * M * (d + 3) + N * (d + 1), 0
+        plan = (n_s + K) * M * (d * d + d + 5)
+    if H == 1:  # no step keeps a block, and the one re-fit reads the running sums
+        plan = 0
+    held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 3 * n_s)
+    held += (H - 1) * store + cells + N * d + plan + M * (d + 3) + 6 * m * M
     if held > MAX_HELD_ENTRIES:
         raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
 
@@ -252,17 +264,23 @@ class CinderellaLearner:
     ``alpha_all`` (H+1, N), indexed by h starting at 1, read by ``_scores``,
     the one scoring rule, and its greedy indices of steps h >= 2 at the
     ``probe_states`` (n, 1) into ``last_policy_actions``. Both planners score
-    the history's next-state blocks and the probe's through ``_block_scores``,
-    which caches their means ``phi . theta`` and bonus widths
-    ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see ``_Blocks`` for when a cached
-    entry is valid); ``alpha`` changes with ``k`` and stays outside the cache.
+    each step h >= 2 once per re-fit, in ``_next_values``, which records the
+    step's greedy picks at the probe in ``_picks`` from the scores that give
+    the re-fit values. At degree >= 1 that is one ``_block_scores`` call on
+    the step's ``_Blocks``, the probe's rows and then the step-(h-1)
+    history's next states, which caches their means ``phi . theta`` and bonus
+    widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see ``_Blocks`` for when a
+    cached entry is valid); ``alpha`` changes with ``k`` and stays outside
+    the cache. The step-H re-fit reads ``_sums`` (N, d), the sums of
+    ``phi * clip(reward)`` that ``observe_transition`` adds in row order.
 
     ``_cell_regions`` (C, M) holds the regions of every state cell x grid
     action, and ``_blocks`` reads a state's regions from it. At degree 0 a
     state is its state cell: ``_cell_scores(h)`` gathers the N region scores
-    ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M) step-h table, and
-    ``plan`` keeps its argmax per cell in ``_greedy`` (H+1, C). The history
-    stores next cells and the probe its states' cells.
+    ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M) step-h table, once
+    per plan and step, and its argmax per cell is kept in ``_greedy``
+    (H+1, C). The history stores next cells and ``_probe_cells`` the probe
+    states' cells.
 
     ``plan_and_act_episode`` plans, then runs the episode through ``act`` and
     ``observe_transition``, the learner's only greedy and absorb paths. Each
@@ -311,32 +329,33 @@ class CinderellaLearner:
         self._state_exps = exps[:, :1]  # (d, 1)
         self._action_powers = offsets ** exps[:, 1:]  # (d, M)
         self._cells = fmap.index_set.degree == 0
+        n_s = self._n_probe
         if self._cells:
             self._greedy = np.zeros((H + 1, m), dtype=np.int64)
             self._one = np.ones(1)  # the one feature, the same for every row
             self._one.flags.writeable = False
+            self._probe_cells = self._state_cells(probe_states)
+        elif H > 1:
+            probe = self._blocks(probe_states)
 
-        def next_keys():  # the history's record of next states, at steps that have one
+        def next_keys():  # the history's record of next states, at steps that have one: at
+            # degree >= 1 the next step's block, whose first n_s rows are the probe's
             if self._cells:
                 return np.zeros(K, dtype=np.int64)
-            return _Blocks(np.zeros((d, K, M)), np.zeros((K, M), dtype=np.int64), N)
+            blocks = _Blocks(
+                np.zeros((d, n_s + K, M)), np.zeros((n_s + K, M), dtype=np.int64), N, n_s
+            )
+            blocks.feats[:, :n_s], blocks.regions[:n_s] = probe
+            return blocks
 
         self.history = [
             _StepHistory(K, d, next_keys() if 1 <= h < H else None) for h in range(H + 1)
         ]
+        self._sums = np.zeros((N, d))
         self.theta_all = np.zeros((H + 1, N, d))
         self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
-        # The probe states' cells at degree 0, else one _Blocks per step h >= 2
-        # (at index h), all sharing the states' feats and regions.
-        self._probe = [None, None]
-        if self._cells:
-            self._probe = self._state_cells(probe_states)
-        elif H > 1:
-            feats, regions = self._blocks(probe_states)
-            feats.flags.writeable = False
-            regions.flags.writeable = False
-            self._probe += [_Blocks(feats, regions, N) for _ in range(H - 1)]
+        self._picks = np.zeros((H + 1, n_s), dtype=np.int64)
         self.last_policy_actions = None
 
     # -- feature plumbing ---------------------------------------------------
@@ -424,30 +443,43 @@ class CinderellaLearner:
     # -- planning -----------------------------------------------------------
 
     def _next_values(self, h: int, next_keys, rows: int) -> np.ndarray:
-        """``max_a clip(score, 0, 1)`` under the step-h tables of the first ``rows`` next states."""
+        """``max_a clip(score, 0, 1)`` under the step-h tables of the first ``rows`` next states.
+
+        The same one scoring gives the step's greedy picks, which this records:
+        at degree 0 every cell's in ``_greedy[h]``, and the probe states' in
+        ``_picks[h]``.
+        """
         if self._cells:
-            return np.clip(self._cell_scores(h), 0.0, 1.0).max(axis=1)[next_keys[:rows]]
-        return np.clip(self._block_scores(h, next_keys, rows), 0.0, 1.0).max(axis=1)
+            scores = self._cell_scores(h)
+            self._greedy[h] = np.argmax(scores, axis=1)
+            self._picks[h] = self._greedy[h, self._probe_cells]
+            return np.clip(scores, 0.0, 1.0).max(axis=1)[next_keys[:rows]]
+        base = next_keys.base
+        scores = self._block_scores(h, next_keys, base + rows)
+        self._picks[h] = np.argmax(scores[:base], axis=1)
+        return np.clip(scores[base:], 0.0, 1.0).max(axis=1)
 
     def _refit(self, h: int, v_next) -> np.ndarray:
         """Ridge estimates (N, d) at step h from the whole step-h history.
 
         Targets are ``reward + v_next(next_keys, rows)``, clipped to the target
         bounds, where ``v_next`` values the first ``rows`` next-state keys of
-        the step-h history as ``_next_values(h + 1, ...)`` does; the last step
-        has no continuation.
+        the step-h history as ``_next_values(h + 1, ...)`` does. The last step
+        has no continuation: its sums are ``_sums``, kept by
+        ``observe_transition``.
         """
-        hist = self.history[h]
-        p = hist.size
-        targets = hist.rewards[:p]
-        if h < self.H:
-            targets = targets + v_next(hist.next, p)
-        targets = np.clip(targets, self.clip_lo, self.clip_hi)
-        # Summed per flat (region, feature) id in row order, as np.add.at would;
-        # at degree 0 the weights are the targets, times the exact feature 1.0.
-        ids = (hist.regions[:p, None] * self.d + np.arange(self.d)).ravel()
-        weights = (hist.feats[:p] * targets[:, None]).ravel()
-        bsum = np.bincount(ids, weights, minlength=self.N * self.d).reshape(self.N, self.d)
+        if h == self.H:
+            bsum = self._sums
+        else:
+            hist = self.history[h]
+            p = hist.size
+            targets = hist.rewards[:p] + v_next(hist.next, p)
+            targets = np.clip(targets, self.clip_lo, self.clip_hi)
+            # Summed per flat (region, feature) id in row order, as np.add.at would;
+            # at degree 0 the weights are the targets, times the exact feature 1.0.
+            ids = (hist.regions[:p, None] * self.d + np.arange(self.d)).ravel()
+            weights = (hist.feats[:p] * targets[:, None]).ravel()
+            bsum = np.bincount(ids, weights, minlength=self.N * self.d).reshape(self.N, self.d)
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
     def _backward(self, xi=None) -> None:
@@ -473,8 +505,8 @@ class CinderellaLearner:
         ``||xi||_Lambda <= alpha``) are enumerated region by region; every
         joint assignment is scored by the optimistic initial value, the max
         step-1 ``phi . theta`` over the action grid at s1, after a full
-        backward re-fit with ``theta = theta_hat + xi``. The best ``theta`` is
-        kept with zero radii.
+        backward re-fit with ``theta = theta_hat + xi``. The best ``xi`` is
+        re-fit once more, with zero radii, so the plan records its picks.
         """
         H, N, d, g = self.H, self.N, self.d, _EXACT_GRID_RESOLUTION
         alpha = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts)
@@ -501,8 +533,8 @@ class CinderellaLearner:
             self._backward(xi)
             obj = self._mean(1, s1_feats, s1_regions).max()
             if obj > best_obj:
-                best_obj, best = obj, self.theta_all.copy()
-        self.theta_all[:] = best
+                best_obj, best = obj, xi.copy()
+        self._backward(best)
 
     def plan(self, s1: np.ndarray | None = None) -> None:
         """Refresh the planned table for the upcoming episode."""
@@ -512,9 +544,8 @@ class CinderellaLearner:
             self._plan_exact_grid(s1)
         else:
             self._plan_relaxation()
-        if self._cells:
-            for h in range(1, self.H + 1):
-                self._greedy[h] = np.argmax(self._cell_scores(h), axis=1)
+        if self._cells:  # the re-fit scored steps h >= 2; act reads step 1's picks too
+            self._greedy[1] = np.argmax(self._cell_scores(1), axis=1)
         self.last_policy_actions = self.greedy_action_indices()
 
     # -- acting -------------------------------------------------------------
@@ -559,6 +590,8 @@ class CinderellaLearner:
         ridge_update(self.lam_all[h, region], self.lam_inv_all[h, region], phi, count)
         self.counts[h, region] = count
         self.history[h].append(phi, reward, region, next_key)
+        if h == self.H:  # the additions _refit's bincount makes at h < H, in row order from 0.0
+            self._sums[region] += phi * min(max(reward, self.clip_lo), self.clip_hi)
 
     def plan_and_act_episode(self, env, s1: np.ndarray, rng: np.random.Generator):
         """One full episode: plan, act greedily, then absorb the transitions.
@@ -592,16 +625,10 @@ class CinderellaLearner:
     # -- policy probe (for oracle evaluation) --------------------------------
 
     def greedy_action_indices(self) -> np.ndarray:
-        """Greedy grid-action index of each step h >= 2 at every probe state: (H+1, n).
+        """The last plan's greedy grid-action index of each step h >= 2 at every probe state:
+        (H+1, n), a copy of what its re-fit recorded; nothing is scored here.
 
         Rows 0 and 1 are 0: the oracle values step 1 at the action played at
-        s1, not at the probe states. At degree 0 each entry is a lookup in the
-        plan's cell table.
+        s1, not at the probe states.
         """
-        out = np.zeros((self.H + 1, self._n_probe), dtype=np.int64)
-        for h in range(2, self.H + 1):
-            if self._cells:
-                out[h] = self._greedy[h, self._probe]
-            else:
-                out[h] = np.argmax(self._block_scores(h, self._probe[h], self._n_probe), axis=1)
-        return out
+        return self._picks.copy()

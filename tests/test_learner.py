@@ -527,15 +527,25 @@ def test_observe_transition_fails_fast(h, next_state, prior, match):
     assert [hist.size for hist in learner.history] == sizes
 
 
-def test_partition_centers_and_probe_blocks_are_read_only():
+def test_partition_centers_are_read_only_and_probe_rows_are_kept():
+    """The partition's centers are read-only, and after a run each step's probe rows, which
+    the learner writes once when it is built, are still the probe states' blocks."""
     part = build_partition(2, 0.5)
     fmap = TaylorFeatureMap(partition=part, index_set=enumerate_multi_indices(2, 1))
-    schedule = _schedule(horizon=2)
+    schedule = _schedule(episodes=6, horizon=3)
     probe = np.linspace(-1.0, 1.0, 7)[:, None]
     learner = CinderellaLearner(fmap, schedule, probe, action_points_per_axis=5)
-    for arr in (part.centers, learner._probe[2].feats, learner._probe[2].regions):
-        with pytest.raises(ValueError, match="read-only"):
-            arr[0] = 0
+    with pytest.raises(ValueError, match="read-only"):
+        part.centers[0] = 0
+    env = build_env(RunConfig(env_name="uniform_shift", horizon=3))
+    for k in range(1, 7):
+        learner.plan_and_act_episode(env, np.zeros(1), make_rng(0, k, 0, 1))
+    feats, regions = learner._blocks(probe)
+    for hist in learner.history[1:3]:  # the blocks of steps 2 and 3
+        blocks = hist.next
+        assert hist.size == 6 and blocks.base == 7
+        np.testing.assert_array_equal(blocks.feats[:, :7].view(np.int64), feats.view(np.int64))
+        np.testing.assert_array_equal(blocks.regions[:7], regions)
 
 
 @pytest.mark.parametrize("nu, horizon", [(1.0, 2), (2.0, 3)])

@@ -741,11 +741,14 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
         [0, 0], [1, 0], [0, 1], [2, 0], [1, 1], [0, 2]
     ]
 
-    def plan():  # every step scores -(a - s)^2 = -s^2 + 2 s a - a^2, with no bonus
-        learner.theta_all[1:, 0] = [0.0, 0.0, 0.0, -1.0, 2.0, -1.0]
-        learner.alpha_all[:] = 0.0
+    refit = learner._refit
 
-    monkeypatch.setattr(learner, "_plan_relaxation", plan)
+    def fixed(h, v_next):  # every step scores -(a - s)^2 = -s^2 + 2 s a - a^2, with no bonus
+        refit(h, v_next)  # scores step h + 1, recording the plan's picks there
+        return np.array([[0.0, 0.0, 0.0, -1.0, 2.0, -1.0]])
+
+    monkeypatch.setattr(learner, "_refit", fixed)
+    monkeypatch.setattr("cinderella.learner.alpha_radius", lambda *args: 0.0)
     monkeypatch.setattr(harness, "build_learner", lambda cfg, probe_states: learner)
     trace = harness.run_experiment(config)
 

@@ -24,7 +24,10 @@ absorbs its transitions. A tenth holds the feature-major ``_mean`` and
 ``_width``, over a region array and over one region index, to a loop that
 adds in feature order and to the row-major width rule, bit for bit, and an
 eleventh bounds a plan's width work after one absorb to the absorbed
-region's entries and the new rows.
+region's entries and the new rows. A twelfth holds the last step's table,
+re-fit from sums kept as rows are absorbed, to a re-sum of the whole step-H
+history after every plan, bit for bit, and a thirteenth counts one scoring
+of each step per plan.
 """
 
 import dataclasses
@@ -48,10 +51,10 @@ PROBE_STATES = np.linspace(-1.0, 1.0, 9)[:, None]
 
 def _learner(
     degree, horizon, epsilon=0.5, planner="relaxation", general_path=False, points=9,
-    probe_states=PROBE_STATES,
+    probe_states=PROBE_STATES, clip_bounds=(-1.0, 2.0),
 ):
-    """A learner on a 2-d partition with ``points`` grid actions per axis and the given
-    probe states.
+    """A learner on a 2-d partition with ``points`` grid actions per axis, the given
+    probe states and target clip bounds.
 
     ``general_path`` keeps a degree-0 learner off the cell path. The cell
     path is chosen when the learner is built, from the index set's degree;
@@ -72,7 +75,8 @@ def _learner(
         bonus_scale=0.3,
     )
     return CinderellaLearner(
-        fmap, schedule, probe_states, action_points_per_axis=points, planner=planner
+        fmap, schedule, probe_states, action_points_per_axis=points, planner=planner,
+        clip_bounds=clip_bounds,
     )
 
 
@@ -174,7 +178,8 @@ def _uncached_plan(learner, probe_states):
     """theta_all and greedy probe actions re-planned by the general rule, widths computed afresh.
 
     At degree 0 a history row keeps its next state's cell; the blocks of the
-    cell's center are those of every state in the cell.
+    cell's center are those of every state in the cell. Else its next state's
+    blocks follow the probe's rows in the step's block.
     """
 
     def next_values(h, keys, p):
@@ -182,7 +187,8 @@ def _uncached_plan(learner, probe_states):
             m = learner.partition.cells_per_axis
             blocks = learner._blocks(learner.partition.centers[keys[:p] * m, :1])
         else:
-            blocks = keys.feats[:, :p], keys.regions[:p]
+            rows = slice(keys.base, keys.base + p)
+            blocks = keys.feats[:, rows], keys.regions[rows]
         return np.clip(learner._scores(h, *blocks), 0.0, 1.0).max(axis=1)
 
     cached = learner.theta_all
@@ -235,33 +241,40 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
         np.testing.assert_array_equal(learner.greedy_action_indices(), got)
         if learner._cells:
             continue  # degree-0 histories and probes keep cells, with no widths to cache
-        for h in range(2, horizon + 1):
-            probe = learner._probe[h]
-            np.testing.assert_array_equal(
-                probe.width, learner._width(h, probe.feats, probe.regions)
-            )
-        for h in range(1, horizon):
-            nxt, p = learner.history[h].next, learner.history[h].size
-            assert nxt.fresh == p
-            np.testing.assert_array_equal(
-                nxt.width[:p], learner._width(h + 1, nxt.feats[:, :p], nxt.regions[:p])
-            )
+        for h in range(2, horizon + 1):  # the probe's rows, then the history's next states
+            blocks = learner.history[h - 1].next
+            rows = blocks.base + learner.history[h - 1].size
+            assert blocks.fresh == rows
+            feats, regions = blocks.feats[:, :rows], blocks.regions[:rows]
+            np.testing.assert_array_equal(blocks.width[:rows], learner._width(h, feats, regions))
 
 
-@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
-def test_probe_greedy_indices_match_act(degree):
+@pytest.mark.parametrize(
+    "degree, horizon, epsilon, planner",
+    [  # d = 1, 3, 6 features in two dimensions; exact-grid on one region, at its size limit
+        pytest.param(0, 3, 0.5, "relaxation", id="0"),
+        pytest.param(1, 3, 0.5, "relaxation", id="1"),
+        pytest.param(2, 3, 0.5, "relaxation", id="2"),
+        pytest.param(1, 2, 1.0, "exact-grid", id="exact-grid"),
+    ],
+)
+def test_probe_greedy_indices_match_act(degree, horizon, epsilon, planner):
     """The probe's greedy indices of steps 2..H, whose value the harness measures, are the
-    actions ``act`` plays there, from the keys ``act`` computes."""
-    rng = np.random.default_rng(3000 + 10 * degree + 1)
+    actions ``act`` plays there, from the keys ``act`` computes; under exact-grid, those
+    of the table the search kept."""
+    # Under exact-grid, a seed at which the search's last candidate picks otherwise than the
+    # kept one at step 2, in both plans: at degree 1 a step-2 pick is an end of the grid.
+    rng = np.random.default_rng(3000 + 10 * degree + 1 if planner == "relaxation" else 3032)
     states = np.sort(rng.uniform(-1.0, 1.0, size=(17, 1)), axis=0)
-    learner = _learner(degree, 3, probe_states=states)
+    learner = _learner(degree, horizon, epsilon, planner, probe_states=states)
     for i, s in enumerate(states):
         key = learner.act(2, s)[3]
         if learner._cells:
-            assert learner._probe[i] == key
-        else:
-            np.testing.assert_array_equal(learner._probe[2].feats[:, i], key[0][:, 0])
-            np.testing.assert_array_equal(learner._probe[2].regions[i], key[1][0])
+            assert learner._probe_cells[i] == key
+            continue
+        for blocks in [hist.next for hist in learner.history[1:horizon]]:  # steps 2..H
+            np.testing.assert_array_equal(blocks.feats[:, i], key[0][:, 0])
+            np.testing.assert_array_equal(blocks.regions[i], key[1][0])
     for (hot, spread), s1 in zip([(30, 10), (0, 20)], [states[5], np.zeros(1)]):
         _feed(learner, rng, hot, spread)
         learner.k += 7
@@ -338,9 +351,10 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         assert p == b.size == sum(map(sum, ROUNDS)) + len(ROUNDS)  # fed rows, then episodes
         for name in ("feats", "rewards", "regions"):
             np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
-        if a.next is not None:
-            np.testing.assert_array_equal(b.next.feats[:, :p], 1.0)
-            np.testing.assert_array_equal(cell._cell_regions[a.next[:p]], b.next.regions[:p])
+        if a.next is not None:  # the general path's next states follow the probe's rows
+            rows = slice(b.next.base, b.next.base + p)
+            np.testing.assert_array_equal(b.next.feats[:, rows], 1.0)
+            np.testing.assert_array_equal(cell._cell_regions[a.next[:p]], b.next.regions[rows])
 
 
 @pytest.mark.parametrize(
@@ -589,9 +603,9 @@ def test_feature_major_mean_and_width_match_references(degree):
 @pytest.mark.parametrize("degree", [1, 2])  # d = 3, 6
 def test_one_absorb_rescores_only_its_regions_widths(monkeypatch, degree, step):
     """After one step-h absorb in region r, the next plan computes the bonus width only at
-    region r's entries of the step-h probe and of the step-(h - 1) history's next states,
-    one region at a time, and at the absorbed row's new next-state entries, once. The
-    probe's greedy indices are still ``act``'s picks."""
+    region r's entries of the step-h block, the probe's and the step-(h - 1) history's next
+    states, in one call for the one region, and at the absorbed row's new next-state
+    entries, once. The probe's greedy indices are still ``act``'s picks."""
     rng = np.random.default_rng(9000 + 10 * degree + step)
     states = np.sort(rng.uniform(-1.0, 1.0, size=(11, 1)), axis=0)
     learner = _learner(degree, 3, probe_states=states)
@@ -610,12 +624,68 @@ def test_one_absorb_rescores_only_its_regions_widths(monkeypatch, degree, step):
     monkeypatch.setattr(learner, "_width", counting)
     learner.plan()
     monkeypatch.undo()
-    hist = learner.history[step - 1]
-    in_history = np.count_nonzero(hist.next.regions[: hist.size] == r)
-    in_probe = np.count_nonzero(learner._probe[step].regions == r)
+    blocks, p = learner.history[step - 1].next, learner.history[step - 1].size
+    in_history = np.count_nonzero(blocks.regions[blocks.base : blocks.base + p] == r)
+    in_probe = np.count_nonzero(blocks.regions[: blocks.base] == r)
     assert in_history and in_probe
     new_row = [(step + 1, None, learner.actions.shape[0])] if step < 3 else []
-    assert calls == new_row + [(step, r, in_history), (step, r, in_probe)]
+    assert calls == new_row + [(step, r, in_probe + in_history)]
     for h in (2, 3):
         for i, s in enumerate(states):
             assert learner.act(h, s)[2] == learner.last_policy_actions[h, i]
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
+def test_last_step_sums_match_a_re_sum_per_plan(degree, horizon):
+    """After every plan, the step-H table is the re-sum of the whole step-H history, bit
+    for bit: ``np.bincount`` of the features times the clipped rewards over the rows in
+    order, then each region's ``Lambda^-1``. The rewards pass both clip bounds."""
+    rng = np.random.default_rng(10000 + 10 * degree + horizon)
+    learner = _learner(degree, horizon, clip_bounds=(-1.0, 1.0))
+    N, d, hist = learner.N, learner.d, learner.history[horizon]
+    for i, (hot, spread) in enumerate(ROUNDS):
+        _feed(learner, rng, hot, spread)
+        learner.k = 11 * i
+        learner.plan()
+        p = hist.size
+        targets = np.clip(hist.rewards[:p], learner.clip_lo, learner.clip_hi)
+        ids = (hist.regions[:p, None] * d + np.arange(d)).ravel()
+        weights = (hist.feats[:p] * targets[:, None]).ravel()
+        bsum = np.bincount(ids, weights, minlength=N * d).reshape(N, d)
+        want = np.einsum("nde,ne->nd", learner.lam_inv_all[horizon], bsum)
+        _assert_bits(learner.theta_all[horizon], want)
+    assert hist.rewards[:p].min() < learner.clip_lo and hist.rewards[:p].max() > learner.clip_hi
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
+def test_a_plan_scores_each_step_once(monkeypatch, degree, horizon):
+    """A plan scores each step once, from H down: at degree >= 1 one ``_block_scores`` call
+    per step h >= 2, on the probe's rows and the history's next states together, and at
+    degree 0 one ``_cell_scores`` call per step. ``greedy_action_indices`` scores nothing."""
+    rng = np.random.default_rng(11000 + 10 * degree + horizon)
+    learner = _learner(degree, horizon)
+    calls = []
+
+    def counting(name):
+        scores = getattr(learner, name)
+
+        def wrapper(h, *args):
+            calls.append((name, h))
+            return scores(h, *args)
+
+        return wrapper
+
+    for name in ("_block_scores", "_cell_scores"):
+        monkeypatch.setattr(learner, name, counting(name))
+    if learner._cells:
+        want = [("_cell_scores", h) for h in range(horizon, 0, -1)]
+    else:
+        want = [("_block_scores", h) for h in range(horizon, 1, -1)]
+    for hot, spread in ROUNDS:
+        _feed(learner, rng, hot, spread)
+        calls.clear()
+        learner.plan()
+        learner.greedy_action_indices()
+        assert calls == want

@@ -310,7 +310,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     Per episode: plan and act, then value the policy the episode played with
     the grid oracle; the regret increment is V*(s1) - V^pi(s1). V^pi(s1) is
     one ``policy_value`` call at z1 = (s1, a1), the first state and action
-    played, on the plan's greedy table. A policy is keyed by z1 and that
+    played, on the policy's greedy table. A policy is keyed by z1 and that
     table, and evaluated when it is not among the last ``_POLICY_VALUES_KEPT``
     evaluated; their values serve every episode that plays one again. V* is
     interpolated on the oracle grid. Deterministic given (config, seed).
@@ -335,7 +335,7 @@ def run_experiment(config: RunConfig) -> RegretTrace:
             s1 = np.full(1, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
         transitions, ret = learner.plan_and_act_episode(view, s1, env_rng)
-        played = learner.last_policy_actions
+        played = learner.greedy_action_indices()
         z1 = np.concatenate([s1, transitions[0].action])
         # A digest, not the bytes: kept 8 KB keys fragmented the heap of a process that keeps
         # its traces, +2.7 MB peak RSS over 65 runs of 256 episodes at n_s = 257 and H = 3.

@@ -1,8 +1,9 @@
 """Optimistic region-wise least-squares value iteration.
 
-One ridge regression per (step, region). At the start of every episode the
-value parameters are re-fit backward from step H to 1 against targets
-``reward + next-step optimistic value``; optimism comes from per-region
+One ridge regression per (step, region). At the start of every episode a
+plan builds a new ``Policy``, which acting and the oracle read until the
+next plan: its tables are re-fit backward from step H to 1 against targets
+``reward + next-step optimistic value``, and optimism comes from per-region
 confidence radii. Both planners write one table per (step, region), a
 parameter ``theta`` and a radius ``alpha``, and every score is
 ``phi . theta + alpha * ||phi||_{Lambda^-1}``:
@@ -20,29 +21,30 @@ built at set-up, and its features are separable: ``(s - c_s)^i`` times
 per-grid-action powers ``(a - c_a)^j`` precomputed at set-up, multiplied in
 the order of the general monomial rule, so the floats are the same.
 
-Each plan scores every step once. At degree 0 (``nu <= 1``) the one
-feature is the constant 1, so a score depends only on (state cell, grid
-action). Each plan gathers the N region scores into one (state cell x grid
-action) table per step, which gives the re-fit targets and every cell's
-greedy index; ``act`` and the probe look that up, and history rows keep
-their next state's cell, so acting, absorbing and re-fitting compute no
-features. At degree >= 1 each step h >= 2 keeps one block: the probe
-states' rows, then the next states of the step-(h-1) history. One scoring
-of it gives the plan's greedy picks at the probe and the re-fit values;
-it caches each entry's mean and bonus width, and a plan recomputes only
-the entries whose inputs moved. The floats are those of the general rule.
-The probe covers steps h >= 2 only: the oracle values step 1 at the action
-the episode played. The last step's targets are its clipped rewards, fixed
-once absorbed, so ``observe_transition`` sums them as they arrive and a
-plan re-sums only steps h < H.
+Each plan scores every step once. At degree 0 (``nu <= 1``) the one feature
+is the constant 1, so a score depends only on (state cell, grid action).
+Each plan gathers the N region scores into one (state cell x grid action)
+table per step, which gives the re-fit targets and every cell's greedy
+index, kept in the policy; ``act`` and the probe look that up, and
+history rows keep their next state's cell, so acting, absorbing and
+re-fitting compute no features. At degree >= 1 each step h >= 2 keeps one
+block: the probe states' rows, then the next states of the step-(h-1)
+history. One scoring of it gives the plan's greedy picks at the probe and
+the re-fit values; it caches each entry's mean and bonus width, and a plan
+recomputes only the entries whose inputs moved. The floats are those of the
+general rule. The probe covers steps h >= 2 only: the oracle values step 1
+at the action the episode played. The last step's targets are its clipped
+rewards, fixed once absorbed, so ``observe_transition`` sums them as they
+arrive and a plan re-sums only steps h < H.
 
-Blocks are feature-major: features ``(d, n, M)`` of n states x M grid
-actions, so each scoring einsum runs its inner loop over entries, not over
-the d features. ``_mean`` and ``_width`` take a region array of the
-entries' shape, gathering each entry's theta and Lambda^-1, or one region
-index, whose theta ``(d,)`` and Lambda^-1 ``(d, d)`` broadcast over every
-entry; both forms give the same bits. The mean adds ``f_d * theta_d`` in
-feature order, and the width ``(f_d * L_de) * f_e`` over d, then e.
+Blocks and the policy's tables are feature-major: features ``(d, n, M)`` of
+n states x M grid actions, so each scoring einsum runs its inner loop over
+entries, not over the d features. ``_mean`` and ``_width`` take a region
+array of the entries' shape, gathering each entry's theta and Lambda^-1, or
+one region index, whose theta ``(d,)`` and Lambda^-1 ``(d, d)`` broadcast
+over every entry; both forms give the same bits. The mean adds
+``f_d * theta_d`` in feature order, and the width ``(f_d * L_de) * f_e``
+over d, then e.
 
 Action maximization is over a fixed uniform grid; ties go to the smallest
 grid index. Value estimates are clipped to [0, 1]; regression targets to the
@@ -134,6 +136,26 @@ def alpha_radius(schedule: BonusSchedule, fmap: TaylorFeatureMap, k: int, counts
     )
 
 
+class Policy:
+    """One plan's output, which acting and the oracle read; no later plan writes it.
+
+    Indexed by step h from 1: the table ``theta`` (H+1, d, N) and ``alpha``
+    (H+1, N), scored under ``lam_inv`` (H+1, d, d, N), Lambda^-1 copied when
+    the plan started; at degree 0 each state cell's greedy grid index in
+    ``greedy`` (H+1, C); and ``picks`` (H+1, n), the greedy indices of steps
+    h >= 2 at the probe states. Rows 0 and 1 of ``picks`` are 0, as the
+    oracle values step 1 at the action played at s1. A new policy is a zero
+    table under a feature-major copy of ``lam_inv_all`` (H+1, N, d, d).
+    """
+
+    def __init__(self, lam_inv_all: np.ndarray, n_cells: int, n_probe: int):
+        self.lam_inv = lam_inv_all.transpose(0, 2, 3, 1).copy()  # a copy even where d = 1
+        steps, d, _, N = self.lam_inv.shape
+        self.theta, self.alpha = np.zeros((steps, d, N)), np.zeros((steps, N))
+        self.greedy = np.zeros((steps, n_cells), dtype=np.int64)
+        self.picks = np.zeros((steps, n_probe), dtype=np.int64)
+
+
 class _Blocks:
     """Feature blocks ``feats`` (d, rows, M) and ``regions`` (rows, M) of one step's scores.
 
@@ -141,13 +163,13 @@ class _Blocks:
     blocks, written once, and row ``base + i`` is the next state of
     step-(h-1) history row i. ``mean`` and ``width`` cache each entry's
     ``phi . theta`` and bonus width for the rows below ``fresh``. A cached
-    mean is valid iff its region's theta row has the bits of that row in
-    ``theta``, the step's table when the blocks were last scored; a cached
-    width iff its region's count equals ``seen``. ``counts[h, n]`` is the
-    version of region n's step-h inverse: it is bumped with every
-    ``ridge_update``, the only writer of ``lam_inv_all``.
-    ``blocks[i] = (feats, regions)`` writes the one-state blocks (d, 1, M)
-    and (1, M) of ``act`` as row ``base + i``.
+    mean is valid iff its region's theta column has the bits of that column
+    in ``theta`` (d, N), the step's table when the blocks were last scored;
+    a cached width iff its region's count equals ``seen``. ``counts[h, n]``
+    is the version of region n's step-h inverse, bumped with every
+    ``ridge_update``, the only writer of ``lam_inv_all``, which a policy
+    copies. ``blocks[i] = (feats, regions)`` writes the one-state blocks
+    (d, 1, M) and (1, M) of ``act`` as row ``base + i``.
     """
 
     def __init__(self, feats: np.ndarray, regions: np.ndarray, n_regions: int, base: int):
@@ -156,7 +178,7 @@ class _Blocks:
         self.base = base
         self.mean = np.zeros(regions.shape)
         self.width = np.zeros(regions.shape)
-        self.theta = np.zeros((n_regions, feats.shape[0]))
+        self.theta = np.zeros((feats.shape[0], n_regions))
         self.seen = np.zeros(n_regions, dtype=np.int64)
         self.fresh = 0
 
@@ -232,10 +254,10 @@ def check_learner(fmap, schedule, n_probe, action_points_per_axis, planner, clip
             f"exact grid solver limited to <= 6 uncertainty dims, got dims={H * N * d}"
         )
     # Entries held, floats and int64s alike, counted with Python ints. Per step: the ridge
-    # matrices, tables, history, greedy row and three probe tables (the picks a plan records,
-    # the last plan's copy and the next); per step h >= 2 the store of what it scores; the
-    # probe's cells, the last step's running sums, the largest temporaries of a plan, the
-    # actions, their powers, and the m x M cell table with its temporaries.
+    # matrices and counts, the history, and two policies (the plan's, and the one it replaces,
+    # which its caller may hold); per step h >= 2 the store of what it scores; the probe's
+    # cells, the last step's running sums, the largest temporaries of a plan, the actions,
+    # their powers, and the m x M cell table with its temporaries.
     M, K, m, n_s = action_points_per_axis, schedule.episodes, partition.cells_per_axis, n_probe
     if fmap.index_set.degree == 0:  # cells; a re-fit at h < H holds targets, ids and weights
         store, cells, plan = K, n_s, 4 * K
@@ -247,7 +269,7 @@ def check_learner(fmap, schedule, n_probe, action_points_per_axis, planner, clip
         plan = (n_s + K) * M * (d * d + d + 5)
     if H == 1:  # no step keeps a block, and the one re-fit reads the running sums
         plan = 0
-    held = (H + 1) * (N * (2 * d * d + d + 2) + K * (d + 2) + m + 3 * n_s)
+    held = (H + 1) * (N * (4 * d * d + 2 * d + 3) + K * (d + 2) + 2 * (m + n_s))
     held += (H - 1) * store + cells + N * d + plan + M * (d + 3) + 6 * m * M
     if held > MAX_HELD_ENTRIES:
         raise ValueError(f"learner too large: {held} entries held, over {MAX_HELD_ENTRIES}")
@@ -260,27 +282,22 @@ class CinderellaLearner:
     concurrently with no shared mutable state.
 
     Each step holds ``schedule.episodes`` transitions, one per episode.
-    ``plan`` writes the planned table ``theta_all`` (H+1, N, d) and
-    ``alpha_all`` (H+1, N), indexed by h starting at 1, read by ``_scores``,
-    the one scoring rule, and its greedy indices of steps h >= 2 at the
-    ``probe_states`` (n, 1) into ``last_policy_actions``. Both planners score
-    each step h >= 2 once per re-fit, in ``_next_values``, which records the
-    step's greedy picks at the probe in ``_picks`` from the scores that give
-    the re-fit values. At degree >= 1 that is one ``_block_scores`` call on
-    the step's ``_Blocks``, the probe's rows and then the step-(h-1)
-    history's next states, which caches their means ``phi . theta`` and bonus
-    widths ``sqrt(max(phi^T Lambda^-1 phi, 0))`` (see ``_Blocks`` for when a
-    cached entry is valid); ``alpha`` changes with ``k`` and stays outside
-    the cache. The step-H re-fit reads ``_sums`` (N, d), the sums of
+    ``plan`` builds a new ``policy`` (see ``Policy``), which ``_scores``, the
+    one scoring rule, reads. Both planners score each step h >= 2 once per
+    re-fit, in ``_next_values``, which records the step's greedy picks at
+    the ``probe_states`` (n, 1) from the scores that give the re-fit values.
+    At degree >= 1 that is one ``_block_scores`` call on the step's
+    ``_Blocks``, the probe's rows and then the step-(h-1) history's next
+    states, which caches their means and bonus widths (see ``_Blocks`` for
+    when a cached entry is valid); ``alpha`` changes with ``k`` and stays
+    outside the cache. The step-H re-fit reads ``_sums`` (N, d), the sums of
     ``phi * clip(reward)`` that ``observe_transition`` adds in row order.
 
     ``_cell_regions`` (C, M) holds the regions of every state cell x grid
     action, and ``_blocks`` reads a state's regions from it. At degree 0 a
     state is its state cell: ``_cell_scores(h)`` gathers the N region scores
-    ``theta + alpha * sqrt(Lambda^-1)`` into the (C, M) step-h table, once
-    per plan and step, and its argmax per cell is kept in ``_greedy``
-    (H+1, C). The history stores next cells and ``_probe_cells`` the probe
-    states' cells.
+    into the (C, M) step-h table, once per plan and step. The history stores
+    next cells and ``_probe_cells`` the probe states' cells.
 
     ``plan_and_act_episode`` plans, then runs the episode through ``act`` and
     ``observe_transition``, the learner's only greedy and absorb paths. Each
@@ -331,7 +348,6 @@ class CinderellaLearner:
         self._cells = fmap.index_set.degree == 0
         n_s = self._n_probe
         if self._cells:
-            self._greedy = np.zeros((H + 1, m), dtype=np.int64)
             self._one = np.ones(1)  # the one feature, the same for every row
             self._one.flags.writeable = False
             self._probe_cells = self._state_cells(probe_states)
@@ -352,11 +368,8 @@ class CinderellaLearner:
             _StepHistory(K, d, next_keys() if 1 <= h < H else None) for h in range(H + 1)
         ]
         self._sums = np.zeros((N, d))
-        self.theta_all = np.zeros((H + 1, N, d))
-        self.alpha_all = np.zeros((H + 1, N))
         self.k = 0
-        self._picks = np.zeros((H + 1, n_s), dtype=np.int64)
-        self.last_policy_actions = None
+        self.policy = Policy(self.lam_inv_all, m, n_s)
 
     # -- feature plumbing ---------------------------------------------------
 
@@ -380,19 +393,19 @@ class CinderellaLearner:
     # -- scoring ------------------------------------------------------------
 
     def _width(self, h: int, feats: np.ndarray, regions) -> np.ndarray:
-        """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the step-h inverses.
+        """Bonus width ``sqrt(max(phi^T Lambda^-1 phi, 0))`` under the policy's step-h inverses.
 
         ``feats`` is (d, ...), feature-major, and ``regions`` an int array of
         its entries' shape, each entry's Lambda^-1 gathered as (d, d, ...),
         or one region index, whose (d, d) inverse broadcasts. Either way
         ``(f_d * L_de) * f_e`` is summed over d, then e.
         """
-        li = self.lam_inv_all[h].transpose(1, 2, 0).take(regions, 2)
+        li = self.policy.lam_inv[h].take(regions, 2)
         quad = np.einsum("d...,de...,e...->...", feats, li, feats)
         return np.sqrt(np.maximum(quad, 0.0))
 
     def _mean(self, h: int, feats: np.ndarray, regions) -> np.ndarray:
-        """Mean ``phi . theta`` under the step-h table, its products added in feature order.
+        """Mean ``phi . theta`` under the policy's step-h table, added in feature order.
 
         ``feats`` and ``regions`` are as for ``_width``: a region array
         gathers each entry's theta as (d, ...), one region index broadcasts
@@ -400,31 +413,31 @@ class CinderellaLearner:
         ``_blocks`` and ``take`` lay it out: over a feature axis of the
         smallest stride einsum adds the products in its SIMD order.
         """
-        return np.einsum("d...,d...->...", feats, self.theta_all[h].T.take(regions, 1))
+        return np.einsum("d...,d...->...", feats, self.policy.theta[h].take(regions, 1))
 
     def _scores(self, h: int, feats: np.ndarray, regions: np.ndarray) -> np.ndarray:
         """Raw optimistic scores ``phi . theta + alpha * width`` of feature-major blocks."""
         mean = self._mean(h, feats, regions)
-        return mean + self.alpha_all[h][regions] * self._width(h, feats, regions)
+        return mean + self.policy.alpha[h][regions] * self._width(h, feats, regions)
 
     def _block_scores(self, h: int, blocks: _Blocks, rows: int) -> np.ndarray:
         """Raw optimistic step-h scores (rows, M) of the first ``rows`` block rows.
 
         Rows from ``blocks.fresh`` on are computed in full. Of older rows, a
-        mean is recomputed only where its region's step-h theta row differs
-        in bits from ``blocks.theta`` (so -0.0 against 0.0 counts as moved),
-        and a width only where its region's step-h count differs from
+        mean is recomputed only where its region's step-h theta column
+        differs in bits from ``blocks.theta`` (so -0.0 against 0.0 counts as
+        moved), and a width only where its region's step-h count differs from
         ``blocks.seen``. The caches are then current for ``rows`` rows.
         """
-        theta = self.theta_all[h]
-        moved = (theta.view(np.int64) != blocks.theta.view(np.int64)).any(axis=1)
+        theta, alpha = self.policy.theta[h], self.policy.alpha[h]
+        moved = (theta.view(np.int64) != blocks.theta.view(np.int64)).any(axis=0)
         blocks.refresh(blocks.mean, moved, rows, lambda f, r: self._mean(h, f, r))
         stale = self.counts[h] != blocks.seen
         blocks.refresh(blocks.width, stale, rows, lambda f, r: self._width(h, f, r))
         blocks.theta[:] = theta
         blocks.seen[:] = self.counts[h]
         blocks.fresh = rows
-        return blocks.mean[:rows] + self.alpha_all[h][blocks.regions[:rows]] * blocks.width[:rows]
+        return blocks.mean[:rows] + alpha[blocks.regions[:rows]] * blocks.width[:rows]
 
     def _cell_scores(self, h: int) -> np.ndarray:
         """Raw optimistic step-h scores (C, M) of every state cell x grid action, at degree 0.
@@ -432,11 +445,11 @@ class CinderellaLearner:
         The N region scores gathered by ``_cell_regions``: ``1.0 * theta`` and
         ``1.0 * Lambda^-1 * 1.0`` are exact, so the floats are ``_scores``'.
         """
-        width = np.sqrt(np.maximum(self.lam_inv_all[h][:, 0, 0], 0.0))
-        return (self.theta_all[h][:, 0] + self.alpha_all[h] * width)[self._cell_regions]
+        width = np.sqrt(np.maximum(self.policy.lam_inv[h, 0, 0], 0.0))
+        return (self.policy.theta[h, 0] + self.policy.alpha[h] * width)[self._cell_regions]
 
     def value_estimate(self, state: np.ndarray) -> float:
-        """Optimistic initial-state value: clipped max step-1 score over the action grid."""
+        """Optimistic initial-state value of the policy: clipped max step-1 score over the grid."""
         feats, regions = self._blocks(state)
         return float(np.clip(self._scores(1, feats, regions).max(), 0.0, 1.0))
 
@@ -445,18 +458,18 @@ class CinderellaLearner:
     def _next_values(self, h: int, next_keys, rows: int) -> np.ndarray:
         """``max_a clip(score, 0, 1)`` under the step-h tables of the first ``rows`` next states.
 
-        The same one scoring gives the step's greedy picks, which this records:
-        at degree 0 every cell's in ``_greedy[h]``, and the probe states' in
-        ``_picks[h]``.
+        The same one scoring gives the step's greedy picks, which this records
+        in the policy: at degree 0 every cell's in ``greedy[h]``, and the probe
+        states' in ``picks[h]``.
         """
         if self._cells:
             scores = self._cell_scores(h)
-            self._greedy[h] = np.argmax(scores, axis=1)
-            self._picks[h] = self._greedy[h, self._probe_cells]
+            self.policy.greedy[h] = np.argmax(scores, axis=1)
+            self.policy.picks[h] = self.policy.greedy[h, self._probe_cells]
             return np.clip(scores, 0.0, 1.0).max(axis=1)[next_keys[:rows]]
         base = next_keys.base
         scores = self._block_scores(h, next_keys, base + rows)
-        self._picks[h] = np.argmax(scores[:base], axis=1)
+        self.policy.picks[h] = np.argmax(scores[:base], axis=1)
         return np.clip(scores[base:], 0.0, 1.0).max(axis=1)
 
     def _refit(self, h: int, v_next) -> np.ndarray:
@@ -483,20 +496,15 @@ class CinderellaLearner:
         return np.einsum("nde,ne->nd", self.lam_inv_all[h], bsum)
 
     def _backward(self, xi=None) -> None:
-        """Re-fit ``theta_all`` from step H down to 1, adding ``xi[h]`` when given.
+        """Re-fit ``policy.theta`` from step H down to 1, adding ``xi[h]`` (d, N) when given.
 
         Each step's targets are scored with the step-(h+1) table just written.
         """
+        theta = self.policy.theta
         for h in range(self.H, 0, -1):
-            self.theta_all[h] = self._refit(
-                h, lambda keys, rows: self._next_values(h + 1, keys, rows)
-            )
+            theta[h] = self._refit(h, lambda keys, rows: self._next_values(h + 1, keys, rows)).T
             if xi is not None:
-                self.theta_all[h] += xi[h]
-
-    def _plan_relaxation(self) -> None:
-        self.alpha_all[1:] = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts[1:])
-        self._backward()
+                theta[h] += xi[h]
 
     def _plan_exact_grid(self, s1: np.ndarray) -> None:
         """Exhaustive search over uncertainty vectors on a per-coordinate grid.
@@ -506,7 +514,7 @@ class CinderellaLearner:
         joint assignment is scored by the optimistic initial value, the max
         step-1 ``phi . theta`` over the action grid at s1, after a full
         backward re-fit with ``theta = theta_hat + xi``. The best ``xi`` is
-        re-fit once more, with zero radii, so the plan records its picks.
+        re-fit once more, so the policy records its picks; its radii stay 0.
         """
         H, N, d, g = self.H, self.N, self.d, _EXACT_GRID_RESOLUTION
         alpha = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts)
@@ -524,12 +532,11 @@ class CinderellaLearner:
             candidates.append(np.unique(pts[norms <= alpha[h, n] + 1e-12], axis=0))
 
         s1_feats, s1_regions = self._blocks(s1)
-        self.alpha_all[:] = 0.0
-        xi = np.zeros((H + 1, N, d))
+        xi = np.zeros_like(self.policy.theta)
         best_obj, best = -np.inf, None
         for combo in itertools.product(*candidates):
             for (h, n), c in zip(keys, combo):
-                xi[h, n] = c
+                xi[h, :, n] = c
             self._backward(xi)
             obj = self._mean(1, s1_feats, s1_regions).max()
             if obj > best_obj:
@@ -537,30 +544,31 @@ class CinderellaLearner:
         self._backward(best)
 
     def plan(self, s1: np.ndarray | None = None) -> None:
-        """Refresh the planned table for the upcoming episode."""
+        """Build the ``policy`` of the upcoming episode under the inverses as they stand."""
+        if self.planner == "exact-grid" and s1 is None:
+            raise ValueError("exact-grid planning needs the initial state")
+        self.policy = policy = Policy(self.lam_inv_all, len(self._cell_regions), self._n_probe)
         if self.planner == "exact-grid":
-            if s1 is None:
-                raise ValueError("exact-grid planning needs the initial state")
             self._plan_exact_grid(s1)
         else:
-            self._plan_relaxation()
+            policy.alpha[1:] = alpha_radius(self.schedule, self.fmap, self.k + 1, self.counts[1:])
+            self._backward()
         if self._cells:  # the re-fit scored steps h >= 2; act reads step 1's picks too
-            self._greedy[1] = np.argmax(self._cell_scores(1), axis=1)
-        self.last_policy_actions = self.greedy_action_indices()
+            policy.greedy[1] = np.argmax(self._cell_scores(1), axis=1)
 
     # -- acting -------------------------------------------------------------
 
     def act(self, h: int, state: np.ndarray):
-        """Greedy step-h pick at ``state``: ``(phi, region, index, key)``.
+        """The policy's greedy step-h pick at ``state``: ``(phi, region, index, key)``.
 
         ``(phi, region)`` is the regression row of grid action ``index`` and
         ``key`` what a history row keeps of ``state`` as its next state: its
         blocks ``(feats, regions)``, or at degree 0 its state cell, whose
-        greedy index the last plan stored.
+        greedy index the policy stores.
         """
         if self._cells:
             cell = axis_cell(float(state[0]), self.partition.cells_per_axis)
-            i = int(self._greedy[h, cell])
+            i = int(self.policy.greedy[h, cell])
             return self._one, int(self._cell_regions[cell, i]), i, cell
         feats, regions = self._blocks(state)
         i = int(np.argmax(self._scores(h, feats, regions)))
@@ -609,11 +617,11 @@ class CinderellaLearner:
         self.plan(s1)
         visits = []  # act's (phi, region, index, key) per visited state
 
-        def policy(h, state):
+        def play(h, state):
             visits.append(self.act(h, state))
             return self.actions[visits[-1][2]]
 
-        transitions, total = run_episode(env, policy, rng, s1=s1)
+        transitions, total = run_episode(env, play, rng, s1=s1)
         nexts = [visit[3] for visit in visits[1:]] + [None]
         for tr, nxt in zip(transitions, nexts):
             self._check_transition(tr.h, tr.reward_sample, nxt)
@@ -625,10 +633,6 @@ class CinderellaLearner:
     # -- policy probe (for oracle evaluation) --------------------------------
 
     def greedy_action_indices(self) -> np.ndarray:
-        """The last plan's greedy grid-action index of each step h >= 2 at every probe state:
-        (H+1, n), a copy of what its re-fit recorded; nothing is scored here.
-
-        Rows 0 and 1 are 0: the oracle values step 1 at the action played at
-        s1, not at the probe states.
-        """
-        return self._picks.copy()
+        """The policy's ``picks`` (H+1, n), which its plan's re-fit recorded; nothing is scored
+        here, and a later plan leaves the returned array as it is."""
+        return self.policy.picks

@@ -38,7 +38,7 @@ def record_played(monkeypatch):
 
     def recording(self, env, s1, rng):
         transitions, total = episode(self, env, s1, rng)
-        played.append((np.concatenate([s1, transitions[0].action]), self.last_policy_actions))
+        played.append((np.concatenate([s1, transitions[0].action]), self.policy.picks))
         return transitions, total
 
     monkeypatch.setattr(CinderellaLearner, "plan_and_act_episode", recording)

@@ -92,7 +92,7 @@ def test_cold_start_optimism_saturates():
     learner.plan()
     z = np.array([0.0, 0.5])
     phi = np.array([1.0, 0.0, 0.5])
-    alpha = learner.alpha_all[1, 0]
+    alpha = learner.policy.alpha[1, 0]
     assert alpha >= 1.0 / (phi @ phi)
     assert clipped_q(learner, 1, z) == 1.0
 
@@ -210,10 +210,10 @@ def test_horizon_one_acts_like_linucb():
     assert feats.shape == (learner.d, 1, learner.actions.shape[0])
     assert regions.shape == feats.shape[1:]
     feats, regions = np.ascontiguousarray(feats[:, 0].T), regions[0]
-    mean = feats @ learner.theta_all[1, 0]
+    mean = feats @ np.ascontiguousarray(learner.policy.theta[1, :, 0])
     bonuses = np.array(
         [
-            learner.alpha_all[1, 0] * mahalanobis_inv_norm(learner.lam_inv_all[1, 0], f)
+            learner.policy.alpha[1, 0] * mahalanobis_inv_norm(learner.lam_inv_all[1, 0], f)
             for f in feats
         ]
     )
@@ -262,11 +262,11 @@ def test_argmax_invariant_under_positive_scaling():
     s = np.array([0.3])
     base = learner.act(1, s)[2]
     for scale in (0.25, 4.0, 117.0):
-        learner.theta_all *= scale
-        learner.alpha_all *= scale
+        learner.policy.theta *= scale
+        learner.policy.alpha *= scale
         assert learner.act(1, s)[2] == base
-        learner.theta_all /= scale
-        learner.alpha_all /= scale
+        learner.policy.theta /= scale
+        learner.policy.alpha /= scale
 
 
 def test_learner_works_against_sampling_view():
@@ -321,8 +321,8 @@ def test_exact_grid_zero_radius_returns_plain_ridge():
     learner.schedule.bonus_scale = 0.0
     learner.schedule.r_max = 0.0
     learner.plan(np.zeros(1))
-    np.testing.assert_allclose(learner.theta_all[1, 0], _ridge_solution(learner), atol=1e-12)
-    np.testing.assert_array_equal(learner.alpha_all, 0.0)
+    np.testing.assert_allclose(learner.policy.theta[1, :, 0], _ridge_solution(learner), atol=1e-12)
+    np.testing.assert_array_equal(learner.policy.alpha, 0.0)
 
 
 def test_exact_grid_matches_1d_closed_form():
@@ -333,7 +333,7 @@ def test_exact_grid_matches_1d_closed_form():
     lam = learner.lam_all[1, 0, 0, 0]
     radius = alpha_radius(learner.schedule, learner.fmap, learner.k + 1, int(learner.counts[1, 0]))
     closed = _ridge_solution(learner)[0] + radius / math.sqrt(lam)
-    assert learner.theta_all[1, 0, 0] == pytest.approx(closed, abs=1e-10)
+    assert learner.policy.theta[1, 0, 0] == pytest.approx(closed, abs=1e-10)
 
 
 def test_exact_grid_objective_matches_relaxation_on_tiny_instance():
@@ -357,11 +357,11 @@ def test_exact_grid_emits_feasible_tables():
         learner.plan_and_act_episode(env, np.zeros(1), make_rng(7, k, 0, 1))
     k_next = learner.k + 1
     learner.plan(np.zeros(1))
-    # the optimism lives in theta_all, so the planned radii are zero
-    np.testing.assert_array_equal(learner.alpha_all, 0.0)
+    # the optimism lives in theta, so the planned radii are zero
+    np.testing.assert_array_equal(learner.policy.alpha, 0.0)
     # theta_bar = theta_hat + xi, with theta_hat the ridge solution and xi
     # inside its confidence ellipsoid
-    xi = learner.theta_all[1, 0] - _ridge_solution(learner)
+    xi = learner.policy.theta[1, :, 0] - _ridge_solution(learner)
     norm = math.sqrt(xi @ learner.lam_all[1, 0] @ xi)
     alpha = alpha_radius(learner.schedule, learner.fmap, k_next, int(learner.counts[1, 0]))
     assert norm <= alpha + 1e-9
@@ -393,7 +393,7 @@ def test_exact_grid_reads_only_theta_at_d3():
     for k in range(1, 6):
         learner.plan_and_act_episode(env, np.full(1, 0.3), make_rng(4, k, 0, 1))
     learner.plan(np.full(1, 0.3))
-    theta = learner.theta_all
+    theta = learner.policy.theta.transpose(0, 2, 1).copy()  # (H+1, N, d)
 
     def by_hand(h, state):
         feats, regions = learner._blocks(state)

@@ -756,7 +756,7 @@ def test_vpi_values_the_action_played_where_the_grid_pair_picks_differ(monkeypat
     dp = dp_solve(env, 5, 9)
     s1, axis = np.array([0.27]), dp.state_points[:, 0]
     assert [learner.act(1, s)[2] for s in ([0.0], [0.5], s1)] == [10, 15, 13]
-    v_2 = _naive_grid_values(env, dp, learner.actions, learner.last_policy_actions, 2)
+    v_2 = _naive_grid_values(env, dp, learner.actions, learner.policy.picks, 2)
     exact = _naive_backup(env, dp, 1, [0.27, 0.3], v_2)
     assert trace.column("vpi")[0] == pytest.approx(exact, abs=1e-12)
     pair = [_naive_backup(env, dp, 1, [s, s], v_2) for s in (0.0, 0.5)]

@@ -26,10 +26,13 @@ adds in feature order and to the row-major width rule, bit for bit, and an
 eleventh bounds a plan's width work after one absorb to the absorbed
 region's entries and the new rows. A twelfth holds the last step's table,
 re-fit from sums kept as rows are absorbed, to a re-sum of the whole step-H
-history after every plan, bit for bit, and a thirteenth counts one scoring
-of each step per plan.
+history after every plan, bit for bit, a thirteenth counts one scoring
+of each step per plan, and a fourteenth holds a policy's picks and scores
+through the absorb of the episode it plays, and the policy itself through
+the next plan, bit for bit.
 """
 
+import copy
 import dataclasses
 import math
 
@@ -167,15 +170,18 @@ def test_learner_matches_naive_reference(degree, horizon):
     assert learner.counts[1:, 0].min() > REINVERT_EVERY
     np.testing.assert_array_equal(learner.counts, ref.counts)
     np.testing.assert_allclose(learner.lam_all[1:], ref.lam[1:], rtol=1e-12, atol=1e-9)
-    np.testing.assert_allclose(learner.alpha_all, ref.alpha, rtol=0, atol=1e-9)
-    np.testing.assert_allclose(learner.theta_all, ref.theta, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(learner.policy.alpha, ref.alpha, rtol=0, atol=1e-9)
+    np.testing.assert_allclose(
+        learner.policy.theta, ref.theta.transpose(0, 2, 1), rtol=0, atol=1e-9
+    )
     for h in range(1, horizon + 1):
         for s in rng.uniform(-1.0, 1.0, size=(6, 1)):
             np.testing.assert_array_equal(learner.actions[learner.act(h, s)[2]], ref.act(h, s))
 
 
 def _uncached_plan(learner, probe_states):
-    """theta_all and greedy probe actions re-planned by the general rule, widths computed afresh.
+    """The policy's theta and greedy probe actions re-planned by the general rule, widths
+    computed afresh.
 
     At degree 0 a history row keeps its next state's cell; the blocks of the
     cell's center are those of every state in the cell. Else its next state's
@@ -191,18 +197,27 @@ def _uncached_plan(learner, probe_states):
             blocks = keys.feats[:, rows], keys.regions[rows]
         return np.clip(learner._scores(h, *blocks), 0.0, 1.0).max(axis=1)
 
-    cached = learner.theta_all
-    theta = learner.theta_all = np.zeros_like(cached)
+    cached = learner.policy
+    learner.policy = copy.copy(cached)
+    theta = learner.policy.theta = np.zeros_like(cached.theta)
     try:
         for h in range(learner.H, 0, -1):
-            theta[h] = learner._refit(h, lambda keys, p: next_values(h + 1, keys, p))
+            theta[h] = learner._refit(h, lambda keys, p: next_values(h + 1, keys, p)).T
         feats, regions = learner._blocks(probe_states)
         greedy = np.zeros((learner.H + 1, feats.shape[1]), dtype=np.int64)
         for h in range(1, learner.H + 1):
             greedy[h] = np.argmax(learner._scores(h, feats, regions), axis=1)
     finally:
-        learner.theta_all = cached
+        learner.policy = cached
     return theta, greedy
+
+
+def _assert_same_state(learner, other):
+    """The two learners' regressions and their policies' tables are equal."""
+    for name in ("counts", "lam_all", "lam_inv_all"):
+        np.testing.assert_array_equal(getattr(learner, name), getattr(other, name))
+    for name in ("theta", "alpha", "lam_inv"):
+        np.testing.assert_array_equal(getattr(learner.policy, name), getattr(other.policy, name))
 
 
 def _assert_probe_picks(got, want):
@@ -235,8 +250,8 @@ def test_cached_widths_match_uncached_scores(degree, horizon):
         learner.plan()
 
         theta, greedy = _uncached_plan(learner, probe_states)
-        np.testing.assert_array_equal(learner.theta_all, theta)
-        got = learner.last_policy_actions
+        np.testing.assert_array_equal(learner.policy.theta, theta)
+        got = learner.policy.picks
         _assert_probe_picks(got, greedy)
         np.testing.assert_array_equal(learner.greedy_action_indices(), got)
         if learner._cells:
@@ -280,7 +295,7 @@ def test_probe_greedy_indices_match_act(degree, horizon, epsilon, planner):
         learner.k += 7
         learner.plan(s1)
         greedy = learner.greedy_action_indices()
-        _assert_probe_picks(learner.last_policy_actions, greedy)
+        _assert_probe_picks(learner.policy.picks, greedy)
         for h in range(2, learner.H + 1):
             for i, s in enumerate(states):
                 assert learner.act(h, s)[2] == greedy[h, i]
@@ -320,11 +335,10 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for learner in learners:
             learner.plan(s1)
 
-        for name in ("counts", "lam_all", "lam_inv_all", "theta_all", "alpha_all"):
-            np.testing.assert_array_equal(getattr(cell, name), getattr(general, name))
-        want = cell.last_policy_actions
+        _assert_same_state(cell, general)
+        want = cell.policy.picks
         _assert_probe_picks(want, want)
-        _assert_probe_picks(general.last_policy_actions, want)
+        _assert_probe_picks(general.policy.picks, want)
         for s in rng.uniform(-1.0, 1.0, size=(5, 1)):
             assert cell.value_estimate(s) == general.value_estimate(s)
             for h in range(1, horizon + 1):
@@ -343,8 +357,7 @@ def test_region_scores_match_general_path(horizon, epsilon, planner):
         for a, b in zip(got[0], want[0]):
             np.testing.assert_array_equal(a.action, b.action)
             assert a.reward_sample == b.reward_sample
-        for name in ("counts", "lam_all", "lam_inv_all", "theta_all", "alpha_all"):
-            np.testing.assert_array_equal(getattr(cell, name), getattr(general, name))
+        _assert_same_state(cell, general)
     assert cell.counts[1:, 0].min() > REINVERT_EVERY
     for a, b in zip(cell.history[1:], general.history[1:]):
         p = a.size
@@ -396,9 +409,8 @@ def test_episode_path_matches_public_path(env_name, nu, horizon, epsilon, planne
             assert (a.next_state is None) == (b.next_state is None)
             if a.next_state is not None:
                 np.testing.assert_array_equal(a.next_state, b.next_state)
-        for name in ("lam_all", "lam_inv_all", "counts", "theta_all", "alpha_all"):
-            np.testing.assert_array_equal(getattr(episode, name), getattr(public, name))
-        np.testing.assert_array_equal(episode.last_policy_actions, public.last_policy_actions)
+        _assert_same_state(episode, public)
+        np.testing.assert_array_equal(episode.policy.picks, public.policy.picks)
         assert episode.k == public.k == k
     for a, b in zip(episode.history, public.history):
         assert a.size == b.size
@@ -477,7 +489,9 @@ def _checked_block_scores(learner, moves):
 
     def checked(h, blocks, rows):
         if blocks.fresh:
-            moved = [not np.array_equal(a, b) for a, b in zip(learner.theta_all[h], blocks.theta)]
+            moved = [
+                not np.array_equal(a, b) for a, b in zip(learner.policy.theta[h].T, blocks.theta.T)
+            ]
             moves.add("all" if all(moved) else "some" if any(moved) else "none")
         got = cached(h, blocks, rows)
         feats, regions = blocks.feats[:, :rows], blocks.regions[:rows]
@@ -549,7 +563,7 @@ def test_played_step_1_is_the_planned_greedy_around_s1(monkeypatch, degree, hori
     for k in range(1, 9):
         transitions, _ = learner.plan_and_act_episode(env, start, make_rng(8, k, 0, 1))
         want = planned[-1]
-        _assert_probe_picks(learner.last_policy_actions, want[:, :-1])
+        _assert_probe_picks(learner.policy.picks, want[:, :-1])
         np.testing.assert_array_equal(transitions[0].action, learner.actions[want[1, -1]])
     assert len(planned) == 8
 
@@ -575,12 +589,12 @@ def test_feature_major_mean_and_width_match_references(degree):
     assert d == (1, 3, 6, 10)[degree] and N == 4
     rng = np.random.default_rng(8000 + degree)
     root = rng.standard_normal((N, d, d))
-    learner.lam_inv_all[2] = root @ root.transpose(0, 2, 1) / d
-    learner.theta_all[2] = rng.standard_normal((N, d))
+    lam_inv = root @ root.transpose(0, 2, 1) / d
+    theta = rng.standard_normal((N, d))
+    learner.policy.lam_inv[2], learner.policy.theta[2] = lam_inv.transpose(1, 2, 0), theta.T
     feats = rng.uniform(-1.0, 1.0, size=(d, 17, 9))
     regions = rng.integers(0, N, size=(17, 9))
     rows = np.ascontiguousarray(np.moveaxis(feats, 0, -1))  # (17, 9, d)
-    lam_inv, theta = learner.lam_inv_all[2], learner.theta_all[2]
 
     width = learner._width(2, feats, regions)
     _assert_bits(width, _row_major_width(lam_inv, rows, regions))
@@ -632,7 +646,7 @@ def test_one_absorb_rescores_only_its_regions_widths(monkeypatch, degree, step):
     assert calls == new_row + [(step, r, in_probe + in_history)]
     for h in (2, 3):
         for i, s in enumerate(states):
-            assert learner.act(h, s)[2] == learner.last_policy_actions[h, i]
+            assert learner.act(h, s)[2] == learner.policy.picks[h, i]
 
 
 @pytest.mark.parametrize("horizon", [1, 2, 3])
@@ -654,7 +668,7 @@ def test_last_step_sums_match_a_re_sum_per_plan(degree, horizon):
         weights = (hist.feats[:p] * targets[:, None]).ravel()
         bsum = np.bincount(ids, weights, minlength=N * d).reshape(N, d)
         want = np.einsum("nde,ne->nd", learner.lam_inv_all[horizon], bsum)
-        _assert_bits(learner.theta_all[horizon], want)
+        _assert_bits(learner.policy.theta[horizon], want.T)
     assert hist.rewards[:p].min() < learner.clip_lo and hist.rewards[:p].max() > learner.clip_hi
 
 
@@ -689,3 +703,46 @@ def test_a_plan_scores_each_step_once(monkeypatch, degree, horizon):
         learner.plan()
         learner.greedy_action_indices()
         assert calls == want
+
+
+@pytest.mark.parametrize("horizon", [1, 2, 3])
+@pytest.mark.parametrize("degree", [0, 1, 2])  # d = 1, 3, 6 features in two dimensions
+def test_the_policy_stays_frozen_until_the_next_plan(degree, horizon):
+    """Absorbing an episode's rows, with no plan between, changes no ``act`` pick at the probe
+    states and no bit of the unclipped step-1 scores at s1; the next plan builds a new
+    policy and leaves the one it replaces as it was."""
+    rng = np.random.default_rng(12000 + 10 * degree + horizon)
+    learner = _learner(degree, horizon)
+    _feed(learner, rng, 0, 12)
+    learner.k = 12
+    s1 = np.array([0.3])
+    learner.plan(s1)
+    policy = learner.policy
+    kept = {name: table.copy() for name, table in vars(policy).items()}
+
+    def picks():
+        return [[learner.act(h, s)[2] for s in PROBE_STATES] for h in range(1, horizon + 1)]
+
+    want_picks, want_scores = picks(), learner._scores(1, *learner._blocks(s1))
+    visits = []
+
+    def play(h, state):
+        visits.append(learner.act(h, state))
+        return learner.actions[visits[-1][2]]
+
+    env = build_env(RunConfig(env_name="uniform_shift", horizon=horizon))
+    transitions, _ = run_episode(env, play, make_rng(12, 1, 0, 1), s1=s1)
+    counts = learner.counts.copy()
+    nexts = [visit[3] for visit in visits[1:]] + [None]
+    for tr, (phi, region, _, _), nxt in zip(transitions, visits, nexts):
+        learner.observe_transition(tr.h, phi, region, tr.reward_sample, nxt)
+    assert (learner.counts - counts).sum() == horizon
+    assert learner.policy is policy and picks() == want_picks
+    _assert_bits(learner._scores(1, *learner._blocks(s1)), want_scores)
+
+    learner.k += 1
+    learner.plan(s1)
+    assert learner.policy is not policy
+    assert vars(policy).keys() == kept.keys()
+    for name, want in kept.items():
+        _assert_bits(getattr(policy, name), want)

@@ -114,7 +114,7 @@ def run_episode(env, policy, rng: np.random.Generator, s1: np.ndarray | None = N
     total = 0.0
     for h in range(1, view.horizon + 1):
         action = np.atleast_1d(np.asarray(policy(h, state), dtype=float))
-        if action.shape != (1,) or not np.all(np.abs(action) <= 1.0):
+        if action.shape != (1,) or not abs(action[0]) <= 1.0:
             raise ValueError(f"policy action out of [-1, 1]: {action}")
         z = np.concatenate([state, action])
         reward = view.sample_reward(h, z, rng)

@@ -313,7 +313,8 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     played, on the policy's greedy table. A policy is keyed by z1 and that
     table, and evaluated when it is not among the last ``_POLICY_VALUES_KEPT``
     evaluated; their values serve every episode that plays one again. V* is
-    interpolated on the oracle grid. Deterministic given (config, seed).
+    interpolated on the oracle grid, once per run when s1 is fixed and once
+    per episode when it is drawn. Deterministic given (config, seed).
     """
     # The rows outlive the run in its trace. Allocated after the oracle's
     # tables, they could land above them on the heap and keep their freed
@@ -327,10 +328,14 @@ def run_experiment(config: RunConfig) -> RegretTrace:
     view = LearnerView(env)
     cum = 0.0
     values = {}  # V^pi(s1) by the digest of z1 and the greedy table, oldest first
+    uniform = config.init_mode == "uniform"
+    if not uniform:
+        vstar = dp.value_at(np.full(1, float(config.init_value)))
     for k in range(1, config.episodes + 1):
         t0 = time.perf_counter()
-        if config.init_mode == "uniform":
+        if uniform:
             s1 = make_rng(config.seed, k, 0, STREAM_INIT).uniform(-1.0, 1.0, 1)
+            vstar = dp.value_at(s1)
         else:
             s1 = np.full(1, float(config.init_value))
         env_rng = make_rng(config.seed, k, 0, STREAM_ENV)
@@ -345,7 +350,6 @@ def run_experiment(config: RunConfig) -> RegretTrace:
             if len(values) == _POLICY_VALUES_KEPT:
                 del values[next(iter(values))]
             vpi = values[key] = _played_policy_value(env, rewards_pi, kernel_pi, z1, played)
-        vstar = dp.value_at(s1)
         regret = vstar - vpi
         cum += regret
         # The row is written inside the episode's ms window, so per-episode

@@ -612,7 +612,7 @@ class CinderellaLearner:
         if env.horizon != self.H:
             raise ValueError(f"env horizon {env.horizon} is not the learner's horizon {self.H}")
         s1 = np.atleast_1d(np.asarray(s1, dtype=float))
-        if s1.shape != (1,) or not np.all(np.abs(s1) <= 1.0):
+        if s1.shape != (1,) or not abs(s1[0]) <= 1.0:
             raise ValueError(f"initial state must be one coordinate in [-1, 1], got {s1}")
         self.plan(s1)
         visits = []  # act's (phi, region, index, key) per visited state

@@ -194,9 +194,13 @@ def test_run_episode_deterministic_given_seed():
 
 def test_run_episode_rejects_out_of_range_policy(rng):
     env = env_uniform_shift(0.5, horizon=2)
-    for action in ([1.5], [0.1, 0.2]):  # out of range; two action coordinates
+    # out of range, not a number, just below -1; two action coordinates
+    for action in ([1.5], [np.nan], [-np.inf], [-1.0 - 1e-9], [0.1, 0.2]):
         with pytest.raises(ValueError, match="out of"):
             run_episode(env, lambda h, s: np.array(action), rng)
+    for action in (-1.0, 1.0):  # the ends of the range are actions
+        transitions, _ = run_episode(env, lambda h, s: np.array([action]), rng)
+        assert [tr.action[0] for tr in transitions] == [action, action]
 
 
 def test_run_episode_rejects_an_initial_state_of_two_coordinates(rng):

@@ -34,6 +34,13 @@ def test_workload_csv_hash(name):
     assert _hash(WORKLOADS[name].config(1, episodes=32)) == WORKLOAD_HASHES[name]
 
 
+def test_workload_csv_hash_uniform_shift_k1024_full_k():
+    """The full K = 1024 unit (perfbench's --seed 1), the only golden run whose d = 1
+    regressions reach REINVERT_EVERY visits: two (step, region) ones re-invert."""
+    cfg = WORKLOADS["uniform_shift_k1024"].config(1)
+    assert _hash(cfg) == "8630d322586e7eb74efa81c849c888fcb17747bbe8a36d1cb009eac3ce2286c4"
+
+
 def test_exact_grid_csv_hash():
     cfg = RunConfig(
         env_name="exact_linear",

@@ -645,6 +645,11 @@ def _horizon(horizon):
         (8, lambda env: env, 1.0, [0.1, -0.9], "initial state must be one coordinate"),
         (8, _horizon(3), 2.0, [0.3], "env horizon 3 is not the learner's horizon 2"),
         (8, _horizon(1), 2.0, [0.3], "env horizon 1 is not the learner's horizon 2"),
+        *[
+            (8, lambda env: env, nu, [s1], "initial state must be one coordinate in")
+            for nu in (1.0, 3.0)  # degree 0 and degree 2
+            for s1 in (math.nan, math.inf, 1.0 + 1e-9)
+        ],
     ],
     ids=[
         "nan-reward-step-2",
@@ -655,6 +660,7 @@ def _horizon(horizon):
         "two-coordinate-s1-degree-0",
         "env-horizon-3",
         "env-horizon-1",
+        *[f"s1-{s1}-degree-{degree}" for degree in (0, 2) for s1 in ("nan", "inf", "above-1")],
     ],
 )
 def test_failed_episode_changes_nothing(episodes, make_env, nu, s1, match):

@@ -72,6 +72,39 @@ def test_rejects_non_finite():
     with pytest.raises(ValueError):
         ridge_update(lam, lam_inv, np.array([1.0, float("inf")]), 1)
     np.testing.assert_array_equal(lam, np.eye(2))
+    lam, lam_inv = _fresh(1, lam_reg=0.3)  # d = 1 runs on floats: refused before any write
+    _absorb(lam, lam_inv, [[0.7], [-1.9]])
+    before = lam.tobytes(), lam_inv.tobytes()
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError):
+            ridge_update(lam, lam_inv, np.array([bad]), 3)
+        assert (lam.tobytes(), lam_inv.tobytes()) == before
+
+
+def _matrix_update(lam, lam_inv, phi, count):
+    """The plain matrix formulas (np.outer, @, np.linalg.inv): the reference bits."""
+    lam += np.outer(phi, phi)
+    u = lam_inv @ phi
+    denom = 1.0 + phi @ u
+    lam_inv -= np.outer(u, u) / denom
+    if count % REINVERT_EVERY == 0:
+        lam_inv[:] = np.linalg.inv(lam)
+
+
+@pytest.mark.parametrize("lam_reg", [0.3, 1.0, 7.0])
+@pytest.mark.parametrize("d", [1, 2, 3, 6, 10])
+def test_update_matches_the_matrix_formulas_bit_for_bit(d, lam_reg):
+    """Across three re-inversions, with rows of exactly 1.0 among the random ones."""
+    rng = np.random.default_rng(37 * d)
+    phis = rng.uniform(-3.0, 3.0, size=(3 * REINVERT_EVERY + 7, d))
+    phis[::5] = 1.0
+    lam, lam_inv = _fresh(d, lam_reg)
+    ref, ref_inv = _fresh(d, lam_reg)
+    for count, phi in enumerate(phis, start=1):
+        ridge_update(lam, lam_inv, phi, count)
+        _matrix_update(ref, ref_inv, phi, count)
+        assert lam.tobytes() == ref.tobytes(), count
+        assert lam_inv.tobytes() == ref_inv.tobytes(), count
 
 
 def test_reinverts_exactly_on_schedule(rng):

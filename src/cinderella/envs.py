@@ -13,10 +13,10 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .features import TaylorFeatureMap, feature_matrix
 from .geometry import uniform_grid
+from .normal import ndtr, ndtr_array, ndtri
 
 REWARD_NOISE_TRUNCATION = 4.0  # reward noise support is +-4 sigma
 # The standard normal CDF at the truncation points, computed once.
@@ -248,20 +248,21 @@ def env_smooth_drift(
     def key(Z):  # the Gaussian's mean
         return Z[:, 0] + drift_gain * Z[:, 1]
 
-    def _bounds(mu):
-        lo = ndtr((-1.0 - mu) / noise_sigma)
-        hi = ndtr((1.0 - mu) / noise_sigma)
-        return lo, hi
-
     def sample(Z, rng):
-        mu = key(Z)
-        lo, hi = _bounds(mu)
-        u = rng.uniform(lo, hi)
-        out = mu + noise_sigma * ndtri(u)
-        return np.clip(out, -1.0, 1.0)[:, None]
+        # Row by row in Python floats, with the bits of the vectorized form: a draw on float
+        # bounds is the draw on one-element arrays, and min(max(..)) keeps NaN and -0.0 as
+        # np.clip does.
+        out = np.empty((Z.shape[0], 1))
+        for i, (s, a) in enumerate(Z.tolist()):
+            mu = s + drift_gain * a
+            lo, hi = ndtr((-1.0 - mu) / noise_sigma), ndtr((1.0 - mu) / noise_sigma)
+            out[i, 0] = min(max(mu + noise_sigma * ndtri(rng.uniform(lo, hi)), -1.0), 1.0)
+        return out
+
+    ends = np.array([[-1.0], [1.0]])
 
     def density(mu, Sp):
-        lo, hi = _bounds(mu)
+        cdf = ndtr_array((ends - mu) / noise_sigma)  # each row's CDF at -1 and at 1
         # exp(-0.5 * x * x) / sqrt(2 pi) / (sigma * mass), all in the one (n, m)
         # array, which is as large as an oracle kernel; scaling by -0.5 is
         # exact, so (x * x) * -0.5 equals (-0.5 * x) * x bit for bit.
@@ -271,7 +272,7 @@ def env_smooth_drift(
         x *= -0.5
         np.exp(x, out=x)
         x /= np.sqrt(2.0 * np.pi)
-        x /= (noise_sigma * (hi - lo))[:, None]
+        x /= (noise_sigma * (cdf[1] - cdf[0]))[:, None]
         return x
 
     c_t = 1.0 + (1.0 + abs(drift_gain)) / noise_sigma  # coarse scale estimate

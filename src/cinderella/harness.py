@@ -385,8 +385,8 @@ def run_sweep(configs, jobs: int = 1, master_seed: int | None = None):
     """Run several experiments; results keep the input order.
 
     ``jobs > 1`` runs them on up to that many spawned processes, each first
-    importing cinderella (about 0.4 s of CPU); at jobs=2 on 2 cores, four
-    0.25 s runs take 1.17 s against 1.06 s at jobs=1 (medians of 8).
+    importing cinderella (about 0.25 s of CPU); at jobs=2 on 2 cores, four
+    0.17 s runs take 0.71 s against 0.69 s at jobs=1 (medians of 8).
     ``jobs`` must be an integer >= 1. With ``master_seed``
     (an integer >= 0) given, each run's seed is re-derived from (master_seed,
     run index). Errors are aggregated with their run indices.

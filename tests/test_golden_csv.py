@@ -3,16 +3,21 @@
 Each hash is the sha256 of the CSV with the wallclock ``ms`` column removed,
 as the benchmark computes it. A change that keeps the run's behaviour keeps
 every hash; a change that moves any regret, value or return by one bit of a
-printed digit fails here. Update a hash only with a change that is meant to
-alter behaviour, and say why.
+printed digit fails here. The CSV prints 9 digits, so the full-precision
+hashes pin the rows' float64 bits (and one oracle's value tables) as well: a
+last-bit change to a value fails there. Update a hash only with a change that
+is meant to alter behaviour, and say why.
 """
 
+import hashlib
 import runpy
 from pathlib import Path
 
 import pytest
 
+from cinderella.envs import env_smooth_drift
 from cinderella.harness import RunConfig, run_experiment
+from cinderella.oracle import dp_solve
 
 BENCH = Path(__file__).resolve().parent.parent / "perfbench"
 WORKLOADS = runpy.run_path(str(BENCH / "workloads.py"))["WORKLOADS"]
@@ -25,13 +30,40 @@ WORKLOAD_HASHES = {  # Workload.config(1, episodes=32)
 }
 
 
+WORKLOAD_ROW_HASHES = {  # Workload.config(1, episodes=32), at full precision
+    "uniform_shift_k1024": "da64256d2914e1401ba67f504c3cee9eec8927bf0960b58048fa94d7807c6ec0",
+    "smooth_drift_nu3": "9c3655fc7558dc51332b85eb6738fda5124c1168c00243ad672db4e0473caeaa",
+    "fine_oracle_h3": "5abbb49d64af9fbacd7d9c063c4be2e3d5d33ac6f91e14530698ac43c71f9a59",
+}
+
+
 def _hash(cfg: RunConfig) -> str:
     return behaviour_sha256([run_experiment(cfg).to_csv()])
+
+
+def _rows_hash(cfg: RunConfig) -> str:
+    """sha256 of the run's k, return, V*, V^pi, regret and cumulative regret as float64 bytes."""
+    return hashlib.sha256(run_experiment(cfg).rows[:, :6].tobytes()).hexdigest()
 
 
 @pytest.mark.parametrize("name", sorted(WORKLOAD_HASHES))
 def test_workload_csv_hash(name):
     assert _hash(WORKLOADS[name].config(1, episodes=32)) == WORKLOAD_HASHES[name]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_ROW_HASHES))
+def test_workload_rows_hash(name):
+    assert _rows_hash(WORKLOADS[name].config(1, episodes=32)) == WORKLOAD_ROW_HASHES[name]
+
+
+def test_dp_values_hash_smooth_drift_h3():
+    """The optimal value tables of smooth_drift at H = 3 on a 257 x 129 grid, every bit: each
+    kernel row's mass is an ndtr difference."""
+    v = dp_solve(env_smooth_drift(horizon=3), 257, 129).v
+    assert (
+        hashlib.sha256(v.tobytes()).hexdigest()
+        == "98a00b62d0afa6c97ded99b5c315246cbf688e7c7d182d0eee4c6d695cf338dc"
+    )
 
 
 def test_workload_csv_hash_uniform_shift_k1024_full_k():
@@ -99,9 +131,8 @@ def test_exact_grid_csv_hash_d1(horizon, epsilon, expected):
     assert _hash(cfg) == expected
 
 
-def test_relaxation_csv_hash_h3_nu3():
-    """H=3 at degree 2 (d_feat=6, N=4): cached means and widths at two next-state steps."""
-    cfg = RunConfig(
+def _relaxation_h3_nu3() -> RunConfig:
+    return RunConfig(
         env_name="smooth_drift",
         env_params={"drift_gain": 0.5, "noise_sigma": 0.3},
         episodes=32,
@@ -113,7 +144,17 @@ def test_relaxation_csv_hash_h3_nu3():
         oracle_m_action=33,
         init_mode="uniform",
     )
+
+
+def test_relaxation_csv_hash_h3_nu3():
+    """H=3 at degree 2 (d_feat=6, N=4): cached means and widths at two next-state steps."""
+    cfg = _relaxation_h3_nu3()
     assert _hash(cfg) == "86ab0484d493b4de0042fb784990f2ccecf1e154441d44da2eabdade82b4ad3b"
+
+
+def test_relaxation_rows_hash_h3_nu3():
+    cfg = _relaxation_h3_nu3()
+    assert _rows_hash(cfg) == "4058f7f13ccacbea4c1d91b9e5fed9e56c30931dd3868983c48ba3185c7666d8"
 
 
 def test_relaxation_csv_hash_degree_0_uniform_s1():
